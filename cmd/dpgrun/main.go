@@ -173,8 +173,12 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		var ps dpg.PreStats
 		var st trace.Stats
 		var ss dpg.SpecStats
-		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate, shards),
-			core.WithPreStats(&ps), core.WithTraceStats(&st))
+		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate, shards), core.WithTraceStats(&st))
+		if !headerDone {
+			// Only the header reads the pre-pass summary; asking for it
+			// costs a full decode, so later predictors skip it.
+			opts = append(opts, core.WithPreStats(&ps))
+		}
 		if speculate != 0 || shards != 0 {
 			opts = append(opts, core.WithSpecStats(&ss))
 		}

@@ -45,8 +45,8 @@ func chaosSource(t *testing.T, target string, boom error, failures *atomic.Int32
 }
 
 // assertCacheConsistent verifies the suite holds no failed entries: every
-// cached trace and result must be a success (errors are evicted, never
-// memoised).
+// cached trace, result and experiment product must be a success (errors
+// are evicted, never memoised).
 func assertCacheConsistent(t *testing.T, s *Suite) {
 	t.Helper()
 	s.mu.Lock()
@@ -68,12 +68,25 @@ func assertCacheConsistent(t *testing.T, s *Suite) {
 			t.Errorf("empty result entry cached for %q", key)
 		}
 	}
+	for key, pe := range s.products {
+		select {
+		case <-pe.done:
+		default:
+			t.Errorf("product %q still in flight", key)
+			continue
+		}
+		if pe.err != nil {
+			t.Errorf("stale failed product entry cached for %q: %v", key, pe.err)
+		}
+	}
 }
 
 // TestSuiteChaosPrecompute fails a workload trace load mid-Precompute via
 // fault injection and asserts the error path leaves the cache consistent:
 // the failure surfaces, nothing stale is cached, and a second Precompute
-// succeeds end to end.
+// succeeds end to end. It then injects the fault into an experiment
+// product job and asserts the same of RunAll, plus that no trace stays
+// cached.
 func TestSuiteChaosPrecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full precompute in -short mode")
@@ -102,6 +115,53 @@ func TestSuiteChaosPrecompute(t *testing.T) {
 			t.Fatalf("Result(%s, %s) after recovery: %v", target, k, err)
 		}
 	}
+
+	// A fault inside a product job: with the target's model runs memoised
+	// up front, the first trace load RunAll makes for it comes from one of
+	// its product jobs.
+	s = NewSuite(SuiteConfig{
+		Scale:       0.03,
+		Parallel:    4,
+		TraceSource: chaosSource(t, target, boom, &failures),
+	})
+	for _, k := range s.suiteKinds() {
+		if _, err := s.Result(target, k); err != nil {
+			t.Fatalf("Result(%s, %s): %v", target, k, err)
+		}
+	}
+	failures.Store(1)
+	var out bytes.Buffer
+	if err := s.RunAll(&out); !errors.Is(err, boom) {
+		t.Fatalf("first RunAll: err = %v, want the injected fault", err)
+	}
+	assertCacheConsistent(t, s)
+	assertNoTraces := func() {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.traces) != 0 {
+			t.Errorf("%d traces still cached", len(s.traces))
+		}
+	}
+	assertNoTraces()
+	missing := 0
+	s.mu.Lock()
+	for _, pj := range s.productJobs(target) {
+		if s.products[pj.key] == nil {
+			missing++
+		}
+	}
+	s.mu.Unlock()
+	if missing == 0 {
+		t.Fatal("every product of the faulted workload was memoised")
+	}
+
+	out.Reset()
+	if err := s.RunAll(&out); err != nil {
+		t.Fatalf("second RunAll after transient fault: %v", err)
+	}
+	assertCacheConsistent(t, s)
+	assertNoTraces()
 }
 
 // TestSuiteResultRetriesAfterFailure is the single-workload version of the

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -336,11 +335,13 @@ type SuiteConfig struct {
 type Suite struct {
 	cfg SuiteConfig
 
-	mu      sync.Mutex
-	traces  map[string]*traceEntry
-	results map[string]*resultEntry
-	done    map[string]int // predictor runs completed per workload
-	fused   map[string]*fusedEntry
+	mu       sync.Mutex
+	traces   map[string]*traceEntry
+	results  map[string]*resultEntry
+	products map[string]*productEntry
+	done     map[string]int // predictor runs completed per workload
+	pending  map[string]int // Precompute jobs not yet finished per workload
+	fused    map[string]*fusedEntry
 }
 
 type traceEntry struct {
@@ -364,11 +365,13 @@ func NewSuite(cfg SuiteConfig) *Suite {
 		cfg.Seed = 1
 	}
 	return &Suite{
-		cfg:     cfg,
-		traces:  make(map[string]*traceEntry),
-		results: make(map[string]*resultEntry),
-		done:    make(map[string]int),
-		fused:   make(map[string]*fusedEntry),
+		cfg:      cfg,
+		traces:   make(map[string]*traceEntry),
+		results:  make(map[string]*resultEntry),
+		products: make(map[string]*productEntry),
+		done:     make(map[string]int),
+		pending:  make(map[string]int),
+		fused:    make(map[string]*fusedEntry),
 	}
 }
 
@@ -398,7 +401,8 @@ func (s *Suite) traceFor(name string) (*trace.Trace, error) {
 
 // Result returns (and caches) the model result for one workload and
 // predictor. The trace is released once every suite predictor has
-// consumed it. Distinct (workload, predictor) pairs compute concurrently.
+// consumed it and no Precompute job for the workload is still pending.
+// Distinct (workload, predictor) pairs compute concurrently.
 func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 	key := name + "/" + kind.String()
 	s.mu.Lock()
@@ -440,12 +444,8 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 		}
 		s.mu.Lock()
 		s.done[name]++
-		if s.done[name] >= len(s.suiteKinds()) {
-			if te := s.traces[name]; te != nil {
-				te.t = nil // free the trace memory; recompute if needed again
-				s.traces[name] = nil
-				delete(s.traces, name)
-			}
+		if s.done[name] >= len(s.suiteKinds()) && s.pending[name] == 0 {
+			delete(s.traces, name) // free the trace memory; recompute if needed again
 		}
 		s.mu.Unlock()
 	})
@@ -461,9 +461,12 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 	return re.res, re.err
 }
 
-// Precompute runs every (workload, predictor) model pass up front, using up
-// to cfg.Parallel concurrent runs. Subsequent experiments then only read
-// cached results.
+// Precompute computes up front, on up to cfg.Parallel workers, every
+// product the experiments read: the (workload, predictor) model runs and
+// the experiment products (see productJobs). Jobs are queued
+// workload-major and all read the workload's one cached trace, which is
+// released when the last of them finishes. Subsequent experiments then
+// only read memoised results.
 func (s *Suite) Precompute() error {
 	par := s.cfg.Parallel
 	if par < 1 {
@@ -471,7 +474,7 @@ func (s *Suite) Precompute() error {
 	}
 	type job struct {
 		name string
-		kind predictor.Kind
+		run  func() error
 	}
 	jobs := make(chan job)
 	errs := make(chan error, par)
@@ -481,7 +484,9 @@ func (s *Suite) Precompute() error {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if _, err := s.Result(j.name, j.kind); err != nil {
+				err := j.run()
+				s.jobDone(j.name)
+				if err != nil {
 					select {
 					case errs <- err:
 					default:
@@ -491,8 +496,32 @@ func (s *Suite) Precompute() error {
 		}()
 	}
 	for _, name := range s.suiteNames() {
+		var work []func() error
 		for _, k := range s.suiteKinds() {
-			jobs <- job{name: name, kind: k}
+			work = append(work, func() error {
+				_, err := s.Result(name, k)
+				return err
+			})
+		}
+		for _, pj := range s.productJobs(name) {
+			work = append(work, func() error {
+				_, err := s.product(pj.key, func() (any, error) {
+					t, err := s.traceFor(name)
+					if err != nil {
+						return nil, err
+					}
+					return pj.run(t)
+				})
+				return err
+			})
+		}
+		// Count the workload's jobs before queueing any, so an early
+		// finisher cannot release the trace its siblings still need.
+		s.mu.Lock()
+		s.pending[name] += len(work)
+		s.mu.Unlock()
+		for _, run := range work {
+			jobs <- job{name: name, run: run}
 		}
 	}
 	close(jobs)
@@ -502,6 +531,18 @@ func (s *Suite) Precompute() error {
 		return err
 	default:
 		return nil
+	}
+}
+
+// jobDone retires one finished Precompute job of a workload, releasing
+// the workload's trace after the last one.
+func (s *Suite) jobDone(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending[name]--
+	if s.pending[name] == 0 {
+		delete(s.pending, name)
+		delete(s.traces, name)
 	}
 }
 
@@ -1010,54 +1051,13 @@ func (s *Suite) traceFilePath(name string) (string, bool) {
 	return s.cfg.TraceFile(name)
 }
 
-// streamEvents drives observe over one workload's dynamic instructions.
-// Under TraceFile it streams the file through the block decoder without
-// ever materializing the event slice — peak memory is O(block · workers)
-// plus whatever the observers hold, not O(trace). Without a trace file it
-// falls back to the in-memory trace the workload generator produces.
-func (s *Suite) streamEvents(name string, observe func(*trace.Event)) error {
-	path, ok := s.traceFilePath(name)
-	if !ok {
-		t, err := s.traceOnce(name)
-		if err != nil {
-			return err
-		}
-		for i := range t.Events {
-			observe(&t.Events[i])
-		}
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewParallelReader(f, trace.Workers(s.cfg.Workers))
-	if err != nil {
-		return wrapTraceErr(err)
-	}
-	defer r.Close()
-	noteDecode(path)
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		observe(&e)
-	}
-}
-
 // traceOnce regenerates a workload trace at the suite's scale without
-// touching the result cache (used by experiments that need the raw trace
-// even after the standard predictor runs released it). Under TraceFile it
-// loads the trace file instead — kept for completeness, though no suite
-// experiment materializes a file any more: every file-mode experiment
-// reads the fused engine's single decode (see fused.go), and the non-file
-// experiments stream through streamEvents.
+// touching the trace cache (used by experiments whose products were not
+// precomputed, after the standard predictor runs released the trace).
+// Under TraceFile it loads the trace file instead — kept for
+// completeness, though no suite experiment materializes a file any more:
+// every file-mode experiment reads the fused engine's single decode (see
+// fused.go).
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
 	if path, ok := s.traceFilePath(name); ok {
 		noteDecode(path)

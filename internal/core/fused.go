@@ -124,13 +124,7 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 	if err != nil {
 		return nil, err
 	}
-	isInt := false
-	for _, n := range intNames() {
-		if n == name {
-			isInt = true
-			break
-		}
-	}
+	isInt := isIntName(name)
 
 	kinds := s.suiteKinds()
 	var obs []analysis.Observer
@@ -218,8 +212,8 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 //
 // Each experiment's renderer asks for its product through one of these:
 // under TraceFile the fused engine's cached products answer, otherwise the
-// experiment streams the generated trace itself (still one shared pass
-// per experiment, via streamEvents).
+// in-memory products (see products.go) — memoised by Precompute, or run
+// on demand over one regenerated trace per experiment.
 
 // correlationResult returns the correlation-model result for one workload.
 func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
@@ -230,11 +224,11 @@ func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
 		}
 		return p.corr, nil
 	}
-	t, err := s.traceOnce(name)
+	out, err := productsFor[*dpg.Result](s, name, []productJob{corrJob(name)})
 	if err != nil {
 		return nil, err
 	}
-	return dpg.RunWith(t, suiteCorrConfig())
+	return out[0], nil
 }
 
 // reuseStats returns the reuse-buffer totals for one workload.
@@ -246,11 +240,11 @@ func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
 		}
 		return p.reuse, nil
 	}
-	sim := analysis.NewReuseSim(name, suiteReuseBits)
-	if err := s.streamEvents(name, sim.Observe); err != nil {
+	out, err := productsFor[analysis.ReuseStats](s, name, []productJob{reuseJob(name)})
+	if err != nil {
 		return analysis.ReuseStats{}, err
 	}
-	return sim.Stats(), nil
+	return out[0], nil
 }
 
 // confidencePoints returns the confidence sweep for one workload.
@@ -262,11 +256,11 @@ func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error
 		}
 		return p.confidence, nil
 	}
-	sim := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-	if err := s.streamEvents(name, sim.Observe); err != nil {
+	out, err := productsFor[[]analysis.ConfidencePoint](s, name, []productJob{confidenceJob(name)})
+	if err != nil {
 		return nil, err
 	}
-	return sim.Points(), nil
+	return out[0], nil
 }
 
 // ilpStats returns the dataflow-limit statistics for one workload, one
@@ -279,27 +273,7 @@ func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
 		}
 		return p.ilp, nil
 	}
-	// One streaming pass drives every predictor's simulator at once: the
-	// base timeline is identical across kinds, so the sims differ only in
-	// their prediction side.
-	kinds := s.suiteKinds()
-	sims := make([]*analysis.ILPSim, len(kinds))
-	for i, k := range kinds {
-		sims[i] = analysis.NewILPSim(name, k)
-	}
-	err := s.streamEvents(name, func(e *trace.Event) {
-		for _, sim := range sims {
-			sim.Observe(e)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]analysis.ILPStats, len(sims))
-	for i, sim := range sims {
-		out[i] = sim.Stats()
-	}
-	return out, nil
+	return productsFor[analysis.ILPStats](s, name, s.ilpJobs(name))
 }
 
 // speculationStats returns the never-speculate baseline plus the stats at
@@ -312,27 +286,13 @@ func (s *Suite) speculationStats(name string) (analysis.SpecStats, map[uint8]ana
 		}
 		return p.specBase, p.spec, nil
 	}
-	// One streaming pass drives the baseline and every threshold at once:
-	// the sims are independent, so the shared pass is byte-identical to
-	// running them separately.
-	base := analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
-	sims := make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
-	all := []*analysis.SpecSim{base}
-	for _, th := range suiteSpecThresholds {
-		sims[th] = analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(th))
-		all = append(all, sims[th])
-	}
-	err := s.streamEvents(name, func(e *trace.Event) {
-		for _, sim := range all {
-			sim.Observe(e)
-		}
-	})
+	all, err := productsFor[analysis.SpecStats](s, name, specJobs(name))
 	if err != nil {
 		return analysis.SpecStats{}, nil, err
 	}
-	out := make(map[uint8]analysis.SpecStats, len(sims))
-	for th, sim := range sims {
-		out[th] = sim.Stats()
+	out := make(map[uint8]analysis.SpecStats, len(suiteSpecThresholds))
+	for i, th := range suiteSpecThresholds {
+		out[th] = all[i+1]
 	}
-	return base.Stats(), out, nil
+	return all[0], out, nil
 }

@@ -568,10 +568,16 @@ type unitCommit struct {
 }
 
 // fetch returns the next current-generation record, discarding speculation
-// that predates the unit's last resync.
-func (uc *unitCommit) fetch() (*unitRecord, error) {
+// that predates the unit's last resync. It fails once done is closed: an
+// aborted chain exits without sending the record the committer waits for.
+func (uc *unitCommit) fetch(done <-chan struct{}) (*unitRecord, error) {
 	for {
-		rec := <-uc.records
+		var rec *unitRecord
+		select {
+		case rec = <-uc.records:
+		case <-done:
+			return nil, fmt.Errorf("%w: run aborted", ErrSpeculation)
+		}
 		if rec.gen != uc.gen || rec.epoch < uc.expect {
 			continue // stale: produced before the chain saw our resync
 		}
@@ -1009,7 +1015,7 @@ func (r *specRun) acquire(uc *unitCommit, e int) error {
 		uc.rec = nil
 		return r.ensureLiveAt(uc, e)
 	}
-	rec, err := uc.fetch()
+	rec, err := uc.fetch(r.done)
 	if err != nil {
 		return err
 	}

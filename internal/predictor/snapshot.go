@@ -498,6 +498,8 @@ func (p *TAGE) Restore(s Snapshot) error {
 	copy(p.hist, ts.hist)
 	p.pos = ts.pos
 	p.dig = ts.dig
+	p.memoOK = false
+	p.refold()
 	return nil
 }
 

@@ -24,8 +24,27 @@ type TAGE struct {
 	comps    [][]tageEntry
 	hist     []uint16 // ring of hashed recent values
 	pos      int      // next ring slot to write
-	track    bool
-	dig      uint64
+	// folds[c] is the folded history of component c (see refold),
+	// recomputed whenever the history changes.
+	folds [tageComps]uint64
+	// memo is the provider lookup of the latest Predict, reused by an
+	// Update of the same key that follows it. memoOK is cleared by every
+	// mutation; neither is part of the predictor's state (snapshots and
+	// digests ignore them).
+	memo   tageLookup
+	memoOK bool
+	track  bool
+	dig    uint64
+}
+
+// tageLookup is one key's provider lookup under the current history and
+// tables.
+type tageLookup struct {
+	key  uint64
+	mk   uint64 // mix(key)
+	prov int    // longest-history matching component, -1 for none
+	idxs [tageComps]uint64
+	tags [tageComps]uint16
 }
 
 // tageComps is the number of tagged components; tageHistLens are their
@@ -77,61 +96,69 @@ func NewTAGE(bits int) *TAGE {
 	for i := range p.comps {
 		p.comps[i] = make([]tageEntry, 1<<uint(bits-2))
 	}
+	p.refold()
 	return p
 }
 
 // Name implements Predictor.
 func (p *TAGE) Name() string { return "tage" }
 
-// foldHist hashes the n most recent history values into one 64-bit
-// context (FNV over the ring, newest first).
-func (p *TAGE) foldHist(n int) uint64 {
+// refold recomputes every component's folded history: FNV over the ring,
+// newest first, where component c folds the tageHistLens[c] most recent
+// values. The folds are prefixes of one chain, so a single pass over the
+// longest history yields all of them.
+func (p *TAGE) refold() {
 	h := uint64(1469598103934665603)
 	i := p.pos
-	for k := 0; k < n; k++ {
+	c := 0
+	for k := 1; k <= tageHistLens[tageComps-1]; k++ {
 		i--
 		if i < 0 {
 			i = len(p.hist) - 1
 		}
 		h ^= uint64(p.hist[i])
 		h *= 1099511628211
-	}
-	return h
-}
-
-// comp computes component c's table index and tag for key under the
-// current history.
-func (p *TAGE) comp(c int, key uint64) (idx uint64, tag uint16) {
-	x := mix(mix(key) ^ p.foldHist(tageHistLens[c]) ^ tageSalts[c])
-	return x & p.compMask, uint16(x >> 32)
-}
-
-// provider returns the longest-history matching component (-1 for none)
-// and that component's entry.
-func (p *TAGE) provider(key uint64, idxs *[tageComps]uint64, tags *[tageComps]uint16) int {
-	for c := 0; c < tageComps; c++ {
-		idxs[c], tags[c] = p.comp(c, key)
-	}
-	for c := tageComps - 1; c >= 0; c-- {
-		e := &p.comps[c][idxs[c]]
-		if e.valid && e.tag == tags[c] {
-			return c
+		if k == tageHistLens[c] {
+			p.folds[c] = h
+			c++
 		}
 	}
-	return -1
+}
+
+// lookup returns key's provider lookup: every component's table index and
+// tag, and the longest-history component whose tag matches. The result is
+// memoised until the next mutation.
+func (p *TAGE) lookup(key uint64) *tageLookup {
+	l := &p.memo
+	if p.memoOK && l.key == key {
+		return l
+	}
+	l.key, l.mk, l.prov = key, mix(key), -1
+	for c := 0; c < tageComps; c++ {
+		x := mix(l.mk ^ p.folds[c] ^ tageSalts[c])
+		l.idxs[c], l.tags[c] = x&p.compMask, uint16(x>>32)
+	}
+	for c := tageComps - 1; c >= 0; c-- {
+		e := &p.comps[c][l.idxs[c]]
+		if e.valid && e.tag == l.tags[c] {
+			l.prov = c
+			break
+		}
+	}
+	p.memoOK = true
+	return l
 }
 
 // Predict implements Predictor. A tagged match predicts when its
 // confidence counter is non-zero; otherwise the base component answers
 // with last-value semantics.
 func (p *TAGE) Predict(key uint64) (uint32, bool) {
-	var idxs [tageComps]uint64
-	var tags [tageComps]uint16
-	if c := p.provider(key, &idxs, &tags); c >= 0 {
-		e := &p.comps[c][idxs[c]]
+	l := p.lookup(key)
+	if l.prov >= 0 {
+		e := &p.comps[l.prov][l.idxs[l.prov]]
 		return e.value, e.ctr > 0
 	}
-	b := &p.base[mix(key)&p.baseMask]
+	b := &p.base[l.mk&p.baseMask]
 	if !b.valid {
 		return 0, false
 	}
@@ -142,10 +169,10 @@ func (p *TAGE) Predict(key uint64) (uint32, bool) {
 // allocate into a longer component on a misprediction, then shift the
 // observed value into the global history.
 func (p *TAGE) Update(key uint64, actual uint32) {
-	var idxs [tageComps]uint64
-	var tags [tageComps]uint16
-	prov := p.provider(key, &idxs, &tags)
-	bi := mix(key) & p.baseMask
+	l := p.lookup(key)
+	prov, idxs, tags := l.prov, l.idxs, l.tags
+	bi := l.mk & p.baseMask
+	p.memoOK = false
 	b := &p.base[bi]
 
 	correct := false
@@ -266,6 +293,7 @@ func (p *TAGE) pushHist(hv uint16) {
 	if p.track {
 		p.dig ^= tageHistContrib(s, p.hist[s]) ^ tagePosContrib(p.pos)
 	}
+	p.refold()
 }
 
 // Reset implements Predictor.
@@ -283,4 +311,6 @@ func (p *TAGE) Reset() {
 	}
 	p.pos = 0
 	p.dig = 0
+	p.memoOK = false
+	p.refold()
 }
