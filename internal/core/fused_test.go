@@ -105,7 +105,8 @@ func TestDifferentialFusedMatrix(t *testing.T) {
 // TestFusedDecodeOnce asserts the headline property of the fused engine:
 // rendering the full model-figure set AND every streaming experiment from
 // a trace directory decodes each trace file exactly once (the footer
-// probe, which reads only frame headers, is not a decode).
+// probe, which reads only frame headers, is not a decode), whether the
+// experiments run on demand or after Precompute.
 func TestFusedDecodeOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment render in -short mode")
@@ -117,19 +118,25 @@ func TestFusedDecodeOnce(t *testing.T) {
 		p, _ := writeScaledTrace(t, dir, name, scale)
 		paths[name] = p
 	}
-	snapshot := installDecodeCounter(t)
-
-	s := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir), Workers: 2})
-	for _, id := range []string{"table1", "fig5", "fig9", "fig12", "fig13", "correlation", "reuse", "confidence", "ilp", "speculation", "addresses"} {
-		if err := s.Run(id, io.Discard); err != nil {
-			t.Fatalf("%s: %v", id, err)
+	for _, precompute := range []bool{false, true} {
+		snapshot := installDecodeCounter(t)
+		s := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir), Workers: 2})
+		if precompute {
+			if err := s.Precompute(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		for _, id := range []string{"table1", "fig5", "fig9", "fig12", "fig13", "correlation", "reuse", "confidence", "ilp", "speculation", "addresses"} {
+			if err := s.Run(id, io.Discard); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
 
-	counts := snapshot()
-	for name, p := range paths {
-		if counts[p] != 1 {
-			t.Errorf("%s: decoded %d times, want exactly 1", name, counts[p])
+		counts := snapshot()
+		for name, p := range paths {
+			if counts[p] != 1 {
+				t.Errorf("precompute=%v: %s: decoded %d times, want exactly 1", precompute, name, counts[p])
+			}
 		}
 	}
 }

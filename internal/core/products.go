@@ -104,8 +104,13 @@ func productsFor[T any](s *Suite, name string, jobs []productJob) ([]T, error) {
 // experiments read for one workload: one ILP simulator per predictor kind,
 // and for integer workloads — the only ones those experiments cover — the
 // correlation model, the reuse buffer, the confidence sweep and one
-// speculation machine per threshold, never-speculate baseline first.
+// speculation machine per threshold, never-speculate baseline first. It
+// is empty under TraceFile, where the fused decode that serves the model
+// runs computes every product too.
 func (s *Suite) productJobs(name string) []productJob {
+	if _, fused := s.traceFilePath(name); fused {
+		return nil
+	}
 	jobs := s.ilpJobs(name)
 	if !isIntName(name) {
 		return jobs
