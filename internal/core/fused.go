@@ -224,11 +224,7 @@ func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
 		}
 		return p.corr, nil
 	}
-	out, err := productsFor[*dpg.Result](s, name, []productJob{corrJob(name)})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return productFor[*dpg.Result](s, name, corrJob(name))
 }
 
 // reuseStats returns the reuse-buffer totals for one workload.
@@ -240,11 +236,7 @@ func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
 		}
 		return p.reuse, nil
 	}
-	out, err := productsFor[analysis.ReuseStats](s, name, []productJob{reuseJob(name)})
-	if err != nil {
-		return analysis.ReuseStats{}, err
-	}
-	return out[0], nil
+	return productFor[analysis.ReuseStats](s, name, reuseJob(name))
 }
 
 // confidencePoints returns the confidence sweep for one workload.
@@ -256,11 +248,7 @@ func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error
 		}
 		return p.confidence, nil
 	}
-	out, err := productsFor[[]analysis.ConfidencePoint](s, name, []productJob{confidenceJob(name)})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return productFor[[]analysis.ConfidencePoint](s, name, confidenceJob(name))
 }
 
 // ilpStats returns the dataflow-limit statistics for one workload, one

@@ -100,6 +100,16 @@ func productsFor[T any](s *Suite, name string, jobs []productJob) ([]T, error) {
 	return out, nil
 }
 
+// productFor is productsFor for a single job.
+func productFor[T any](s *Suite, name string, job productJob) (T, error) {
+	out, err := productsFor[T](s, name, []productJob{job})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out[0], nil
+}
+
 // productJobs lists, in scheduling order, every product the suite's
 // experiments read for one workload: one ILP simulator per predictor kind,
 // and for integer workloads — the only ones those experiments cover — the
