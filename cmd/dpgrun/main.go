@@ -9,13 +9,15 @@
 //	dpgrun -trace traces/            # every *.dpg in the directory
 //	dpgrun -trace 'traces/*.dpg' -all -parallel 4
 //	dpgrun -workload m88 -predictor stride
-//	dpgrun -workload gcc -all          # all three predictors
+//	dpgrun -workload gcc -all          # all five predictors
 //	dpgrun -trace damaged.dpg -strict=false   # resync past corrupt blocks
 //	dpgrun -trace gcc.dpg -workers 8          # 8 concurrent decode workers
 //
-// Trace files are streamed from disk through the pass pipeline — a sharded
-// pre-pass over decoded blocks, then the sequential model pass — so peak
-// memory stays O(block·workers) regardless of trace size. When -trace
+// Trace files are streamed from disk through the sequential model pass,
+// which takes its static execution counts from the trace footer probe (a
+// sharded pre-pass over decoded blocks runs only when the probe cannot
+// answer), so peak memory stays O(block·workers) regardless of trace
+// size. When -trace
 // names a directory or matches several files, the files fan out across a
 // bounded worker pool (-parallel) with a per-file summary line per
 // predictor; the exit status is non-zero if any file failed.

@@ -6,7 +6,9 @@ package dpg
 // up to a cap; on overflow the entries with the largest distances (the
 // "earliest" generators, the ones Fig. 11's distance metric needs) are kept
 // and the set is flagged, so downstream statistics can exclude inexact
-// counts where exactness matters.
+// counts where exactness matters. Sets are written in place into storage
+// their owner keeps (a value record or one of the model pass's buffers),
+// so tracking allocates nothing once the buffers have grown.
 
 // inflItem is one (generator, longest-distance) pair. dist counts
 // propagating nodes and arcs on the longest path from the generator to the
@@ -22,43 +24,41 @@ type inflSet struct {
 	over  bool // true when entries were dropped due to the cap
 }
 
-// single returns a fresh set containing one generator at distance 0.
-func singleInfl(gen uint32) inflSet {
-	return inflSet{items: []inflItem{{gen: gen, dist: 0}}}
+// setSingle makes s the set holding one generator at distance 0, reusing
+// s's storage.
+func (s *inflSet) setSingle(gen uint32) {
+	s.items = append(s.items[:0], inflItem{gen: gen, dist: 0})
+	s.over = false
 }
 
-// bumped returns a copy of s with every distance incremented by one —
-// the value has flowed through one more propagating element.
-func (s inflSet) bumped() inflSet {
-	out := inflSet{items: make([]inflItem, len(s.items)), over: s.over}
-	for i, it := range s.items {
-		out.items[i] = inflItem{gen: it.gen, dist: it.dist + 1}
+// setBumped makes s a copy of src with every distance incremented by one —
+// the value has flowed through one more propagating element. s's storage
+// is reused and src is left untouched; the two must not share storage.
+func (s *inflSet) setBumped(src inflSet) {
+	s.items = s.items[:0]
+	for _, it := range src.items {
+		s.items = append(s.items, inflItem{gen: it.gen, dist: it.dist + 1})
 	}
-	return out
+	s.over = src.over
 }
 
-// mergeInfl unions the contributions of several predicted inputs. Distances
-// for the same generator take the maximum (longest path). The result is
-// capped at capN items; when trimming, the largest distances win so the
+// setUnion makes s the union of the contributions of several predicted
+// inputs, reusing s's storage; no set in sets may share it. Distances for
+// the same generator take the maximum (longest path). The result is capped
+// at capN items; when trimming, the largest distances win so the
 // earliest-generator distance stays exact.
-func mergeInfl(sets []inflSet, capN int) inflSet {
-	switch len(sets) {
-	case 0:
-		return inflSet{}
-	case 1:
-		return sets[0]
-	}
-	out := inflSet{items: make([]inflItem, 0, len(sets[0].items)+4)}
-	for _, s := range sets {
-		if s.over {
-			out.over = true
+func (s *inflSet) setUnion(sets []inflSet, capN int) {
+	s.items = s.items[:0]
+	s.over = false
+	for _, src := range sets {
+		if src.over {
+			s.over = true
 		}
-		for _, it := range s.items {
-			out.add(it)
+		for _, it := range src.items {
+			s.add(it)
 		}
 	}
-	out.trim(capN)
-	return out
+	s.trim(capN)
 }
 
 // add unions one item into the set (max distance wins for duplicates).

@@ -10,33 +10,42 @@ func items(s inflSet) map[uint32]uint32 {
 	return m
 }
 
+// union returns a fresh set holding the union of sets, capped at capN.
+func union(sets []inflSet, capN int) inflSet {
+	var s inflSet
+	s.setUnion(sets, capN)
+	return s
+}
+
 func TestSingleInfl(t *testing.T) {
-	s := singleInfl(7)
+	s := inflSet{items: []inflItem{{gen: 1, dist: 4}, {gen: 2, dist: 9}}, over: true}
+	s.setSingle(7)
 	if len(s.items) != 1 || s.items[0].gen != 7 || s.items[0].dist != 0 || s.over {
-		t.Errorf("singleInfl = %+v", s)
+		t.Errorf("setSingle = %+v", s)
 	}
 }
 
 func TestBumpedCopies(t *testing.T) {
-	s := singleInfl(3)
-	b := s.bumped()
+	var s, b inflSet
+	s.setSingle(3)
+	b.setBumped(s)
 	if b.items[0].dist != 1 {
 		t.Errorf("bumped dist = %d, want 1", b.items[0].dist)
 	}
-	// The original must be untouched (values are shared between consumers).
+	// The source must be untouched (it is a live value's set).
 	if s.items[0].dist != 0 {
-		t.Error("bumped mutated its receiver")
+		t.Error("setBumped mutated its source")
 	}
 	b.items[0].gen = 99
 	if s.items[0].gen != 3 {
-		t.Error("bumped aliases its receiver's storage")
+		t.Error("setBumped aliases its source's storage")
 	}
 }
 
 func TestMergeUnionsMaxDistance(t *testing.T) {
 	a := inflSet{items: []inflItem{{gen: 1, dist: 5}, {gen: 2, dist: 1}}}
 	b := inflSet{items: []inflItem{{gen: 1, dist: 3}, {gen: 3, dist: 7}}}
-	m := mergeInfl([]inflSet{a, b}, MaxTrackedGens)
+	m := union([]inflSet{a, b}, MaxTrackedGens)
 	got := items(m)
 	want := map[uint32]uint32{1: 5, 2: 1, 3: 7}
 	if len(got) != len(want) {
@@ -56,12 +65,54 @@ func TestMergeUnionsMaxDistance(t *testing.T) {
 }
 
 func TestMergeEdgeCases(t *testing.T) {
-	if got := mergeInfl(nil, 4); len(got.items) != 0 || got.over {
-		t.Error("empty merge not empty")
+	stale := inflSet{items: []inflItem{{gen: 8, dist: 2}}, over: true}
+	stale.setUnion(nil, 4)
+	if len(stale.items) != 0 || stale.over {
+		t.Error("empty union not empty")
 	}
-	one := singleInfl(5)
-	if got := mergeInfl([]inflSet{one}, 4); len(got.items) != 1 || got.items[0].gen != 5 {
-		t.Error("single-set merge should pass through")
+	var one inflSet
+	one.setSingle(5)
+	if got := union([]inflSet{one}, 4); len(got.items) != 1 || got.items[0].gen != 5 {
+		t.Error("single-set union should copy the set")
+	}
+}
+
+// TestInflBuffersReused pins the buffer discipline the model pass relies
+// on: each set-writing form overwrites its destination inside the
+// destination's own storage and leaves its sources untouched.
+func TestInflBuffersReused(t *testing.T) {
+	a := inflSet{items: []inflItem{{gen: 1, dist: 5}, {gen: 2, dist: 1}}}
+	b := inflSet{items: []inflItem{{gen: 3, dist: 7}}, over: true}
+	aWant := append([]inflItem(nil), a.items...)
+	bWant := append([]inflItem(nil), b.items...)
+
+	dst := inflSet{items: make([]inflItem, 0, MaxTrackedGens)}
+	base := &dst.items[:1][0]
+	dst.setUnion([]inflSet{a, b}, MaxTrackedGens)
+	dst.setBumped(a)
+	dst.setSingle(4)
+	dst.setUnion([]inflSet{b, a}, MaxTrackedGens)
+	if &dst.items[0] != base || cap(dst.items) != MaxTrackedGens {
+		t.Error("destination storage was not reused")
+	}
+	if got := items(dst); len(got) != 3 || got[1] != 5 || got[2] != 1 || got[3] != 7 || !dst.over {
+		t.Errorf("union into a reused buffer = %+v", dst)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []inflItem
+	}{{"a", a.items, aWant}, {"b", b.items, bWant}} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("source %s resized: %v", c.name, c.got)
+		}
+		for i := range c.want {
+			if c.got[i] != c.want[i] {
+				t.Errorf("source %s modified: %v, want %v", c.name, c.got, c.want)
+			}
+		}
+	}
+	if a.over || !b.over {
+		t.Error("source overflow flags modified")
 	}
 }
 
@@ -90,7 +141,7 @@ func TestTrimKeepsLargestDistances(t *testing.T) {
 func TestMergeOverflowPropagates(t *testing.T) {
 	over := inflSet{items: []inflItem{{gen: 1, dist: 1}}, over: true}
 	clean := inflSet{items: []inflItem{{gen: 2, dist: 2}}}
-	m := mergeInfl([]inflSet{over, clean}, MaxTrackedGens)
+	m := union([]inflSet{over, clean}, MaxTrackedGens)
 	if !m.over {
 		t.Error("overflow flag lost in merge")
 	}
@@ -101,7 +152,7 @@ func TestMergeCapsAtLimit(t *testing.T) {
 	for g := uint32(0); g < 20; g++ {
 		sets = append(sets, inflSet{items: []inflItem{{gen: g, dist: g}}})
 	}
-	m := mergeInfl(sets, 6)
+	m := union(sets, 6)
 	if len(m.items) != 6 || !m.over {
 		t.Fatalf("capped merge: %d items, over=%v", len(m.items), m.over)
 	}

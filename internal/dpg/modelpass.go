@@ -17,7 +17,10 @@ import (
 // value is the model's record of one live produced value: who produced it,
 // whether it was predicted at production, the generator influence it
 // carries, and which static consumers have used it (for single- vs
-// repeated-use arc classification).
+// repeated-use arc classification). Each live record is owned by exactly
+// one slot — a register or a memory word — and returns to the pass's free
+// list when that slot is overwritten; a recycled record keeps the storage
+// of its infl and uses slices.
 type value struct {
 	isD       bool
 	writeOnce bool // producer's static instruction executes exactly once
@@ -138,8 +141,18 @@ type modelPass struct {
 	genDepth []uint32
 	genPC    []uint32
 
+	// Value records released by overwritten slots, reused by newValue.
+	free []*value
+	// Influence-set buffers the pass owns, disjoint from each other and
+	// from every live value's: one contribution per operand slot (0 and 1
+	// are register operands, 2 the memory/input operand), the union of
+	// several contributions, and the set of a classified node that
+	// installs no value (branches, jr, writes to $0).
+	contrib [3]inflSet
+	merge   inflSet
+	scratch inflSet
+
 	runLen   uint64 // current predictable-sequence run length
-	scratch  []inflSet
 	nodeIdx  uint64 // index of the dynamic instruction being observed
 	finished bool
 }
@@ -201,10 +214,35 @@ func newModelPassOracle(name string, staticCount []uint64, cfg Config, predName 
 	return m
 }
 
+// newValue returns an empty value record, recycled from the free list
+// when one is available.
+func (m *modelPass) newValue() *value {
+	n := len(m.free)
+	if n == 0 {
+		return &value{}
+	}
+	v := m.free[n-1]
+	m.free = m.free[:n-1]
+	return v
+}
+
+// release returns a record no slot owns any more to the free list,
+// emptying it but keeping the storage of its infl and uses slices.
+func (m *modelPass) release(v *value) {
+	if v == nil {
+		return
+	}
+	*v = value{infl: inflSet{items: v.infl.items[:0]}, uses: v.uses[:0]}
+	m.free = append(m.free, v)
+}
+
 // newDValue creates a fresh D node's value record.
 func (m *modelPass) newDValue() *value {
 	m.res.DNodes++
-	return &value{isD: true, src: NodeRef{ID: m.res.DNodes - 1, D: true}}
+	v := m.newValue()
+	v.isD = true
+	v.src = NodeRef{ID: m.res.DNodes - 1, D: true}
+	return v
 }
 
 // regValue returns the live value in register r, creating a D record for
@@ -274,8 +312,9 @@ func (m *modelPass) recordPropagatingElement(s inflSet) {
 // processArc accounts the dependence arc from v to the consumer at
 // consumerPC whose operand prediction outcome is consumerPred. It returns
 // the influence contribution flowing into the consumer (empty unless the
-// consumer-side prediction was correct).
-func (m *modelPass) processArc(v *value, consumerPC uint32, consumerPred bool, consumedVal uint32) inflSet {
+// consumer-side prediction was correct), written into the operand slot's
+// buffer dst.
+func (m *modelPass) processArc(v *value, consumerPC uint32, consumerPred bool, consumedVal uint32, dst *inflSet) inflSet {
 	label := arcLabel(v.predicted, consumerPred)
 	m.res.Arcs++
 	if v.isD {
@@ -316,12 +355,13 @@ func (m *modelPass) processArc(v *value, consumerPC uint32, consumerPred bool, c
 	case ArcPP:
 		// The arc itself is a propagating element one step farther from
 		// every generator than its producer.
-		contrib := v.infl.bumped()
-		m.recordPropagatingElement(contrib)
-		return contrib
+		dst.setBumped(v.infl)
+		m.recordPropagatingElement(*dst)
+		return *dst
 	case ArcNP:
 		// The arc generates predictability: it roots a new tree.
-		return singleInfl(m.newGen(v.genClass(), consumerPC))
+		dst.setSingle(m.newGen(v.genClass(), consumerPC))
+		return *dst
 	default: // ArcPN terminates, ArcNN propagates unpredictability
 		return inflSet{}
 	}
@@ -362,7 +402,8 @@ func (m *modelPass) Observe(e *trace.Event) error {
 
 	hasImm := e.HasImm
 	anyP, anyN := false, false
-	contribs := m.scratch[:0]
+	var contribs [3]inflSet // predicted inputs' contributions, in slot order
+	nContrib := 0
 	dataSlot, dataIsMem, isPass := isa.DataSlot(op)
 	dataPred := false
 
@@ -375,11 +416,12 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		}
 		v := m.regValue(r)
 		pred := m.oracle.predictInput(pc, slot, e.SrcVal[slot])
-		contrib := m.processArc(v, pc, pred, e.SrcVal[slot])
+		contrib := m.processArc(v, pc, pred, e.SrcVal[slot], &m.contrib[slot])
 		if pred {
 			anyP = true
 			if len(contrib.items) > 0 {
-				contribs = append(contribs, contrib)
+				contribs[nContrib] = contrib
+				nContrib++
 			}
 		} else {
 			anyN = true
@@ -398,16 +440,20 @@ func (m *modelPass) Observe(e *trace.Event) error {
 			v = m.memValue(e.Addr &^ 3)
 		}
 		pred := m.oracle.predictInput(pc, 2, e.MemVal)
-		contrib := m.processArc(v, pc, pred, e.MemVal)
+		contrib := m.processArc(v, pc, pred, e.MemVal, &m.contrib[2])
 		if pred {
 			anyP = true
 			if len(contrib.items) > 0 {
-				contribs = append(contribs, contrib)
+				contribs[nContrib] = contrib
+				nContrib++
 			}
 		} else {
 			anyN = true
 		}
 		dataPred = pred
+		if op == isa.OpIn {
+			m.release(v) // no slot owns an input word's D node
+		}
 	}
 
 	// Address-prediction extension (paper §1): cross-tabulate effective-
@@ -453,7 +499,15 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		res.NeutralNodes++
 	}
 
-	var outInfl inflSet
+	// The record of the value this node installs, if any. Its influence set
+	// is built in the record's own buffer; a classified node that installs
+	// nothing builds it in the scratch buffer.
+	var nv *value
+	outInfl := &m.scratch
+	if installsValue(op, e.DstReg) {
+		nv = m.newValue()
+		outInfl = &nv.infl
+	}
 	if classified {
 		class := classifyNode(anyP, anyN, hasImm, outP)
 		res.NodeCount[class]++
@@ -468,31 +522,41 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		if !m.cfg.DisablePaths {
 			switch {
 			case class.Propagates():
-				merged := mergeInfl(contribs, MaxTrackedGens)
-				outInfl = merged.bumped()
-				m.recordPropagatingElement(outInfl)
+				var merged inflSet
+				switch nContrib {
+				case 0:
+				case 1:
+					// Read the one contribution in place: the merge
+					// buffer never adopts an operand slot's storage.
+					merged = contribs[0]
+				default:
+					m.merge.setUnion(contribs[:nContrib], MaxTrackedGens)
+					merged = m.merge
+				}
+				outInfl.setBumped(merged)
+				m.recordPropagatingElement(*outInfl)
 			case class.Generates():
-				outInfl = singleInfl(m.newGen(genClassForNode(class), pc))
+				outInfl.setSingle(m.newGen(genClassForNode(class), pc))
 			}
 		}
 	}
 
-	// Install the produced value for downstream consumers.
-	if isa.WritesValue(op) && !isa.IsBranch(op) {
-		writeOnce := int(pc) < len(m.staticCount) && m.staticCount[pc] == 1
-		nv := &value{writeOnce: writeOnce, predicted: outP, infl: outInfl, src: NodeRef{ID: m.nodeIdx}}
-		switch {
-		case isa.IsStore(op):
-			m.mem[e.Addr&^3] = nv
-		case op == isa.OpJr:
-			// The target "value" flows to control, not to a register.
-		default:
-			if e.DstReg != isa.NoReg && e.DstReg != 0 {
-				// For jalr this attaches the (pass-through) target
-				// prediction outcome to the written return address — a
-				// simplification; indirect calls are rare in the workloads.
-				m.regs[e.DstReg] = nv
-			}
+	// Install the produced value for downstream consumers, recycling the
+	// record it replaces.
+	if nv != nil {
+		nv.writeOnce = int(pc) < len(m.staticCount) && m.staticCount[pc] == 1
+		nv.predicted = outP
+		nv.src = NodeRef{ID: m.nodeIdx}
+		if isa.IsStore(op) {
+			a := e.Addr &^ 3
+			m.release(m.mem[a])
+			m.mem[a] = nv
+		} else {
+			// For jalr this attaches the (pass-through) target prediction
+			// outcome to the written return address — a simplification;
+			// indirect calls are rare in the workloads.
+			m.release(m.regs[e.DstReg])
+			m.regs[e.DstReg] = nv
 		}
 	}
 
@@ -513,8 +577,22 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		m.endRun()
 	}
 
-	m.scratch = contribs[:0] // recycle the backing array for the next event
 	return nil
+}
+
+// installsValue reports whether a node with opcode op and destination dst
+// produces a value some slot keeps: stores write a memory word, and other
+// value-writing nodes a register other than $0. Branches and jr targets
+// flow to control, not to a slot.
+func installsValue(op isa.Op, dst uint8) bool {
+	switch {
+	case !isa.WritesValue(op) || isa.IsBranch(op) || op == isa.OpJr:
+		return false
+	case isa.IsStore(op):
+		return true
+	default:
+		return dst != isa.NoReg && dst != 0
+	}
 }
 
 // checkEvent validates the event fields the model indexes by, keeping
