@@ -14,10 +14,11 @@
 //	dpgrun -trace gcc.dpg -workers 8          # 8 concurrent decode workers
 //
 // Trace files are streamed from disk through the sequential model pass,
-// which takes its static execution counts from the trace footer probe (a
-// sharded pre-pass over decoded blocks runs only when the probe cannot
-// answer), so peak memory stays O(block·workers) regardless of trace
-// size. When -trace
+// which takes its static execution counts — and, in strict mode, the
+// header's event count — from the trace footer probe (a sharded pre-pass
+// over decoded blocks runs only when the probe cannot answer), so each
+// predictor costs one decode and peak memory stays O(block·workers)
+// regardless of trace size. When -trace
 // names a directory or matches several files, the files fan out across a
 // bounded worker pool (-parallel) with a per-file summary line per
 // predictor; the exit status is non-zero if any file failed.
@@ -170,15 +171,23 @@ func printSpecStats(st dpg.SpecStats) {
 // predictor, printing the same header and per-predictor report as the
 // workload mode.
 func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate, shards int) {
-	headerDone := false
+	// The header needs the event and static counts. In strict mode the
+	// footer probe answers them without decoding an event; for a v1 stream,
+	// a damaged file or lenient input, where AnalyzeFile falls back to its
+	// pre-pass anyway, the first predictor asks for the pre-pass summary.
+	var events uint64
+	static := -1
+	if strict {
+		if fi, err := trace.ScanFooterFile(path); err == nil {
+			events, static = fi.Total, len(fi.Counts)
+		}
+	}
 	for i, k := range kinds {
 		var ps dpg.PreStats
 		var st trace.Stats
 		var ss dpg.SpecStats
 		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate, shards), core.WithTraceStats(&st))
-		if !headerDone {
-			// Only the header reads the pre-pass summary; asking for it
-			// costs a full decode, so later predictors skip it.
+		if i == 0 && static < 0 {
 			opts = append(opts, core.WithPreStats(&ps))
 		}
 		if speculate != 0 || shards != 0 {
@@ -194,9 +203,11 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if speculate != 0 || shards != 0 {
 			printSpecStats(ss)
 		}
-		if !headerDone {
-			headerDone = true
-			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, ps.Events, len(ps.StaticCount))
+		if i == 0 {
+			if static < 0 {
+				events, static = ps.Events, len(ps.StaticCount)
+			}
+			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, events, static)
 			if !strict {
 				printCorruption(st)
 			}

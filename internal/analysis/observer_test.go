@@ -3,9 +3,13 @@ package analysis
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/predictor"
 	"repro/internal/trace"
@@ -355,4 +359,332 @@ func FuzzObserverFanout(f *testing.F) {
 				seqSim.Stats(), fanSim.Stats())
 		}
 	})
+}
+
+// --- concurrent fan-out -----------------------------------------------------
+
+// fanoutBlockEvents is the block size of the concurrency tests' sources:
+// small, so a gcc trace spans hundreds of blocks and the window turns
+// over many times.
+const fanoutBlockEvents = 64
+
+// chunkSource serves a trace's events as fanoutBlockEvents-sized blocks
+// that alias the trace, then io.EOF. It counts NextBlock calls.
+type chunkSource struct {
+	events []trace.Event
+	next   int
+	idx    uint64
+	calls  int
+}
+
+func (s *chunkSource) NextBlock(b *trace.Block) error {
+	s.calls++
+	if s.next == len(s.events) {
+		return io.EOF
+	}
+	end := min(s.next+fanoutBlockEvents, len(s.events))
+	b.Index, b.Events = s.idx, s.events[s.next:end]
+	s.idx++
+	s.next = end
+	return nil
+}
+
+// numBlocks is how many blocks a chunkSource cuts n events into.
+func numBlocks(n int) uint64 {
+	return uint64((n + fanoutBlockEvents - 1) / fanoutBlockEvents)
+}
+
+// poisonPC marks an event a poisonSource has taken back; no trace event
+// carries it.
+const poisonPC = ^uint32(0)
+
+// poisonSource copies the trace into blocks it owns and, on ReleaseBlock,
+// overwrites the block's events with poison and recycles the buffer into
+// a later block, so an observer still reading a released block sees
+// poison or foreign events. An atomic in-use bit flags any overlap of
+// NextBlock and ReleaseBlock; outstanding and maxOut track delivered
+// minus released blocks.
+type poisonSource struct {
+	events   []trace.Event
+	next     int
+	idx      uint64
+	free     [][]trace.Event
+	released map[uint64]int
+
+	inUse       atomic.Bool
+	overlap     atomic.Bool
+	calls       atomic.Int64
+	outstanding atomic.Int64
+	maxOut      atomic.Int64
+}
+
+func newPoisonSource(events []trace.Event) *poisonSource {
+	return &poisonSource{events: events, released: map[uint64]int{}}
+}
+
+func (s *poisonSource) enter() {
+	if !s.inUse.CompareAndSwap(false, true) {
+		s.overlap.Store(true)
+	}
+}
+
+func (s *poisonSource) leave() { s.inUse.Store(false) }
+
+func (s *poisonSource) NextBlock(b *trace.Block) error {
+	s.enter()
+	defer s.leave()
+	s.calls.Add(1)
+	if s.next == len(s.events) {
+		return io.EOF
+	}
+	var buf []trace.Event
+	if n := len(s.free); n > 0 {
+		buf, s.free = s.free[n-1][:0], s.free[:n-1]
+	}
+	end := min(s.next+fanoutBlockEvents, len(s.events))
+	b.Index, b.Events = s.idx, append(buf, s.events[s.next:end]...)
+	s.idx++
+	s.next = end
+	if out := s.outstanding.Add(1); out > s.maxOut.Load() {
+		s.maxOut.Store(out)
+	}
+	return nil
+}
+
+func (s *poisonSource) ReleaseBlock(b *trace.Block) {
+	s.enter()
+	defer s.leave()
+	s.released[b.Index]++
+	for i := range b.Events {
+		b.Events[i] = trace.Event{PC: poisonPC}
+	}
+	s.free = append(s.free, b.Events)
+	b.Events = nil
+	s.outstanding.Add(-1)
+}
+
+// seqObserver checks the fan-out's delivery contract from the observer
+// side: block indices rise by one and the events are exactly the trace's,
+// in order, each seen once. delay, when set, runs before each block is
+// read, making the observer the slowest reader. The first violation is
+// kept in bad; the test goroutine reads it after RunObservers returns.
+type seqObserver struct {
+	want   []trace.Event
+	delay  time.Duration
+	blocks uint64
+	off    int
+	bad    string
+}
+
+func (o *seqObserver) Observe(e *trace.Event) { panic("seqObserver takes whole blocks") }
+
+func (o *seqObserver) ObserveBlock(b *trace.Block) {
+	if o.delay > 0 {
+		time.Sleep(o.delay)
+	}
+	if o.bad != "" {
+		return
+	}
+	if b.Index != o.blocks {
+		o.bad = fmt.Sprintf("block index %d, want %d", b.Index, o.blocks)
+		return
+	}
+	o.blocks++
+	for j := range b.Events {
+		switch {
+		case b.Events[j].PC == poisonPC:
+			o.bad = fmt.Sprintf("block %d event %d: read after release (poison)", b.Index, j)
+			return
+		case o.off >= len(o.want):
+			o.bad = fmt.Sprintf("block %d: more events than the trace holds", b.Index)
+			return
+		case b.Events[j] != o.want[o.off]:
+			o.bad = fmt.Sprintf("block %d event %d differs from trace event %d", b.Index, j, o.off)
+			return
+		}
+		o.off++
+	}
+}
+
+// check reports a violation, or an incomplete stream, after the run.
+func (o *seqObserver) check(t *testing.T, name string) {
+	t.Helper()
+	switch {
+	case o.bad != "":
+		t.Errorf("%s: %s", name, o.bad)
+	case o.off != len(o.want):
+		t.Errorf("%s saw %d of %d events", name, o.off, len(o.want))
+	}
+}
+
+// seqObservers builds n checking observers over events, the last one
+// slow.
+func seqObservers(events []trace.Event, n int) []*seqObserver {
+	obs := make([]*seqObserver, n)
+	for i := range obs {
+		obs[i] = &seqObserver{want: events}
+	}
+	obs[n-1].delay = 50 * time.Microsecond
+	return obs
+}
+
+func asObservers(seqs []*seqObserver) []Observer {
+	out := make([]Observer, len(seqs))
+	for i, o := range seqs {
+		out[i] = o
+	}
+	return out
+}
+
+// TestObserverConcurrentOrderExactlyOnce feeds hundreds of small blocks
+// to several checking observers, one of them slow, plus real simulators:
+// every observer sees every block in stream order and every event exactly
+// once, and the simulators agree with their solo runs.
+func TestObserverConcurrentOrderExactlyOnce(t *testing.T) {
+	tr := observerTrace(t)
+	wantReuse, wantILP, _, _ := soloSims(t, tr)
+	seqs := seqObservers(tr.Events, 5)
+	reuse := NewReuseSim("gcc", 12)
+	ilp := NewILPSim("gcc", predictor.KindContext)
+	obs := append(asObservers(seqs), reuse, ilp)
+	if err := RunObservers(&chunkSource{events: tr.Events}, obs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range seqs {
+		o.check(t, fmt.Sprintf("observer %d", i))
+		if want := numBlocks(len(tr.Events)); o.blocks != want {
+			t.Errorf("observer %d saw %d blocks, want %d", i, o.blocks, want)
+		}
+	}
+	if reuse.Stats() != wantReuse {
+		t.Error("reuse stats diverge from the solo run under concurrent fan-out")
+	}
+	if ilp.Stats() != wantILP {
+		t.Error("ILP stats diverge from the solo run under concurrent fan-out")
+	}
+}
+
+// TestObserverReleaseAfterLastReader holds the feeder-owned release
+// contract: a block goes back to the source only after its slowest reader
+// has returned (a premature release shows up as poison), every block is
+// released exactly once, and the source is never entered from two
+// goroutines at once.
+func TestObserverReleaseAfterLastReader(t *testing.T) {
+	tr := observerTrace(t)
+	src := newPoisonSource(tr.Events)
+	seqs := seqObservers(tr.Events, 4)
+	if err := RunObservers(src, asObservers(seqs)...); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range seqs {
+		o.check(t, fmt.Sprintf("observer %d", i))
+	}
+	if src.overlap.Load() {
+		t.Error("NextBlock and ReleaseBlock overlapped: the source was driven from two goroutines")
+	}
+	if want := numBlocks(len(tr.Events)); uint64(len(src.released)) != want {
+		t.Errorf("%d blocks released, want all %d", len(src.released), want)
+	}
+	for idx, n := range src.released {
+		if n != 1 {
+			t.Errorf("block %d released %d times", idx, n)
+		}
+	}
+	if out := src.outstanding.Load(); out != 0 {
+		t.Errorf("%d blocks never released", out)
+	}
+}
+
+// gateObserver blocks in its first block until gate closes.
+type gateObserver struct {
+	gate   chan struct{}
+	waited bool
+}
+
+func (o *gateObserver) Observe(e *trace.Event) {
+	if !o.waited {
+		o.waited = true
+		<-o.gate
+	}
+}
+
+// TestObserverWindowBound stalls one observer on its first block and
+// checks the feeder stops at the window: it pulls exactly fanoutWindow
+// blocks, and delivered-minus-released never exceeds the window over the
+// whole run.
+func TestObserverWindowBound(t *testing.T) {
+	tr := observerTrace(t)
+	src := newPoisonSource(tr.Events)
+	stall := &gateObserver{gate: make(chan struct{})}
+	seqs := seqObservers(tr.Events, 2)
+	done := make(chan error, 1)
+	go func() { done <- RunObservers(src, append(asObservers(seqs), stall)...) }()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for src.calls.Load() < fanoutWindow && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for an unbounded feeder to run ahead
+	if got := src.calls.Load(); got != fanoutWindow {
+		t.Errorf("feeder pulled %d blocks past a stalled observer, want the window %d", got, fanoutWindow)
+	}
+	close(stall.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := src.maxOut.Load(); got > fanoutWindow {
+		t.Errorf("%d blocks outstanding at once, window is %d", got, fanoutWindow)
+	}
+	for i, o := range seqs {
+		o.check(t, fmt.Sprintf("observer %d", i))
+	}
+}
+
+// waitNoExtraGoroutines polls until the goroutine count returns to the
+// baseline (observer goroutines exit asynchronously after their last
+// send).
+func waitNoExtraGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d live, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestObserverNoGoroutineLeak checks every observer goroutine is gone
+// when RunObservers returns: after a clean run, after a source error, and
+// after the early exit once every observer has panicked — which must stop
+// pulling from the source within one window.
+func TestObserverNoGoroutineLeak(t *testing.T) {
+	tr := observerTrace(t)
+	base := runtime.NumGoroutine()
+
+	if err := RunObservers(&chunkSource{events: tr.Events}, asObservers(seqObservers(tr.Events, 3))...); err != nil {
+		t.Fatal(err)
+	}
+	waitNoExtraGoroutines(t, base)
+
+	boom := errors.New("decode bomb")
+	err := RunObservers(&errSource{events: tr.Events, err: boom}, asObservers(seqObservers(tr.Events, 3))...)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the source error", err)
+	}
+	waitNoExtraGoroutines(t, base)
+
+	src := &chunkSource{events: tr.Events}
+	bombs := []Observer{&bombObserver{}, &bombObserver{}, &bombObserver{}}
+	err = RunObservers(src, bombs...)
+	var oe *ObserverError
+	if !errors.As(err, &oe) {
+		t.Fatalf("err = %v, want *ObserverError", err)
+	}
+	if src.calls > fanoutWindow+1 {
+		t.Errorf("feeder pulled %d blocks after every observer failed on the first", src.calls)
+	}
+	waitNoExtraGoroutines(t, base)
 }

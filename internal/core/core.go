@@ -177,14 +177,16 @@ func WithSpecStats(st *dpg.SpecStats) Option {
 // (analysis.Observer) onto AnalyzeFile's decode: one pass over the trace
 // serves the model and every observer (via analysis.RunObservers), so a
 // multi-experiment analysis still reads the file exactly once at
-// O(block·workers) memory. Observers receive every event in stream order
-// on one goroutine; their results accumulate in the caller-owned observer
-// objects. A panicking observer is isolated into a typed
-// *analysis.ObserverError joined into the returned error without
-// corrupting sibling observers; as with any AnalyzeFile failure, the
-// returned Result is nil on error (the observers' own accumulated state
-// remains readable regardless). WithSpeculation is ignored while observers
-// are registered — the fused pass runs the sequential model.
+// O(block·workers) memory. Each observer receives every event in stream
+// order on its own goroutine, concurrently with the model and the other
+// observers, so observers must not share mutable state; their results
+// accumulate in the caller-owned observer objects. A panicking observer
+// is isolated into a typed *analysis.ObserverError joined into the
+// returned error without corrupting sibling observers; as with any
+// AnalyzeFile failure, the returned Result is nil on error (the
+// observers' own accumulated state remains readable regardless).
+// WithSpeculation is ignored while observers are registered — the fused
+// pass runs the sequential model.
 func WithObservers(obs ...analysis.Observer) Option {
 	return func(c *config) { c.observers = append(c.observers, obs...) }
 }
@@ -301,12 +303,13 @@ type SuiteConfig struct {
 	TraceSource func(name string, rounds int, seed uint64) (*trace.Trace, error)
 	// TraceFile, if non-nil, maps a workload name to a trace file path
 	// (see TraceDir). Every experiment then reads the fused engine's
-	// single streaming decode of that file — the model runs for all three
-	// predictors plus every streaming experiment observer share one pass
-	// (analysis.RunObservers), so each trace file is read exactly once per
-	// suite and every figure and table runs at O(block·workers) peak
-	// memory, never materializing a trace.Trace. Workloads the lookup
-	// declines fall back to TraceSource/generation.
+	// single streaming decode of that file — the model runs for every
+	// suite predictor plus every streaming experiment observer share one
+	// pass (analysis.RunObservers, which runs the observers concurrently),
+	// so each trace file is read exactly once per suite and every figure
+	// and table runs at O(block·workers) peak memory, never materializing
+	// a trace.Trace. Workloads the lookup declines fall back to
+	// TraceSource/generation.
 	TraceFile func(name string) (path string, ok bool)
 	// Workers bounds the concurrent decode/pre-pass workers per streamed
 	// file when TraceFile is active (0 = all cores).
@@ -465,8 +468,11 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 // product the experiments read: the (workload, predictor) model runs and
 // the experiment products (see productJobs). Jobs are queued
 // workload-major and all read the workload's one cached trace, which is
-// released when the last of them finishes. Subsequent experiments then
-// only read memoised results.
+// released when the last of them finishes. A trace-file workload is
+// instead one fused pass (see fused.go), which already runs its observers
+// on every core: Precompute runs those itself, one workload at a time, so
+// two passes never overlap and peak memory stays at one pass's. Subsequent
+// experiments then only read memoised results.
 func (s *Suite) Precompute() error {
 	par := s.cfg.Parallel
 	if par < 1 {
@@ -478,6 +484,12 @@ func (s *Suite) Precompute() error {
 	}
 	jobs := make(chan job)
 	errs := make(chan error, par)
+	report := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		wg.Add(1)
@@ -487,15 +499,18 @@ func (s *Suite) Precompute() error {
 				err := j.run()
 				s.jobDone(j.name)
 				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
+					report(err)
 				}
 			}
 		}()
 	}
 	for _, name := range s.suiteNames() {
+		if path, ok := s.traceFilePath(name); ok {
+			if _, err := s.fusedFor(name, path); err != nil {
+				report(err)
+			}
+			continue
+		}
 		var work []func() error
 		for _, k := range s.suiteKinds() {
 			work = append(work, func() error {
@@ -1060,7 +1075,7 @@ func (s *Suite) traceFilePath(name string) (string, bool) {
 // fused.go).
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
 	if path, ok := s.traceFilePath(name); ok {
-		noteDecode(path)
+		defer noteDecode(path)()
 		t, _, err := trace.ReadFileParallel(path, trace.Workers(s.cfg.Workers))
 		if err != nil {
 			return nil, wrapTraceErr(err)

@@ -96,7 +96,7 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	}
 	defer f.Close()
 	defer r.Close()
-	noteDecode(path)
+	defer noteDecode(path)()
 	if cfg.speculate {
 		return analyzeSpeculative(path, r, name, counts, &cfg)
 	}
@@ -250,7 +250,7 @@ func scanPrePass(path string, cfg *config) ([]uint64, string, error) {
 		return nil, "", wrapTraceErr(err)
 	}
 	defer pr.Close()
-	noteDecode(path)
+	defer noteDecode(path)()
 
 	pre := dpg.NewPrePass(pr.NumStatic())
 	if err := dpg.RunSharded(pre, workers, pr.ForEachBlock); err != nil {

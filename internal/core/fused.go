@@ -182,7 +182,7 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 		return nil, wrapTraceErr(err)
 	}
 	defer pr.Close()
-	noteDecode(path)
+	defer noteDecode(path)()
 	if err := analysis.RunObservers(pr, obs...); err != nil {
 		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
 	}

@@ -25,10 +25,11 @@ func installDecodeCounter(t *testing.T) func() map[string]int {
 	t.Helper()
 	var mu sync.Mutex
 	counts := map[string]int{}
-	decodeHook = func(path string) {
+	decodeHook = func(path string) func() {
 		mu.Lock()
 		counts[path]++
 		mu.Unlock()
+		return nil
 	}
 	t.Cleanup(func() { decodeHook = nil })
 	return func() map[string]int {

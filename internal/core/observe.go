@@ -50,16 +50,21 @@ func (m *modelObserver) Finish() error {
 
 // decodeHook, when non-nil, is told about every full event decode of a
 // trace file this package starts (the footer probe, which reads only
-// frame headers, is not a decode). Tests install it — with their own
+// frame headers, is not a decode); the function it returns, if non-nil,
+// runs when that decode ends. Tests install it — with their own
 // synchronisation inside the hook — to assert the one-decode-per-trace
-// contract of the fused engine.
-var decodeHook func(path string)
+// and one-fused-pass-at-a-time contracts of the fused engine.
+var decodeHook func(path string) (end func())
 
-// noteDecode reports one event decode of path to the test seam.
-func noteDecode(path string) {
+// noteDecode reports the start of one event decode of path to the test
+// seam and returns the function that reports its end.
+func noteDecode(path string) (end func()) {
 	if decodeHook != nil {
-		decodeHook(path)
+		if end := decodeHook(path); end != nil {
+			return end
+		}
 	}
+	return func() {}
 }
 
 // analyzeObservers is AnalyzeFile's fused second pass under
@@ -85,7 +90,7 @@ func analyzeObservers(path, name string, counts []uint64, cfg *config) (*dpg.Res
 		return nil, wrapTraceErr(err)
 	}
 	defer pr.Close()
-	noteDecode(path)
+	defer noteDecode(path)()
 	obs := append([]analysis.Observer{mo}, cfg.observers...)
 	if err := analysis.RunObservers(pr, obs...); err != nil {
 		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))

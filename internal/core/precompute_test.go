@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -74,5 +75,48 @@ func TestSuitePrecomputeParity(t *testing.T) {
 			t.Errorf("paper=%v: precomputed RunAll output (%d bytes) differs from the lazy one (%d bytes)",
 				paper, pre.Len(), lazy.Len())
 		}
+	}
+}
+
+// TestSuitePrecomputeFusedOneAtATime checks that Precompute over a trace
+// directory runs the fused passes one workload at a time, even with
+// workers to spare: each pass already runs its observers on every core,
+// and two overlapping passes would double peak memory.
+func TestSuitePrecomputeFusedOneAtATime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus in -short mode")
+	}
+	const scale = 0.02
+	dir := t.TempDir()
+	s := NewSuite(SuiteConfig{Scale: scale, Parallel: 8, TraceFile: TraceDir(dir)})
+	for _, name := range s.suiteNames() {
+		writeScaledTrace(t, dir, name, scale)
+	}
+	var (
+		mu                    sync.Mutex
+		inFlight, peak, total int
+	)
+	decodeHook = func(string) func() {
+		mu.Lock()
+		defer mu.Unlock()
+		inFlight++
+		total++
+		peak = max(peak, inFlight)
+		return func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}
+	}
+	t.Cleanup(func() { decodeHook = nil })
+
+	if err := s.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if peak != 1 {
+		t.Errorf("%d fused passes in flight at once, want 1", peak)
+	}
+	if want := len(s.suiteNames()); total != want {
+		t.Errorf("Precompute ran %d fused passes for %d workloads", total, want)
 	}
 }

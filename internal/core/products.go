@@ -114,13 +114,10 @@ func productFor[T any](s *Suite, name string, job productJob) (T, error) {
 // experiments read for one workload: one ILP simulator per predictor kind,
 // and for integer workloads — the only ones those experiments cover — the
 // correlation model, the reuse buffer, the confidence sweep and one
-// speculation machine per threshold, never-speculate baseline first. It
-// is empty under TraceFile, where the fused decode that serves the model
-// runs computes every product too.
+// speculation machine per threshold, never-speculate baseline first.
+// Precompute skips it for trace-file workloads, whose fused pass computes
+// every product.
 func (s *Suite) productJobs(name string) []productJob {
-	if _, fused := s.traceFilePath(name); fused {
-		return nil
-	}
 	jobs := s.ilpJobs(name)
 	if !isIntName(name) {
 		return jobs
