@@ -13,9 +13,13 @@
 //	dpgd -addr :8080 -store /var/lib/dpgd
 //	curl -sf --data-binary @gcc.dpg 'localhost:8080/analyze?predictor=context'
 //
+// Normal-mode jobs run the epoch-speculative model pass with -speculate
+// predictor chains (at most four, one per predictor category).
+//
 // Operational endpoints: /healthz (liveness), /readyz (unready while
 // draining), /metrics (queue depth, in-flight jobs, cache hit rate,
-// per-stage latency histograms, plain text).
+// per-stage latency histograms, dpgd_spec_* speculation counters, plain
+// text).
 //
 // On SIGINT/SIGTERM the server stops admitting work, drains queued and
 // running jobs for -drain-timeout, then cancels whatever remains through
@@ -58,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before jobs are cancelled")
 	maxUpload := fs.Int64("max-upload", 1<<30, "maximum upload size in bytes")
 	speculate := fs.Int("speculate", 2, "epoch-speculation degree for normal-mode jobs (<=1 disables)")
-	shards := fs.Int("shards", 0, "key shards per predictor category for speculative jobs, scaling chains to 4×N (0 = off, -1 = auto)")
 	degradedAt := fs.Float64("degraded-at", 0.5, "queue-fill fraction past which jobs run degraded")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		JobTimeout:     *jobTimeout,
 		MaxUploadBytes: *maxUpload,
 		Speculation:    spec,
-		Shards:         *shards,
 		DegradedAt:     *degradedAt,
 	})
 	if err != nil {

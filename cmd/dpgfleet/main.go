@@ -72,6 +72,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Spawned workers (under -v) and the drain goroutine write stderr
+	// concurrently with this one.
+	stderr = fleet.SyncWriter(stderr)
 
 	if *dir == "" {
 		fmt.Fprintln(stderr, "dpgfleet: missing -dir")

@@ -8,6 +8,7 @@
 //	dpgrun -trace gcc.dpg -predictor context
 //	dpgrun -trace traces/            # every *.dpg in the directory
 //	dpgrun -trace 'traces/*.dpg' -all -parallel 4
+//	dpgrun -trace traces/ -merge     # one aggregate over the directory
 //	dpgrun -workload m88 -predictor stride
 //	dpgrun -workload gcc -all          # all five predictors
 //	dpgrun -trace damaged.dpg -strict=false   # resync past corrupt blocks
@@ -15,13 +16,13 @@
 //
 // Trace files are streamed from disk through the sequential model pass,
 // which takes its static execution counts — and, in strict mode, the
-// header's event count — from the trace footer probe (a sharded pre-pass
-// over decoded blocks runs only when the probe cannot answer), so each
-// predictor costs one decode and peak memory stays O(block·workers)
-// regardless of trace size. When -trace
-// names a directory or matches several files, the files fan out across a
-// bounded worker pool (-parallel) with a per-file summary line per
-// predictor; the exit status is non-zero if any file failed.
+// header's event count — from the trace footer probe (an in-order pre-pass
+// runs only when the probe cannot answer), so each predictor costs one
+// decode and peak memory stays O(block·workers) regardless of trace size.
+// When -trace names a directory or matches several files, the files fan
+// out across a bounded worker pool (-parallel) with a per-file summary
+// line per predictor; the exit status is non-zero if any file failed.
+// With -merge, a directory's files fold into one exact aggregate report.
 //
 // By default a corrupt or truncated trace file is rejected with a typed
 // error and a non-zero exit. With -strict=false the reader resynchronises
@@ -61,7 +62,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = sequential)")
 	parallel := flag.Int("parallel", 0, "concurrent files in directory/glob mode (0 = all cores)")
 	speculate := flag.Int("speculate", 0, "run the model pass epoch-speculatively with N predictor chains (0 = off, -1 = auto); results are identical, only faster")
-	shards := flag.Int("shards", 0, "split speculative predictor state into N key shards per category, scaling chains to 4×N (0 = off, -1 = auto); implies -speculate, results are identical")
 	merge := flag.Bool("merge", false, "directory mode: merge every file's Result into one exact aggregate report instead of per-file summaries")
 	flag.Parse()
 
@@ -86,16 +86,16 @@ func main() {
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
 	case *merge:
-		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate, *shards)
+		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate)
 	case *tracePat != "":
 		paths := expandTraces(*tracePat)
 		if len(paths) == 1 {
-			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate, *shards)
+			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
 			return
 		}
-		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate, *shards)
+		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate)
 	case *workload != "":
-		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate, *shards)
+		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
 	default:
 		fail("missing -trace or -workload")
 	}
@@ -119,7 +119,7 @@ func expandTraces(pat string) []string {
 }
 
 // fileOpts assembles the streaming options shared by both file modes.
-func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate, shards int) []core.Option {
+func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate int) []core.Option {
 	opts := []core.Option{core.WithKind(k), core.WithWorkers(workers), core.WithContext(ctx)}
 	if graph > 0 {
 		opts = append(opts, core.WithGraphLimit(graph))
@@ -127,29 +127,21 @@ func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, wor
 	if !strict {
 		opts = append(opts, core.WithLenientTrace())
 	}
-	opts = append(opts, specOpts(speculate, shards)...)
+	opts = append(opts, specOpts(speculate)...)
 	return opts
 }
 
-// specOpts translates -speculate and -shards: 0 is off, negative is
-// automatic, positive is explicit. -shards alone implies speculation.
-func specOpts(speculate, shards int) []core.Option {
-	var opts []core.Option
-	if speculate != 0 {
-		n := speculate
-		if n < 0 {
-			n = 0 // auto
-		}
-		opts = append(opts, core.WithSpeculation(n))
+// specOpts translates -speculate: 0 is off, negative is automatic chain
+// count, positive is an explicit one.
+func specOpts(speculate int) []core.Option {
+	if speculate == 0 {
+		return nil
 	}
-	if shards != 0 {
-		n := shards
-		if n < 0 {
-			n = 0 // auto
-		}
-		opts = append(opts, core.WithSpecShards(n))
+	n := speculate
+	if n < 0 {
+		n = 0 // auto
 	}
-	return opts
+	return []core.Option{core.WithSpeculation(n)}
 }
 
 // printSpecStats summarises a speculative run on stderr, out of band of
@@ -159,18 +151,14 @@ func printSpecStats(st dpg.SpecStats) {
 		fmt.Fprintf(os.Stderr, "dpgrun: speculation: predictor has no checkpoint support, ran sequentially\n")
 		return
 	}
-	sharding := ""
-	if st.Shards > 1 {
-		sharding = fmt.Sprintf(" over %d unit shards (%d-way)", st.Units, st.Shards)
-	}
-	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains%s, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
-		st.Epochs, st.Chains, sharding, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
+	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
+		st.Epochs, st.Chains, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
 }
 
 // runFile streams one trace file through the pass pipeline, once per
 // predictor, printing the same header and per-predictor report as the
 // workload mode.
-func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate, shards int) {
+func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate int) {
 	// The header needs the event and static counts. In strict mode the
 	// footer probe answers them without decoding an event; for a v1 stream,
 	// a damaged file or lenient input, where AnalyzeFile falls back to its
@@ -186,11 +174,11 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		var ps dpg.PreStats
 		var st trace.Stats
 		var ss dpg.SpecStats
-		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate, shards), core.WithTraceStats(&st))
+		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate), core.WithTraceStats(&st))
 		if i == 0 && static < 0 {
 			opts = append(opts, core.WithPreStats(&ps))
 		}
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			opts = append(opts, core.WithSpecStats(&ss))
 		}
 		r, err := core.AnalyzeFile(path, opts...)
@@ -200,7 +188,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if err != nil {
 			fail(err.Error())
 		}
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			printSpecStats(ss)
 		}
 		if i == 0 {
@@ -223,7 +211,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 // AnalyzeFiles sweep per predictor, and prints per-file summary lines in
 // file-major order. Any per-file failure turns into a non-zero exit after
 // every file has been reported.
-func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate, shards int) {
+func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -231,7 +219,7 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 	for i, k := range kinds {
 		// No WithSpecStats here: one options slice serves every concurrent
 		// file, and a shared stats pointer would race.
-		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate, shards)...)
+		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
 	}
 	failed, interrupted := 0, 0
 	for fi, path := range paths {
@@ -274,8 +262,8 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 // runMerged analyzes every .dpg file in a directory and reports one exact
 // aggregate per predictor (core.AnalyzeDir): the merged Result is
 // byte-identical to what a single analysis of the concatenated populations
-// would report, regardless of fan-out, decode, or sharding configuration.
-func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate, shards int) {
+// would report, regardless of fan-out, decode, or speculation configuration.
+func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		fail(fmt.Sprintf("-merge needs a directory of .dpg files; %q is not one", dir))
 	}
@@ -284,7 +272,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 	}
 	headerDone := false
 	for i, k := range kinds {
-		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate, shards)...)
+		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
 		}
@@ -303,7 +291,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 // runWorkload traces a built-in workload in memory and runs the model —
 // the only dpgrun mode that materializes a trace (the generator produces
 // one directly).
-func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate, shards int) {
+func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate int) {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		fail(fmt.Sprintf("unknown workload %q; known: %v", name, workloads.Names()))
@@ -325,15 +313,15 @@ func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor
 		}
 		var ss dpg.SpecStats
 		opts := []core.Option{core.WithKind(k), core.WithGraphLimit(graph)}
-		opts = append(opts, specOpts(speculate, shards)...)
-		if speculate != 0 || shards != 0 {
+		opts = append(opts, specOpts(speculate)...)
+		if speculate != 0 {
 			opts = append(opts, core.WithSpecStats(&ss))
 		}
 		res, err := core.RunTrace(t, opts...)
 		if err != nil {
 			fail(err.Error())
 		}
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			printSpecStats(ss)
 		}
 		printResult(res)

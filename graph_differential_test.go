@@ -23,9 +23,8 @@ var graphKinds = []predictor.Kind{predictor.KindTAGE, predictor.KindLDBP}
 // scenario pack: for every graph workload × new predictor, the sequential
 // in-memory Result is the single source of truth, and every other
 // execution strategy — file analysis at several decode worker counts, over
-// both codecs, the epoch-speculative pass with and without explicit epoch
-// shaping, and the sharded speculative pass at 1/2/4 shards — must
-// reproduce it byte for byte. The directory-merge coordinator over the
+// both codecs, and the epoch-speculative pass with and without explicit
+// epoch shaping — must reproduce it byte for byte. The directory-merge coordinator over the
 // full graph trace set must equal hand-merging the per-file analyses.
 func TestGraphDifferentialBattery(t *testing.T) {
 	if testing.Short() {
@@ -99,22 +98,6 @@ func TestGraphDifferentialBattery(t *testing.T) {
 					t.Errorf("%s/%s epochs=%d: spurious divergence: %+v", name, kind, epochs, st)
 				}
 			}
-
-			// Sharded speculative pass at 1/2/4 shards.
-			for _, shards := range []int{1, 2, 4} {
-				var st dpg.SpecStats
-				got, err := core.RunTrace(tr, core.WithKind(kind),
-					core.WithSpecShards(shards), core.WithSpecStats(&st))
-				if err != nil {
-					t.Fatalf("%s/%s shards=%d: %v", name, kind, shards, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s shards=%d: sharded Result diverges from sequential", name, kind, shards)
-				}
-				if st.Shards != shards {
-					t.Errorf("%s/%s: effective shards %d, want %d", name, kind, st.Shards, shards)
-				}
-			}
 		}
 	}
 
@@ -139,7 +122,7 @@ func TestGraphDifferentialBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Name = filepath.Base(dir)
-		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpecShards(2))
+		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpeculation(4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -46,7 +45,6 @@ type config struct {
 	preStats    *dpg.PreStats
 	speculate   bool
 	specWorkers int
-	specShards  int
 	specEpochs  int
 	specStats   *dpg.SpecStats
 	ctx         context.Context
@@ -138,28 +136,6 @@ func WithSpeculation(n int) Option {
 	}
 }
 
-// WithSpecShards runs the model pass epoch-speculatively with each
-// predictor category split into n independent key shards, lifting the
-// four-unit ceiling on chain parallelism (chains scale to 4×shards).
-// n <= 0 picks an automatic shard count from the machine size
-// (GOMAXPROCS/4, rounded down to a power of two, at least 1); explicit
-// values are normalised by the dpg layer (power of two, clamped to
-// [1, dpg.MaxSpecShards] and to what each predictor's table supports).
-// Implies WithSpeculation. Sharding never changes results: the sharded
-// pass is byte-identical to the sequential one for every shard count.
-func WithSpecShards(n int) Option {
-	return func(c *config) {
-		c.speculate = true
-		if n <= 0 {
-			n = 1
-			for n*2 <= runtime.GOMAXPROCS(0)/4 && n*2 <= dpg.MaxSpecShards {
-				n *= 2
-			}
-		}
-		c.specShards = n
-	}
-}
-
 // WithSpeculationEpochs overrides how many epochs the speculative pass
 // splits the trace into (0 = automatic). Epoch granularity never changes
 // results; it trades pipelining against snapshot overhead.
@@ -215,7 +191,6 @@ func WithFailFast() Option {
 func (c *config) specConfig() dpg.SpecConfig {
 	return dpg.SpecConfig{
 		Workers: c.specWorkers,
-		Shards:  c.specShards,
 		Epochs:  c.specEpochs,
 		Stats:   c.specStats,
 	}
@@ -311,16 +286,9 @@ type SuiteConfig struct {
 	// a trace.Trace. Workloads the lookup declines fall back to
 	// TraceSource/generation.
 	TraceFile func(name string) (path string, ok bool)
-	// Workers bounds the concurrent decode/pre-pass workers per streamed
-	// file when TraceFile is active (0 = all cores).
+	// Workers bounds the concurrent decode workers per streamed file when
+	// TraceFile is active (0 = all cores).
 	Workers int
-	// SpecShards, when non-zero, runs each in-memory model pass
-	// epoch-speculatively with predictor state split into this many key
-	// shards per category, scaling chains to 4×shards (negative = automatic
-	// shard count, like WithSpecShards). Results are byte-identical for
-	// every setting; only throughput changes. Streamed (TraceFile) runs use
-	// the fused observer engine and ignore it.
-	SpecShards int
 	// PaperCorpus restricts the suite to the paper's original corpus: the
 	// twelve SPEC95-modeled workloads and the three predictors of the
 	// source paper (last-value, stride, context). The default (false) runs
@@ -437,11 +405,7 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 		if s.cfg.Progress != nil {
 			fmt.Fprintf(s.cfg.Progress, "running %-5s with %-10s (%d events)\n", name, kind, t.Len())
 		}
-		if s.cfg.SpecShards != 0 {
-			re.res, re.err = RunTrace(t, WithKind(kind), WithSpecShards(s.cfg.SpecShards))
-		} else {
-			re.res, re.err = dpg.Run(t, kind)
-		}
+		re.res, re.err = dpg.Run(t, kind)
 		if re.err != nil {
 			return
 		}

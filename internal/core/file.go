@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -54,13 +53,12 @@ func openTraceReader(path string, cfg *config) (traceReader, *os.File, error) {
 // classification) come from the trace footer via a frame-walk probe that
 // decodes no events; only when the probe cannot answer — a v1 stream, a
 // damaged file, lenient mode, or a WithPreStats request — does a first
-// streaming pass run the shardable pre-pass (dpg.PrePass) over the
-// parallel reader's decoded blocks, concurrently across WithWorkers
-// shards. The model pass then streams the events exactly once — alone,
-// or fanned out to every WithObservers observer on the same decode.
+// streaming pass run the pre-pass (dpg.PrePass) over the events in stream
+// order. The model pass then streams the events exactly once — alone, or
+// fanned out to every WithObservers observer on the same decode.
 //
-// WithWorkers decodes with the concurrent block decoder and shards the
-// pre-pass; WithLenientTrace analyses whatever survives a damaged file
+// WithWorkers decodes both passes with the concurrent block decoder;
+// WithLenientTrace analyses whatever survives a damaged file
 // instead of failing; WithTraceStats surfaces the decode summary;
 // WithPreStats surfaces the pre-pass summary.
 func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
@@ -74,7 +72,7 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 
 	// Pass 1: static execution counts — from the footer probe when the
 	// frame structure is intact (no event decode at all), falling back to
-	// the sharded pre-pass over per-block batches.
+	// the pre-pass.
 	counts, name, err := scanCounts(path, &cfg)
 	if err != nil {
 		return nil, err
@@ -104,7 +102,6 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := dpg.NewPipeline(b)
 	var e trace.Event
 	for {
 		err := r.Next(&e)
@@ -114,7 +111,7 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
 		}
-		if err := pl.Observe(&e); err != nil {
+		if err := b.Observe(&e); err != nil {
 			return nil, fmt.Errorf("core: streaming %s: %w", path, err)
 		}
 	}
@@ -198,7 +195,7 @@ func analyzeSpeculative(path string, r traceReader, name string, counts []uint64
 // error contract must come from a real decode), lenient mode (the
 // surviving-events counts may legitimately differ from the footer), or
 // when the caller asked for pre-pass statistics; all of those fall back
-// to the sharded pre-pass.
+// to the pre-pass.
 func scanCounts(path string, cfg *config) ([]uint64, string, error) {
 	if !cfg.lenient && cfg.preStats == nil {
 		if fi, err := trace.ScanFooterFile(path); err == nil {
@@ -208,13 +205,12 @@ func scanCounts(path string, cfg *config) ([]uint64, string, error) {
 	return scanPrePass(path, cfg)
 }
 
-// blockReaderOpts resolves the parallel-reader options (and the effective
-// worker count) for a block-feed decode: Workers(1) by default — the
-// sequential decode fallback, which still chunks events into synthetic
-// blocks for the block feed — or the configured count under WithWorkers.
-func (c *config) blockReaderOpts() (workers int, ropts []trace.ReaderOption) {
-	workers = 1
-	ropts = []trace.ReaderOption{trace.Workers(1)}
+// blockReaderOpts resolves the parallel-reader options for a block-feed
+// decode: Workers(1) by default — the sequential decode fallback, which
+// still chunks events into synthetic blocks — or the configured count
+// under WithWorkers.
+func (c *config) blockReaderOpts() []trace.ReaderOption {
+	ropts := []trace.ReaderOption{trace.Workers(1)}
 	if c.lenient {
 		ropts = append(ropts, trace.Lenient())
 	}
@@ -222,48 +218,48 @@ func (c *config) blockReaderOpts() (workers int, ropts []trace.ReaderOption) {
 		ropts = append(ropts, trace.WithContext(c.ctx))
 	}
 	if c.parallel {
-		workers = c.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		ropts[0] = trace.Workers(c.workers)
 	}
-	return workers, ropts
+	return ropts
 }
 
-// scanPrePass runs the shardable pre-pass over a trace file's decoded
-// blocks and returns the static execution counts plus the workload name.
-// The counts come from the footer when present (byte-identical to what a
-// materializing reader would report); a footer lost to damage in lenient
-// mode falls back to the pre-pass's own counts, which rebuild the same
-// totals from the surviving events.
+// scanPrePass streams a trace file through the pre-pass and returns the
+// static execution counts plus the workload name. The counts come from the
+// footer when present (byte-identical to what a materializing reader would
+// report); a footer lost to damage in lenient mode falls back to the
+// pre-pass's own counts, which rebuild the same totals from the surviving
+// events.
 func scanPrePass(path string, cfg *config) ([]uint64, string, error) {
-	f, err := os.Open(path)
+	r, f, err := openTraceReader(path, cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	defer f.Close()
-
-	workers, ropts := cfg.blockReaderOpts()
-	pr, err := trace.NewParallelReader(f, ropts...)
-	if err != nil {
-		return nil, "", wrapTraceErr(err)
-	}
-	defer pr.Close()
+	defer r.Close()
 	defer noteDecode(path)()
 
-	pre := dpg.NewPrePass(pr.NumStatic())
-	if err := dpg.RunSharded(pre, workers, pr.ForEachBlock); err != nil {
-		return nil, "", fmt.Errorf("core: scanning %s: %w", path, wrapTraceErr(err))
+	pre := dpg.NewPrePass(r.NumStatic())
+	var e trace.Event
+	for {
+		err := r.Next(&e)
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = pre.Observe(&e)
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("core: scanning %s: %w", path, wrapTraceErr(err))
+		}
 	}
 	if cfg.preStats != nil {
 		*cfg.preStats = pre.Stats()
 	}
-	counts := pr.StaticCounts()
+	counts := r.StaticCounts()
 	if counts == nil {
 		counts = pre.StaticCounts()
 	}
-	return counts, pr.Name(), nil
+	return counts, r.Name(), nil
 }
 
 // FileResult is one file's outcome in a multi-file analysis.

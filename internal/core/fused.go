@@ -104,8 +104,8 @@ func (s *Suite) fusedFor(name, path string) (*fusedProducts, error) {
 
 // fusedCounts recovers the static counts and header name the model
 // builders need before the event stream: the footer probe when the file's
-// frame structure is intact (no event decode), the sharded pre-pass
-// otherwise — which reproduces AnalyzeFile's established error contract
+// frame structure is intact (no event decode), the pre-pass otherwise —
+// which reproduces AnalyzeFile's established error contract
 // for damaged files.
 func (s *Suite) fusedCounts(path string) ([]uint64, string, error) {
 	if fi, err := trace.ScanFooterFile(path); err == nil {

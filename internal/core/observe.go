@@ -9,26 +9,25 @@ import (
 	"repro/internal/trace"
 )
 
-// modelObserver adapts the model pass pipeline to analysis.Observer, so
-// the model can ride the observer fan-out next to experiment simulators.
-// A pipeline error (a malformed event) sticks: subsequent events are
+// modelObserver adapts the model pass to analysis.Observer, so the model
+// can ride the observer fan-out next to experiment simulators. A model
+// error (a malformed event) sticks: subsequent events are
 // ignored and Finish reports the error, which RunObservers wraps in a
 // typed *analysis.ObserverError.
 type modelObserver struct {
-	pl  *dpg.Pipeline
 	b   *dpg.Builder
 	err error
 	res *dpg.Result
 }
 
-// newModelObserver builds the model pipeline for one predictor
+// newModelObserver builds the model pass for one predictor
 // configuration over pre-scanned static counts.
 func newModelObserver(name string, counts []uint64, mcfg dpg.Config) (*modelObserver, error) {
 	b, err := dpg.NewBuilder(name, counts, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &modelObserver{pl: dpg.NewPipeline(b), b: b}, nil
+	return &modelObserver{b: b}, nil
 }
 
 // Observe feeds one event through the model pass.
@@ -36,7 +35,7 @@ func (m *modelObserver) Observe(e *trace.Event) {
 	if m.err != nil {
 		return
 	}
-	m.err = m.pl.Observe(e)
+	m.err = m.b.Observe(e)
 }
 
 // Finish finalises the model and stores its result.
@@ -68,7 +67,7 @@ func noteDecode(path string) (end func()) {
 }
 
 // analyzeObservers is AnalyzeFile's fused second pass under
-// WithObservers: one decode of the file feeds the model pipeline and
+// WithObservers: one decode of the file feeds the model pass and
 // every registered observer through analysis.RunObservers. The error
 // contract matches the sequential path — decode failures surface as
 // "core: streaming <path>: ..." with the trace taxonomy folded into the
@@ -84,7 +83,7 @@ func analyzeObservers(path, name string, counts []uint64, cfg *config) (*dpg.Res
 		return nil, err
 	}
 	defer f.Close()
-	_, ropts := cfg.blockReaderOpts()
+	ropts := cfg.blockReaderOpts()
 	pr, err := trace.NewParallelReader(f, ropts...)
 	if err != nil {
 		return nil, wrapTraceErr(err)

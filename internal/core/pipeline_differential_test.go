@@ -41,8 +41,8 @@ func writeScaledTrace(t *testing.T, dir, name string, scale float64) (string, *t
 
 // TestDifferentialPipelineAllWorkloads is the pipeline-parity acceptance
 // gate: for every workload × predictor kind × worker count, the streaming
-// pass pipeline (sharded pre-pass + sequential model pass over a trace
-// file) must produce a Result deeply identical to the seed in-memory
+// pass pipeline (footer probe + sequential model pass over a trace file)
+// must produce a Result deeply identical to the seed in-memory
 // builder's.
 func TestDifferentialPipelineAllWorkloads(t *testing.T) {
 	names := workloads.Names()

@@ -39,7 +39,7 @@ type Config struct {
 }
 
 // Builder streams a dynamic instruction trace through the model. It is a
-// thin façade over the sequential model pass of the pipeline (see pass.go).
+// thin façade over the sequential model pass (see modelpass.go).
 // Create with NewBuilder, feed events in execution order via Observe, then
 // call Finish exactly once.
 type Builder struct {
@@ -94,9 +94,8 @@ func RunWith(t *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := NewPipeline(b)
 	for i := range t.Events {
-		if err := pl.Observe(&t.Events[i]); err != nil {
+		if err := b.Observe(&t.Events[i]); err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 	}

@@ -8,8 +8,8 @@ import "fmt"
 // and GenPoints is the union of the inputs' maps with per-PC sums. Merging
 // is exact because every Result statistic is a plain count over its own
 // trace — there is no cross-trace predictor state to reconcile — so
-// analyzing a workload's traces separately (possibly in parallel, possibly
-// sharded) and merging is byte-identical to any other grouping of the same
+// analyzing a workload's traces separately (possibly in parallel) and
+// merging is byte-identical to any other grouping of the same
 // runs: the operation is associative and, Graph aside, commutative.
 //
 // The inputs must agree on Predictor (the merged figures would otherwise

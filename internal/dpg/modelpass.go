@@ -8,11 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the sequential pass of the pipeline: the predictor and
-// classification sweep. It is order-dependent by nature — every event
-// updates predictor state the next event's outcomes depend on — so it
-// always consumes the stream in execution order, downstream of whatever
-// (shardable) pre-pass produced the static counts it needs up front.
+// This file is the model pass: the predictor and classification sweep. It
+// is order-dependent by nature — every event updates predictor state the
+// next event's outcomes depend on — so it always consumes the stream in
+// execution order, downstream of whatever produced the static counts it
+// needs up front (a trace's footer, or the pre-pass).
 
 // value is the model's record of one live produced value: who produced it,
 // whether it was predicted at production, the generator influence it

@@ -37,39 +37,21 @@ type PreStats struct {
 	Stores uint64
 }
 
-// firstTouch records how a register or memory word was first accessed: in
-// which block, and whether that first access was a read. A first read
-// creates a D node in the model; a first write does not.
+// firstTouch records how a register or memory word was first accessed:
+// whether it has been touched at all, and whether that first access was a
+// read. A first read creates a D node in the model; a first write does not.
 type firstTouch struct {
-	seen  bool
-	read  bool
-	block uint64
+	seen bool
+	read bool
 }
 
-// join folds another shard's first touch in: the earlier block wins.
-// Blocks are disjoint across shards, so equal indices cannot collide.
-func (f *firstTouch) join(o firstTouch) {
-	if !o.seen {
-		return
-	}
-	if !f.seen || o.block < f.block {
-		*f = o
-	}
-}
-
-// PrePass is the shardable pre-pass: static execution counts, the PC
-// universe, and D-node/arc-shape discovery. All of its state is either a
-// sum or a first-touch join, so disjoint block sets can be observed
-// concurrently by forked shards and merged exactly.
-//
-// Feeding rules: either stream events in order through Observe (the whole
-// stream is then one implicit block), or hand decoded blocks to
-// ObserveBlock. Each shard must see its blocks in increasing index order —
-// the order trace.(*ParallelReader).ForEachBlock guarantees per worker.
+// PrePass is the model's first phase: static execution counts, the PC
+// universe, and D-node/arc-shape discovery, accumulated over the events in
+// stream order. The second phase, the model pass, threads predictor state
+// through every event and needs the static counts up front.
 type PrePass struct {
 	numStatic int
 	counts    []uint64
-	block     uint64 // index of the block being observed
 
 	events  uint64
 	arcs    uint64
@@ -93,15 +75,10 @@ func NewPrePass(numStatic int) *PrePass {
 	}
 }
 
-// Fork creates an empty shard with the receiver's configuration.
-func (p *PrePass) Fork() ShardablePass {
-	return NewPrePass(p.numStatic)
-}
-
-// Observe accumulates one event into the current block. Events with
-// out-of-range fields are rejected with an error matching
-// ErrMalformedEvent, leaving the pass untouched — same contract as the
-// model pass, so either can face untrusted input first.
+// Observe accumulates one event. Events with out-of-range fields are
+// rejected with an error matching ErrMalformedEvent, leaving the pass
+// untouched — same contract as the model pass, so either can face
+// untrusted input first.
 func (p *PrePass) Observe(e *trace.Event) error {
 	if err := checkPreEvent(e, p.numStatic); err != nil {
 		return err
@@ -163,70 +140,25 @@ func (p *PrePass) Observe(e *trace.Event) error {
 	return nil
 }
 
-// ObserveBlock accumulates one decoded block. Blocks may arrive in any
-// global order across shards; within a shard, indices must increase.
-func (p *PrePass) ObserveBlock(index uint64, events []trace.Event) error {
-	p.block = index
-	for i := range events {
-		if err := p.Observe(&events[i]); err != nil {
-			return fmt.Errorf("block %d event %d: %w", index, i, err)
-		}
-	}
-	return nil
-}
-
 // touchReg records the first access to a register.
 func (p *PrePass) touchReg(r uint8, read bool) {
 	if !p.regs[r].seen {
-		p.regs[r] = firstTouch{seen: true, read: read, block: p.block}
+		p.regs[r] = firstTouch{seen: true, read: read}
 	}
 }
 
 // touchMem records the first access to a word address.
 func (p *PrePass) touchMem(addr uint32, read bool) {
 	if _, ok := p.mem[addr]; !ok {
-		p.mem[addr] = firstTouch{seen: true, read: read, block: p.block}
+		p.mem[addr] = firstTouch{seen: true, read: read}
 	}
-}
-
-// Merge folds a forked shard's state back into the receiver.
-func (p *PrePass) Merge(other ShardablePass) error {
-	o, ok := other.(*PrePass)
-	if !ok {
-		return fmt.Errorf("%w: merging %T into *PrePass", ErrConfig, other)
-	}
-	if o.numStatic != p.numStatic {
-		return fmt.Errorf("%w: merging pre-pass over %d static instructions into one over %d",
-			ErrConfig, o.numStatic, p.numStatic)
-	}
-	for pc, c := range o.counts {
-		p.counts[pc] += c
-	}
-	p.events += o.events
-	p.arcs += o.arcs
-	p.ins += o.ins
-	p.neutral += o.neutral
-	p.loads += o.loads
-	p.stores += o.stores
-	if o.maxPC > p.maxPC {
-		p.maxPC = o.maxPC
-	}
-	for r := range p.regs {
-		p.regs[r].join(o.regs[r])
-	}
-	for addr, ft := range o.mem {
-		cur := p.mem[addr]
-		cur.join(ft)
-		p.mem[addr] = cur
-	}
-	return nil
 }
 
 // StaticCounts returns the per-PC execution counts accumulated so far. The
 // slice is the pass's own; callers must not modify it while observing.
 func (p *PrePass) StaticCounts() []uint64 { return p.counts }
 
-// Stats summarises the pass. Call after all shards are merged.
+// Stats summarises the pass. Call after the last event.
 func (p *PrePass) Stats() PreStats {
 	st := PreStats{
 		Events:       p.events,

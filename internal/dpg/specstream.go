@@ -7,12 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// SpecRun is the streaming façade of the speculative model pass: a
-// BlockPass-shaped sink the streaming pipeline can feed decoded blocks
-// into while the predictor chains and the committer run concurrently.
+// SpecRun is the streaming façade of the speculative model pass: a sink
+// the streaming pipeline can feed decoded blocks into while the predictor
+// chains and the committer run concurrently.
 //
-// Unlike shardable pre-passes, the model pass is order-dependent, so
-// SpecRun requires blocks in stream order from a single goroutine —
+// The model pass is order-dependent, so SpecRun requires blocks in stream order from a single goroutine —
 // consecutive indices starting at the first index fed. Call Finish exactly
 // once after the last block, or Close to abandon the run (e.g. on a read
 // error) without a result.

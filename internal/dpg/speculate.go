@@ -17,27 +17,13 @@ import (
 // state later events' outcomes depend on — but each predictor *verdict* is
 // a pure function of the event stream and the Config (see predictorOracle).
 // That makes the predictor work, which dominates the pass, decomposable
-// into independent state units along two axes.
-//
-// The first axis is the paper's four predictor categories:
+// into four independent state units:
 //
 //	input   — the input-side value predictor (plus the output stream when
 //	          Config.SharedInputOutput aliases the two sides)
 //	output  — the output-side value predictor
 //	branch  — the gshare branch predictor
 //	addr    — the stride address predictor
-//
-// The second axis is key shards (SpecConfig.Shards): a category whose
-// predictor state is strictly per-key (predictor.Sharder — the last-value
-// and stride tables, and the address predictor's stride table) splits
-// further into independent key partitions, each an autonomous unit with
-// its own chain, digests, checkpoints, and replay. A unit is therefore a
-// (kind, shard) pair, and the four monolithic units of the unsharded pass
-// are simply the shard-count-1 special case. Categories whose predictors
-// are inherently global — gshare's shared history register, the context
-// predictor's shared second-level table — stay monolithic (one shard),
-// which is what keeps sharded results byte-identical rather than merely
-// close.
 //
 // Run-ahead predictor chains advance each unit through the trace one epoch
 // at a time, recording the per-event outcome bits; the committer replays
@@ -52,9 +38,7 @@ import (
 // replay bound), serves the epoch live, and resyncs the chain from a fresh
 // snapshot. A unit that keeps diverging is abandoned: the committer runs
 // it live for the rest of the trace, degrading gracefully to sequential
-// cost instead of thrashing on replays. All of this recovery machinery is
-// per unit shard: one poisoned shard replays alone while its siblings keep
-// speculating.
+// cost instead of thrashing on replays.
 const (
 	// specLookahead is how many finished epochs a chain may buffer per unit
 	// before it blocks waiting for the committer.
@@ -69,33 +53,15 @@ const (
 	// DefaultSpecEpochEvents is the default epoch length, in events, for
 	// the streaming SpecRun.
 	DefaultSpecEpochEvents = 1 << 16
-	// MaxSpecShards bounds SpecConfig.Shards: beyond it, per-unit
-	// bookkeeping outweighs any conceivable parallelism win.
-	MaxSpecShards = 64
 )
 
 // SpecConfig parameterises a speculative run.
 type SpecConfig struct {
 	// Workers bounds the number of predictor chains (each chain is one
-	// goroutine owning one or more unit shards). <= 0 uses
-	// min(GOMAXPROCS, 4×Shards); values above the number of unit shards in
-	// play are clamped. How many unit shards exist depends on the
-	// configuration: with a shardable value predictor there are 3×Shards+1
-	// (input, output, and address shards plus the monolithic branch unit;
-	// 2×Shards+1 under SharedInputOutput), while a non-shardable value
-	// predictor (context) pins the value units at one shard each, leaving
-	// Shards+3 (or Shards+2 shared).
+	// goroutine owning one or more units). <= 0 uses min(GOMAXPROCS, 4);
+	// values above the number of units (4, or 3 under SharedInputOutput)
+	// are clamped.
 	Workers int
-	// Shards splits each predictor category into up to this many
-	// independent key shards, lifting the four-unit ceiling on chain
-	// parallelism. <= 1 keeps the paper's monolithic units; larger values
-	// are rounded down to a power of two and clamped to [1, MaxSpecShards]
-	// and to what each predictor's table supports. Only strictly per-key
-	// predictor state shards (predictor.Sharder); the gshare branch unit
-	// and context value units are inherently global and always stay at one
-	// shard. Sharding never changes any model figure — results remain
-	// byte-identical to the sequential pass for every shard count.
-	Shards int
 	// Epochs is the number of epochs the in-memory RunSpeculative splits
 	// the trace into. <= 0 picks 4 per chain. Epoch boundaries never
 	// change any model figure (the test battery proves this); they only
@@ -118,15 +84,13 @@ type SpecConfig struct {
 	// before a chain processes (unit, epoch) and, when it returns true,
 	// the unit's state is poisoned first, forcing the committer to detect
 	// divergence and recover. Settable only from within this package.
-	corrupt func(unit unitKey, epoch int) bool
+	corrupt func(unit unitKind, epoch int) bool
 }
 
 // SpecStats reports what a speculative run did.
 type SpecStats struct {
 	Epochs       int  // epochs committed
 	Chains       int  // predictor chains run
-	Shards       int  // effective shard count (after normalisation)
-	Units        int  // unit shards in play (chains share them)
 	Diverged     int  // epoch records rejected by the entry-digest check
 	Replayed     int  // epochs served live after a divergence
 	ReplayEpochs int  // epochs re-executed to rebuild state from a checkpoint
@@ -135,7 +99,7 @@ type SpecStats struct {
 	Fallback     bool // predictor lacks checkpoint support; ran sequentially
 }
 
-// unitKind identifies one of the four predictor state categories.
+// unitKind identifies one of the four independent predictor state units.
 type unitKind int
 
 const (
@@ -158,31 +122,6 @@ func (u unitKind) String() string {
 		return "addr"
 	}
 	return fmt.Sprintf("unitKind(%d)", int(u))
-}
-
-// unitKey identifies one independent state unit: a predictor category and
-// the key shard of it this unit owns. The monolithic units of the
-// unsharded pass are shard 0 of 1.
-type unitKey struct {
-	kind  unitKind
-	shard int
-}
-
-func (k unitKey) String() string { return fmt.Sprintf("%s/%d", k.kind, k.shard) }
-
-// normalizeShards rounds a configured shard count down to a power of two
-// in [1, MaxSpecShards].
-func normalizeShards(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > MaxSpecShards {
-		n = MaxSpecShards
-	}
-	for n&(n-1) != 0 {
-		n &= n - 1
-	}
-	return n
 }
 
 // bitstream is an append-only bit vector: one recorded predictor verdict
@@ -231,7 +170,7 @@ func (c *bitCursor) drained() bool {
 
 // unitRecord is one unit's speculative result for one epoch.
 type unitRecord struct {
-	unit     unitKey
+	unit     unitKind
 	gen      int // speculation generation; bumped by every resync
 	epoch    int
 	entryDig uint64             // state digest at epoch entry — the divergence check
@@ -244,32 +183,25 @@ type unitRecord struct {
 // resyncMsg rewinds one unit of a chain to a committer-provided state, or
 // abandons it (nil snap).
 type resyncMsg struct {
-	unit  unitKey
+	unit  unitKind
 	gen   int
 	epoch int
 	snap  predictor.Snapshot
 }
 
 // chainUnit is the chain-side (and committer-replica-side) execution state
-// of one unit: the predictor instance (or the shard of it this unit owns)
-// plus the event schedule that drives it. The schedules mirror
-// modelPass.Observe exactly — which predictor calls happen, with which
-// keys and values, per event — with one extra twist under sharding: a
-// sharded unit only records (and applies) the calls whose keys it owns,
-// as decided by the predictor's own routing function.
+// of one unit: the predictor instance plus the event schedule that drives
+// it. The schedules mirror modelPass.Observe exactly — which predictor
+// calls happen, with which keys and values, per event.
 type chainUnit struct {
-	key         unitKey
+	kind        unitKind
 	shared      bool // input unit also records the output stream
 	cfg         *Config
 	staticCount []uint64
 
-	// owns reports whether this unit's shard owns a key; nil means the
-	// unit is monolithic and owns everything.
-	owns func(key uint64) bool
-
-	value predictor.Predictor // input/output units (possibly a shard view)
+	value predictor.Predictor // input/output units
 	gsh   *predictor.GShare   // branch unit
-	str   predictor.Predictor // addr unit (possibly a shard view)
+	str   *predictor.Stride   // addr unit
 	ck    predictor.Checkpointer
 
 	records chan *unitRecord
@@ -288,20 +220,16 @@ func (u *chainUnit) predictValue(key uint64, actual uint32) bool {
 // into a (and b for the shared input unit). Nil streams replay state only.
 func (u *chainUnit) observe(e *trace.Event, a, b *bitstream) {
 	pc, op := e.PC, e.Op
-	switch u.key.kind {
+	switch u.kind {
 	case unitInput:
 		for slot := 0; slot < int(e.NSrc); slot++ {
 			if e.SrcReg[slot] == 0 {
 				continue
 			}
-			if key := inputKey(pc, slot); u.owns == nil || u.owns(key) {
-				a.push(u.predictValue(key, e.SrcVal[slot]))
-			}
+			a.push(u.predictValue(inputKey(pc, slot), e.SrcVal[slot]))
 		}
 		if isa.IsLoad(op) || op == isa.OpIn {
-			if key := inputKey(pc, 2); u.owns == nil || u.owns(key) {
-				a.push(u.predictValue(key, e.MemVal))
-			}
+			a.push(u.predictValue(inputKey(pc, 2), e.MemVal))
 		}
 		if u.shared {
 			u.observeOutput(e, b)
@@ -316,11 +244,9 @@ func (u *chainUnit) observe(e *trace.Event, a, b *bitstream) {
 		}
 	case unitAddr:
 		if isa.MemWidth(op) != 0 {
-			if key := uint64(pc); u.owns == nil || u.owns(key) {
-				av, ok := u.str.Predict(key)
-				u.str.Update(key, e.Addr)
-				a.push(ok && av == e.Addr)
-			}
+			av, ok := u.str.Predict(uint64(pc))
+			u.str.Update(uint64(pc), e.Addr)
+			a.push(ok && av == e.Addr)
 		}
 	}
 }
@@ -335,17 +261,13 @@ func (u *chainUnit) observeOutput(e *trace.Event, bs *bitstream) {
 		// never consult the output predictor.
 		return
 	}
-	if key := outputKey(u.cfg, e.PC, e); u.owns == nil || u.owns(key) {
-		bs.push(u.predictValue(key, e.DstVal))
-	}
+	bs.push(u.predictValue(outputKey(u.cfg, e.PC, e), e.DstVal))
 }
 
 // poison corrupts the unit's state (chaos hook): an update under a key no
 // real event produces, so the state — and its honest digest — diverge from
 // what the committer expects, and keep re-diverging after every resync
-// while the hook stays on. A shard view aliases foreign keys into its own
-// partition, so the poison lands (and the digest diverges) regardless of
-// which shard the poison key hashes to.
+// while the hook stays on.
 func (u *chainUnit) poison() {
 	switch {
 	case u.value != nil:
@@ -375,10 +297,10 @@ func (u *chainUnit) reset() {
 // the verdicts. The record carries entry/exit digests and, on checkpoint
 // epochs, a full snapshot the committer can later replay from.
 func (u *chainUnit) processEpoch(r *specRun, epoch int, events []trace.Event) *unitRecord {
-	if f := r.spec.corrupt; f != nil && f(u.key, epoch) {
+	if f := r.spec.corrupt; f != nil && f(u.kind, epoch) {
 		u.poison()
 	}
-	rec := &unitRecord{unit: u.key, gen: u.gen, epoch: epoch, entryDig: u.ck.Digest()}
+	rec := &unitRecord{unit: u.kind, gen: u.gen, epoch: epoch, entryDig: u.ck.Digest()}
 	for i := range events {
 		e := &events[i]
 		if err := checkModelEvent(e, u.staticCount); err != nil {
@@ -418,7 +340,7 @@ func (c *chain) nextUnit() *chainUnit {
 // apply rewinds (or abandons) one unit per a committer resync.
 func (c *chain) apply(m resyncMsg) {
 	for _, u := range c.units {
-		if u.key != m.unit {
+		if u.kind != m.unit {
 			continue
 		}
 		if m.snap == nil {
@@ -547,7 +469,7 @@ func (s *epochStore) abort() {
 // and checkpoint, the record stream from the unit's chain, and the live
 // replica used for divergence recovery.
 type unitCommit struct {
-	key     unitKey
+	kind    unitKind
 	ch      *chain
 	records chan *unitRecord
 
@@ -583,57 +505,39 @@ func (uc *unitCommit) fetch(done <-chan struct{}) (*unitRecord, error) {
 		}
 		if rec.epoch != uc.expect {
 			return nil, fmt.Errorf("%w: unit %s expected epoch %d, got %d",
-				ErrSpeculation, uc.key, uc.expect, rec.epoch)
+				ErrSpeculation, uc.kind, uc.expect, rec.epoch)
 		}
 		uc.expect++
 		return rec, nil
 	}
 }
 
-// specOracle is the committer's predictorOracle: per category and key
-// shard it either replays the recorded verdict bits of an adopted epoch
-// record, or runs the unit's live replica (after a divergence or
-// abandonment). The routing functions are the predictors' own ShardOf,
-// so the committer consumes each verdict from exactly the unit that
-// recorded it.
+// specOracle is the committer's predictorOracle: per category it either
+// replays the recorded verdict bits of an adopted epoch record, or runs
+// the unit's live replica (after a divergence or abandonment).
 type specOracle struct {
-	// valRoute/adRoute map a key to its shard; nil when that category is
-	// monolithic (the hot path of an unsharded run).
-	valRoute func(key uint64) int
-	adRoute  func(key uint64) int
-
-	inC, outC, adC []*bitCursor          // per shard; nil entry = serve live
-	inP, outP, adS []predictor.Predictor // live replicas, set where cursor is nil
-	brC            *bitCursor
-	brG            *predictor.GShare
+	inC, outC, brC, adC *bitCursor
+	inP, outP           predictor.Predictor
+	brG                 *predictor.GShare
+	adS                 *predictor.Stride
 }
 
 func (o *specOracle) predictInput(pc uint32, slot int, actual uint32) bool {
+	if o.inC != nil {
+		return o.inC.next()
+	}
 	key := inputKey(pc, slot)
-	s := 0
-	if o.valRoute != nil {
-		s = o.valRoute(key)
-	}
-	if c := o.inC[s]; c != nil {
-		return c.next()
-	}
-	p := o.inP[s]
-	pv, ok := p.Predict(key)
-	p.Update(key, actual)
+	pv, ok := o.inP.Predict(key)
+	o.inP.Update(key, actual)
 	return ok && pv == actual
 }
 
 func (o *specOracle) predictOutput(key uint64, actual uint32) bool {
-	s := 0
-	if o.valRoute != nil {
-		s = o.valRoute(key)
+	if o.outC != nil {
+		return o.outC.next()
 	}
-	if c := o.outC[s]; c != nil {
-		return c.next()
-	}
-	p := o.outP[s]
-	pv, ok := p.Predict(key)
-	p.Update(key, actual)
+	pv, ok := o.outP.Predict(key)
+	o.outP.Update(key, actual)
 	return ok && pv == actual
 }
 
@@ -647,17 +551,11 @@ func (o *specOracle) predictBranch(pc uint32, taken bool) bool {
 }
 
 func (o *specOracle) predictAddr(pc uint32, addr uint32) bool {
-	key := uint64(pc)
-	s := 0
-	if o.adRoute != nil {
-		s = o.adRoute(key)
+	if o.adC != nil {
+		return o.adC.next()
 	}
-	if c := o.adC[s]; c != nil {
-		return c.next()
-	}
-	p := o.adS[s]
-	av, ok := p.Predict(key)
-	p.Update(key, addr)
+	av, ok := o.adS.Predict(uint64(pc))
+	o.adS.Update(uint64(pc), addr)
 	return ok && av == addr
 }
 
@@ -680,22 +578,13 @@ type specRun struct {
 	staticCount []uint64
 	shared      bool
 
-	// valueSharder is the Sharder surface of the configured value
-	// predictor (nil when it is global, like context); addrProto is the
-	// prototype the address-unit shards derive from. Both are used purely
-	// as immutable factories/routers.
-	valueSharder predictor.Sharder
-	addrProto    *predictor.Stride
-	valueShards  int // effective shard count of the input/output categories
-	addrShards   int // effective shard count of the addr category
-
 	m      *modelPass
 	oracle *specOracle
 	store  *epochStore
 	chains []*chain
 
 	commitUnits []*unitCommit
-	byKind      [numUnitKinds][]*unitCommit // indexed kind, then shard
+	byKind      [numUnitKinds]*unitCommit
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -705,41 +594,22 @@ type specRun struct {
 	globalIdx uint64
 }
 
-// shardClamp lowers a normalized shard count to what a predictor's table
-// supports (both are powers of two, so halving converges).
-func shardClamp(n, max int) int {
-	for n > max {
-		n >>= 1
-	}
-	return n
-}
-
 // buildUnit constructs the execution state of one unit. Factory panics are
 // converted at this boundary, like newModelPass does.
-func (r *specRun) buildUnit(key unitKey, reuse predictor.Predictor) (u *chainUnit, err error) {
+func (r *specRun) buildUnit(kind unitKind, reuse predictor.Predictor) (u *chainUnit, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			u, err = nil, fmt.Errorf("%w: %v", ErrConfig, p)
 		}
 	}()
 	u = &chainUnit{
-		key:         key,
-		shared:      r.shared && key.kind == unitInput,
+		kind:        kind,
+		shared:      r.shared && kind == unitInput,
 		cfg:         &r.cfg,
 		staticCount: r.staticCount,
 	}
-	switch key.kind {
+	switch kind {
 	case unitInput, unitOutput:
-		if r.valueShards > 1 {
-			view, serr := r.valueSharder.Shard(key.shard, r.valueShards)
-			if serr != nil {
-				return nil, fmt.Errorf("%w: sharding value predictor: %v", ErrSpeculation, serr)
-			}
-			sh, shards := r.valueSharder, r.valueShards
-			u.owns = func(k uint64) bool { return sh.ShardOf(k, shards) == key.shard }
-			u.value, u.ck = view, view
-			break
-		}
 		p := reuse
 		if p == nil {
 			p = r.cfg.Predictor()
@@ -754,16 +624,6 @@ func (r *specRun) buildUnit(key unitKey, reuse predictor.Predictor) (u *chainUni
 		g := predictor.NewGShare(r.cfg.GShareBits)
 		u.gsh, u.ck = g, g
 	default:
-		if r.addrShards > 1 {
-			view, serr := r.addrProto.Shard(key.shard, r.addrShards)
-			if serr != nil {
-				return nil, fmt.Errorf("%w: sharding address predictor: %v", ErrSpeculation, serr)
-			}
-			proto, shards := r.addrProto, r.addrShards
-			u.owns = func(k uint64) bool { return proto.ShardOf(k, shards) == key.shard }
-			u.str, u.ck = view, view
-			break
-		}
 		st := predictor.NewStride(predictor.DefaultTableBits)
 		u.str, u.ck = st, st
 	}
@@ -817,82 +677,39 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 		}
 	}
 
-	// Resolve the shard plan: the configured count, clamped per category
-	// to what each predictor supports. Global predictors pin their
-	// category at one shard; the address predictor is always a stride
-	// table and always shards.
-	shards := normalizeShards(spec.Shards)
-	r.addrProto = predictor.NewStride(predictor.DefaultTableBits)
-	r.valueShards, r.addrShards = 1, 1
-	if shards > 1 {
-		if sh, ok := probe.(predictor.Sharder); ok {
-			r.valueSharder = sh
-			r.valueShards = shardClamp(shards, sh.MaxShards())
-		}
-		r.addrShards = shardClamp(shards, r.addrProto.MaxShards())
-	}
-
-	var units []unitKey
-	for s := 0; s < r.valueShards; s++ {
-		units = append(units, unitKey{unitInput, s})
-	}
+	kinds := []unitKind{unitInput}
 	if !r.shared {
-		for s := 0; s < r.valueShards; s++ {
-			units = append(units, unitKey{unitOutput, s})
-		}
+		kinds = append(kinds, unitOutput)
 	}
-	units = append(units, unitKey{unitBranch, 0})
-	for s := 0; s < r.addrShards; s++ {
-		units = append(units, unitKey{unitAddr, s})
-	}
+	kinds = append(kinds, unitBranch, unitAddr)
 
 	workers := spec.Workers
 	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), 4*shards)
+		workers = min(runtime.GOMAXPROCS(0), 4)
 	}
-	workers = max(1, min(workers, len(units)))
+	workers = max(1, min(workers, len(kinds)))
 
 	r.chains = make([]*chain, workers)
 	for i := range r.chains {
-		r.chains[i] = &chain{resync: make(chan resyncMsg, len(units))}
+		r.chains[i] = &chain{resync: make(chan resyncMsg, numUnitKinds)}
 	}
-	for i, key := range units {
+	for i, kind := range kinds {
 		var reuse predictor.Predictor
-		if key.kind == unitInput && r.valueShards == 1 {
+		if kind == unitInput {
 			reuse = probe
 		}
-		cu, err := r.buildUnit(key, reuse)
+		cu, err := r.buildUnit(kind, reuse)
 		if err != nil {
 			return nil, false, err
 		}
 		cu.records = make(chan *unitRecord, specLookahead)
 		c := r.chains[i%workers]
 		c.units = append(c.units, cu)
-		uc := &unitCommit{key: key, ch: c, records: cu.records, liveAt: -1}
+		uc := &unitCommit{kind: kind, ch: c, records: cu.records, liveAt: -1}
 		r.commitUnits = append(r.commitUnits, uc)
-		r.byKind[key.kind] = append(r.byKind[key.kind], uc)
+		r.byKind[kind] = uc
 	}
 	r.stats.Chains = workers
-	r.stats.Shards = shards
-	r.stats.Units = len(units)
-
-	// The oracle's shard lanes are sized once; armOracle repoints them per
-	// epoch. Shared input/output runs route output keys through the input
-	// lanes' sibling cursors, so the out lanes are sized like the in lanes.
-	r.oracle.inC = make([]*bitCursor, r.valueShards)
-	r.oracle.inP = make([]predictor.Predictor, r.valueShards)
-	r.oracle.outC = make([]*bitCursor, r.valueShards)
-	r.oracle.outP = make([]predictor.Predictor, r.valueShards)
-	r.oracle.adC = make([]*bitCursor, r.addrShards)
-	r.oracle.adS = make([]predictor.Predictor, r.addrShards)
-	if r.valueShards > 1 {
-		sh, n := r.valueSharder, r.valueShards
-		r.oracle.valRoute = func(k uint64) int { return sh.ShardOf(k, n) }
-	}
-	if r.addrShards > 1 {
-		proto, n := r.addrProto, r.addrShards
-		r.oracle.adRoute = func(k uint64) int { return proto.ShardOf(k, n) }
-	}
 
 	window := 0
 	if streaming {
@@ -951,7 +768,7 @@ func (r *specRun) runChain(c *chain) {
 			case u.records <- rec:
 				rec = nil
 			case m := <-c.resync:
-				if m.unit == u.key {
+				if m.unit == u.kind {
 					rec = nil // superseded by the rewind
 				}
 				c.apply(m)
@@ -974,7 +791,7 @@ func (r *specRun) shutdown() {
 // epochs in between (at most checkpoint-1 of them — the replay bound).
 func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	if uc.live == nil {
-		u, err := r.buildUnit(uc.key, nil)
+		u, err := r.buildUnit(uc.kind, nil)
 		if err != nil {
 			return err
 		}
@@ -986,7 +803,7 @@ func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	}
 	if uc.snap != nil {
 		if err := uc.live.ck.Restore(uc.snap); err != nil {
-			return fmt.Errorf("%w: restoring unit %s checkpoint: %v", ErrSpeculation, uc.key, err)
+			return fmt.Errorf("%w: restoring unit %s checkpoint: %v", ErrSpeculation, uc.kind, err)
 		}
 	} else {
 		uc.live.reset()
@@ -994,7 +811,7 @@ func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	for k := uc.snapEpoch; k < e; k++ {
 		ev, st := r.store.get(k)
 		if st != epochReady {
-			return fmt.Errorf("%w: replay epoch %d for unit %s unavailable", ErrSpeculation, k, uc.key)
+			return fmt.Errorf("%w: replay epoch %d for unit %s unavailable", ErrSpeculation, k, uc.kind)
 		}
 		// These epochs were already committed, so their events passed
 		// validation; replay them for their state effect only.
@@ -1032,47 +849,41 @@ func (r *specRun) acquire(uc *unitCommit, e int) error {
 	return nil
 }
 
-// armOracle points each oracle lane — one per category and key shard — at
-// its verdict source for the epoch being committed.
+// armOracle points each oracle category at its verdict source for the
+// epoch being committed.
 func (r *specRun) armOracle() {
 	o := r.oracle
-	ins := r.byKind[unitInput]
-	for s, uc := range ins {
-		if uc.rec != nil {
-			o.inC[s], o.inP[s] = &uc.curA, nil
-		} else {
-			o.inC[s], o.inP[s] = nil, uc.live.value
-		}
+	in := r.byKind[unitInput]
+	if in.rec != nil {
+		o.inC, o.inP = &in.curA, nil
+	} else {
+		o.inC, o.inP = nil, in.live.value
 	}
 	if r.shared {
-		for s, uc := range ins {
-			if uc.rec != nil {
-				o.outC[s], o.outP[s] = &uc.curB, nil
-			} else {
-				o.outC[s], o.outP[s] = nil, uc.live.value
-			}
+		if in.rec != nil {
+			o.outC, o.outP = &in.curB, nil
+		} else {
+			o.outC, o.outP = nil, in.live.value
 		}
 	} else {
-		for s, uc := range r.byKind[unitOutput] {
-			if uc.rec != nil {
-				o.outC[s], o.outP[s] = &uc.curA, nil
-			} else {
-				o.outC[s], o.outP[s] = nil, uc.live.value
-			}
+		out := r.byKind[unitOutput]
+		if out.rec != nil {
+			o.outC, o.outP = &out.curA, nil
+		} else {
+			o.outC, o.outP = nil, out.live.value
 		}
 	}
-	br := r.byKind[unitBranch][0]
+	br := r.byKind[unitBranch]
 	if br.rec != nil {
 		o.brC, o.brG = &br.curA, nil
 	} else {
 		o.brC, o.brG = nil, br.live.gsh
 	}
-	for s, uc := range r.byKind[unitAddr] {
-		if uc.rec != nil {
-			o.adC[s], o.adS[s] = &uc.curA, nil
-		} else {
-			o.adC[s], o.adS[s] = nil, uc.live.str
-		}
+	ad := r.byKind[unitAddr]
+	if ad.rec != nil {
+		o.adC, o.adS = &ad.curA, nil
+	} else {
+		o.adC, o.adS = nil, ad.live.str
 	}
 }
 
@@ -1090,7 +901,7 @@ func (r *specRun) settle(e int) error {
 			uc.rec = nil
 			if rec.err != nil || !uc.curA.drained() || !uc.curB.drained() {
 				return fmt.Errorf("%w: unit %s outcome stream out of step at epoch %d",
-					ErrSpeculation, uc.key, e)
+					ErrSpeculation, uc.kind, e)
 			}
 			uc.dig = rec.exitDig
 			if rec.snap != nil {
@@ -1103,7 +914,7 @@ func (r *specRun) settle(e int) error {
 			if uc.misses >= maxSpecMisses {
 				uc.liveMode = true
 				r.stats.Abandoned++
-				uc.ch.resync <- resyncMsg{unit: uc.key}
+				uc.ch.resync <- resyncMsg{unit: uc.kind}
 			} else {
 				snap := uc.live.ck.Snapshot()
 				uc.snap, uc.snapEpoch = snap, e+1
@@ -1111,7 +922,7 @@ func (r *specRun) settle(e int) error {
 				uc.gen++
 				uc.expect = e + 1
 				r.stats.Resyncs++
-				uc.ch.resync <- resyncMsg{unit: uc.key, gen: uc.gen, epoch: e + 1, snap: snap}
+				uc.ch.resync <- resyncMsg{unit: uc.kind, gen: uc.gen, epoch: e + 1, snap: snap}
 			}
 		}
 		keep := uc.snapEpoch
@@ -1160,10 +971,9 @@ func (r *specRun) commit() (*Result, error) {
 // RunSpeculative executes the model over an in-memory trace with
 // epoch-speculative predictor chains. The Result is byte-identical to
 // RunWith's for every configuration — speculation is validated against
-// state digests and re-executed on divergence, never trusted — including
-// every SpecConfig.Shards setting. Predictors without checkpoint support
-// (predictor.Checkpointer) fall back to the sequential pass, reported via
-// SpecStats.Fallback.
+// state digests and re-executed on divergence, never trusted. Predictors
+// without checkpoint support (predictor.Checkpointer) fall back to the
+// sequential pass, reported via SpecStats.Fallback.
 func RunSpeculative(t *trace.Trace, cfg Config, spec SpecConfig) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil trace", ErrConfig)

@@ -2,7 +2,6 @@ package dpg
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -42,15 +41,30 @@ func mustEqualResults(t *testing.T, ctx string, got, want *Result) {
 	}
 }
 
+// wantChains is the chain count a run configured with workers should get:
+// workers <= 0 means min(GOMAXPROCS, 4), and either is clamped to the
+// number of state units — four, or three when SharedInputOutput folds the
+// output unit into the input unit.
+func wantChains(workers int, shared bool) int {
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), 4)
+	}
+	units := int(numUnitKinds)
+	if shared {
+		units--
+	}
+	return max(1, min(workers, units))
+}
+
 // TestSpeculativeDifferential is the headline differential suite: across
 // workloads × predictors × epoch counts × worker counts, RunSpeculative
 // must produce a Result identical to the seed sequential builder's, with
-// zero divergence.
+// zero divergence and the chain count wantChains gives.
 func TestSpeculativeDifferential(t *testing.T) {
 	traces := specTraces(t)
 	kinds := predictor.AllKinds
 	epochCounts := []int{1, 2, 3, 8, 32}
-	workerCounts := []int{1, 2, 4}
+	workerCounts := []int{0, 1, 2, 4, 8}
 	for name, tr := range traces {
 		for _, kind := range kinds {
 			cfg := Config{Predictor: kind.Factory(), PredictorName: kind.String()}
@@ -75,128 +89,13 @@ func TestSpeculativeDifferential(t *testing.T) {
 					if st.Diverged != 0 || st.Replayed != 0 || st.Abandoned != 0 {
 						t.Fatalf("%s e=%d w=%d: spurious divergence: %+v", ctx, epochs, workers, st)
 					}
-					if st.Epochs == 0 || st.Chains < 1 {
+					if st.Epochs == 0 {
 						t.Fatalf("%s: implausible stats: %+v", ctx, st)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestSpeculativeShardedDifferential is the sharded differential suite:
-// splitting predictor categories into key shards — with chains scaled up to
-// 4×shards — must leave every Result byte-identical to the sequential
-// pass, for shardable (last-value, stride) and global (context) value
-// predictors alike.
-func TestSpeculativeShardedDifferential(t *testing.T) {
-	traces := specTraces(t)
-	kinds := predictor.AllKinds
-	for name, tr := range traces {
-		for _, kind := range kinds {
-			cfg := Config{Predictor: kind.Factory(), PredictorName: kind.String()}
-			want, err := RunWith(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 2, 4} {
-				for _, workers := range []int{1, 4 * shards} {
-					var st SpecStats
-					got, err := RunSpeculative(tr, cfg, SpecConfig{
-						Workers: workers, Shards: shards, Epochs: 8, Stats: &st,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s s=%d w=%d: %v", name, kind, shards, workers, err)
-					}
-					ctx := name + "/" + kind.String()
-					mustEqualResults(t, ctx, got, want)
-					if st.Shards != shards {
-						t.Fatalf("%s s=%d: effective shards %d", ctx, shards, st.Shards)
-					}
-					// Shardable value predictors (last-value, stride, ldbp)
-					// split all three per-key categories; context (shared
-					// second-level table) and tage (global history ring) pin
-					// the value units at one shard each.
-					wantUnits := 3*shards + 1
-					if kind == predictor.KindContext || kind == predictor.KindTAGE {
-						wantUnits = shards + 3
-					}
-					if st.Units != wantUnits {
-						t.Fatalf("%s s=%d: %d units, want %d", ctx, shards, st.Units, wantUnits)
-					}
-					if st.Chains != min(workers, wantUnits) {
-						t.Fatalf("%s s=%d w=%d: %d chains", ctx, shards, workers, st.Chains)
-					}
-					if st.Diverged != 0 || st.Replayed != 0 || st.Abandoned != 0 || st.Fallback {
-						t.Fatalf("%s s=%d: spurious recovery: %+v", ctx, shards, st)
+					if want := wantChains(workers, false); st.Chains != want {
+						t.Fatalf("%s w=%d: %d chains, want %d", ctx, workers, st.Chains, want)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestSpeculativeShardNormalization pins the shard-count contract: values
-// round down to a power of two and clamp to [1, MaxSpecShards].
-func TestSpeculativeShardNormalization(t *testing.T) {
-	tr := specTraces(t)["fig1"]
-	cfg := Config{Predictor: predictor.KindLast.Factory()}
-	want, err := RunWith(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ in, out int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 2}, {5, 4}, {7, 4}, {64, 64}, {1000, 64},
-	} {
-		var st SpecStats
-		got, err := RunSpeculative(tr, cfg, SpecConfig{Shards: tc.in, Epochs: 4, Stats: &st})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", tc.in, err)
-		}
-		mustEqualResults(t, fmt.Sprintf("shards=%d", tc.in), got, want)
-		if st.Shards != tc.out {
-			t.Fatalf("Shards=%d normalized to %d, want %d", tc.in, st.Shards, tc.out)
-		}
-	}
-}
-
-// TestSpeculativeShardedAdversarial poisons a single shard of the sharded
-// pass: recovery must stay confined to that unit (its siblings keep
-// speculating without abandonment) and the Result must stay byte-identical.
-func TestSpeculativeShardedAdversarial(t *testing.T) {
-	tr := specTraces(t)["gcc"]
-	cfg := Config{Predictor: predictor.KindStride.Factory()}
-	want, err := RunWith(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards, epochs, checkpoint = 4, 12, 3
-	hooks := map[string]func(u unitKey, epoch int) bool{
-		"one-shard":    func(u unitKey, _ int) bool { return u.kind == unitInput && u.shard == 2 },
-		"addr-shard":   func(u unitKey, e int) bool { return u.kind == unitAddr && u.shard == 1 && e%2 == 0 },
-		"shard-stripe": func(u unitKey, e int) bool { return u.shard == e%shards },
-	}
-	for name, hook := range hooks {
-		for _, workers := range []int{2, 8} {
-			var st SpecStats
-			spec := SpecConfig{
-				Workers: workers, Shards: shards, Epochs: epochs,
-				Checkpoint: checkpoint, Stats: &st,
-			}
-			spec.corrupt = hook
-			got, err := RunSpeculative(tr, cfg, spec)
-			if err != nil {
-				t.Fatalf("%s w=%d: %v", name, workers, err)
-			}
-			mustEqualResults(t, name, got, want)
-			if st.Diverged == 0 {
-				t.Fatalf("%s: chaos hook induced no divergence: %+v", name, st)
-			}
-			if st.ReplayEpochs > st.Diverged*(checkpoint-1) {
-				t.Fatalf("%s: replay bound exceeded: %+v", name, st)
-			}
-			if name == "one-shard" && st.Abandoned > 1 {
-				t.Fatalf("%s: corruption of one shard abandoned %d units: %+v", name, st.Abandoned, st)
 			}
 		}
 	}
@@ -244,19 +143,18 @@ func TestSpeculativeConfigMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
-			for _, shards := range []int{1, 4} {
-				var st SpecStats
-				got, err := RunSpeculative(tr, cfg, SpecConfig{
-					Workers: workers, Shards: shards, Epochs: 6, Stats: &st,
-				})
-				if err != nil {
-					t.Fatalf("%s w=%d s=%d: %v", name, workers, shards, err)
-				}
-				mustEqualResults(t, name, got, want)
-				if st.Diverged != 0 {
-					t.Fatalf("%s: spurious divergence: %+v", name, st)
-				}
+		for _, workers := range []int{0, 1, 3, 4} {
+			var st SpecStats
+			got, err := RunSpeculative(tr, cfg, SpecConfig{Workers: workers, Epochs: 6, Stats: &st})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", name, workers, err)
+			}
+			mustEqualResults(t, name, got, want)
+			if st.Diverged != 0 {
+				t.Fatalf("%s: spurious divergence: %+v", name, st)
+			}
+			if want := wantChains(workers, cfg.SharedInputOutput); st.Chains != want {
+				t.Fatalf("%s w=%d: %d chains, want %d", name, workers, st.Chains, want)
 			}
 		}
 	}
@@ -302,12 +200,12 @@ func TestSpeculativeAdversarialDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hooks := map[string]func(u unitKey, epoch int) bool{
-		"all":         func(unitKey, int) bool { return true },
-		"input-only":  func(u unitKey, _ int) bool { return u.kind == unitInput },
-		"addr-only":   func(u unitKey, _ int) bool { return u.kind == unitAddr },
-		"every-third": func(_ unitKey, e int) bool { return e%3 == 0 },
-		"one-epoch":   func(_ unitKey, e int) bool { return e == 2 },
+	hooks := map[string]func(u unitKind, epoch int) bool{
+		"all":         func(unitKind, int) bool { return true },
+		"input-only":  func(u unitKind, _ int) bool { return u == unitInput },
+		"addr-only":   func(u unitKind, _ int) bool { return u == unitAddr },
+		"every-third": func(_ unitKind, e int) bool { return e%3 == 0 },
+		"one-epoch":   func(_ unitKind, e int) bool { return e == 2 },
 	}
 	const epochs, checkpoint = 12, 3
 	for name, hook := range hooks {
@@ -328,8 +226,8 @@ func TestSpeculativeAdversarialDivergence(t *testing.T) {
 				t.Fatalf("%s: replay bound exceeded: %+v", name, st)
 			}
 			if name == "all" {
-				if st.Abandoned != st.Units {
-					t.Fatalf("100%% corruption: abandoned %d of %d units: %+v", st.Abandoned, st.Units, st)
+				if st.Abandoned != int(numUnitKinds) {
+					t.Fatalf("100%% corruption: abandoned %d of %d units: %+v", st.Abandoned, numUnitKinds, st)
 				}
 			}
 			if name == "one-epoch" && st.Abandoned != 0 {
@@ -446,22 +344,20 @@ func TestSpecRunStreamingDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, epochEvents := range []int{97, 1024, 1 << 20} {
-			for _, shards := range []int{1, 4} {
-				var st SpecStats
-				s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg,
-					SpecConfig{Workers: 4 * shards, Shards: shards, EpochEvents: epochEvents, Checkpoint: 2, Stats: &st})
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedSpecRun(t, s, tr, 333)
-				got, err := s.Finish()
-				if err != nil {
-					t.Fatalf("%s epoch=%d shards=%d: %v", name, epochEvents, shards, err)
-				}
-				mustEqualResults(t, name, got, want)
-				if st.Diverged != 0 || st.Fallback {
-					t.Fatalf("%s: unexpected stats %+v", name, st)
-				}
+			var st SpecStats
+			s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg,
+				SpecConfig{Workers: 4, EpochEvents: epochEvents, Checkpoint: 2, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedSpecRun(t, s, tr, 333)
+			got, err := s.Finish()
+			if err != nil {
+				t.Fatalf("%s epoch=%d: %v", name, epochEvents, err)
+			}
+			mustEqualResults(t, name, got, want)
+			if st.Diverged != 0 || st.Fallback {
+				t.Fatalf("%s: unexpected stats %+v", name, st)
 			}
 		}
 	}
@@ -478,7 +374,7 @@ func TestSpecRunStreamingChaos(t *testing.T) {
 	}
 	var st SpecStats
 	spec := SpecConfig{Workers: 4, EpochEvents: len(tr.Events)/9 + 1, Checkpoint: 2, Stats: &st}
-	spec.corrupt = func(u unitKey, e int) bool { return e%2 == 1 }
+	spec.corrupt = func(_ unitKind, e int) bool { return e%2 == 1 }
 	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -68,6 +68,8 @@ type proc struct {
 	ep  *procEndpoint
 	mu  sync.Mutex
 	cmd *exec.Cmd
+	// logs is done once cmd's stdout and stderr are drained into Log.
+	logs *sync.WaitGroup
 	// done closes when the supervisor goroutine gives up on this worker.
 	done chan struct{}
 }
@@ -92,6 +94,9 @@ func Spawn(ctx context.Context, cfg SpawnConfig) (*Pool, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
+	// Every worker's stdout and stderr goroutines and every supervisor
+	// write Log concurrently.
+	cfg.Log = SyncWriter(cfg.Log)
 	if cfg.StoreRoot == "" {
 		dir, err := os.MkdirTemp("", "dpgfleet-store-")
 		if err != nil {
@@ -106,12 +111,12 @@ func Spawn(ctx context.Context, cfg SpawnConfig) (*Pool, error) {
 			ep:   &procEndpoint{name: fmt.Sprintf("worker-%d", i)},
 			done: make(chan struct{}),
 		}
-		cmd, addr, err := p.startOne(ctx, i)
+		cmd, logs, addr, err := p.startOne(ctx, i)
 		if err != nil {
 			p.Stop(2 * time.Second)
 			return nil, fmt.Errorf("fleet: spawn %s: %w", pr.ep.name, err)
 		}
-		pr.cmd = cmd
+		pr.cmd, pr.logs = cmd, logs
 		pr.ep.url.Store("http://" + addr)
 		p.procs = append(p.procs, pr)
 		go p.supervise(pr, i)
@@ -120,25 +125,40 @@ func Spawn(ctx context.Context, cfg SpawnConfig) (*Pool, error) {
 }
 
 // startOne launches worker i and returns once it printed its listen line.
-func (p *Pool) startOne(ctx context.Context, i int) (*exec.Cmd, string, error) {
+// The returned WaitGroup is done once the worker's stdout and stderr are
+// drained into Log; cmd.Wait must wait for it first.
+func (p *Pool) startOne(ctx context.Context, i int) (*exec.Cmd, *sync.WaitGroup, string, error) {
 	store := filepath.Join(p.cfg.StoreRoot, fmt.Sprintf("w%d", i))
 	if err := os.MkdirAll(store, 0o755); err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
 	args := append([]string{"-addr", "127.0.0.1:0", "-store", store}, p.cfg.Args...)
 	cmd := exec.Command(p.cfg.Binary, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	cmd.Stderr = prefixWriter(p.cfg.Log, fmt.Sprintf("worker-%d! ", i))
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		return nil, nil, "", err
+	}
 
 	if err := cmd.Start(); err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
 
+	logs := new(sync.WaitGroup)
+	logs.Add(2)
+	go func() {
+		defer logs.Done()
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			fmt.Fprintf(p.cfg.Log, "worker-%d! %s\n", i, sc.Text())
+		}
+	}()
 	addrCh := make(chan string, 1)
 	go func() {
+		defer logs.Done()
 		sc := bufio.NewScanner(stdout)
 		sent := false
 		for sc.Scan() {
@@ -154,25 +174,25 @@ func (p *Pool) startOne(ctx context.Context, i int) (*exec.Cmd, string, error) {
 		}
 		close(addrCh)
 	}()
+	abort := func(err error) (*exec.Cmd, *sync.WaitGroup, string, error) {
+		cmd.Process.Kill()
+		logs.Wait()
+		cmd.Wait()
+		return nil, nil, "", err
+	}
 
 	t := time.NewTimer(startupTimeout)
 	defer t.Stop()
 	select {
 	case addr, ok := <-addrCh:
 		if !ok || addr == "" {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return nil, "", errors.New("worker exited before reporting its address")
+			return abort(errors.New("worker exited before reporting its address"))
 		}
-		return cmd, addr, nil
+		return cmd, logs, addr, nil
 	case <-ctx.Done():
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, "", ctx.Err()
+		return abort(ctx.Err())
 	case <-t.C:
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, "", errors.New("worker did not report an address in time")
+		return abort(errors.New("worker did not report an address in time"))
 	}
 }
 
@@ -186,8 +206,9 @@ func (p *Pool) supervise(pr *proc, i int) {
 	restarts := 0
 	for {
 		pr.mu.Lock()
-		cmd := pr.cmd
+		cmd, logs := pr.cmd, pr.logs
 		pr.mu.Unlock()
+		logs.Wait()
 		err := cmd.Wait()
 		if p.stopping.Load() || !p.cfg.Restart || restarts >= maxRestarts {
 			return
@@ -198,13 +219,13 @@ func (p *Pool) supervise(pr *proc, i int) {
 		if p.stopping.Load() {
 			return
 		}
-		cmd, addr, serr := p.startOne(context.Background(), i)
+		cmd, logs, addr, serr := p.startOne(context.Background(), i)
 		if serr != nil {
 			fmt.Fprintf(p.cfg.Log, "fleet: %s restart failed: %v\n", pr.ep.name, serr)
 			return
 		}
 		pr.mu.Lock()
-		pr.cmd = cmd
+		pr.cmd, pr.logs = cmd, logs
 		pr.mu.Unlock()
 		pr.ep.url.Store("http://" + addr)
 		if p.stopping.Load() { // lost the race with Stop: take it back down
@@ -267,15 +288,17 @@ func (p *Pool) Stop(timeout time.Duration) {
 	}
 }
 
-// prefixWriter returns a writer that copies each flushed chunk to w with a
-// prefix — good enough for worker stderr diagnostics.
-func prefixWriter(w io.Writer, prefix string) io.Writer {
-	pr, pw := io.Pipe()
-	go func() {
-		sc := bufio.NewScanner(pr)
-		for sc.Scan() {
-			fmt.Fprintf(w, "%s%s\n", prefix, sc.Text())
-		}
-	}()
-	return pw
+// SyncWriter returns a writer that serialises writes to w, so each Fprintf
+// lands whole when several goroutines share w.
+func SyncWriter(w io.Writer) io.Writer { return &syncWriter{w: w} }
+
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
 }

@@ -11,8 +11,7 @@ package predictor
 // the stored value is replaced only when the counter has fallen to zero.
 // While an entry exists its value is always offered as the prediction.
 type LastValue struct {
-	mask    uint64 // full-table index mask, shared by every shard
-	geom    shardGeom
+	mask    uint64
 	entries []lastEntry
 	track   bool
 	dig     uint64
@@ -31,7 +30,6 @@ func NewLastValue(bits int) *LastValue {
 	}
 	return &LastValue{
 		mask:    1<<uint(bits) - 1,
-		geom:    newShardGeom(0, 1),
 		entries: make([]lastEntry, 1<<uint(bits)),
 	}
 }
@@ -41,8 +39,7 @@ func (p *LastValue) Name() string { return "last-value" }
 
 // Predict implements Predictor.
 func (p *LastValue) Predict(key uint64) (uint32, bool) {
-	local, _ := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	e := &p.entries[mix(key)&p.mask]
 	if !e.valid {
 		return 0, false
 	}
@@ -51,8 +48,8 @@ func (p *LastValue) Predict(key uint64) (uint32, bool) {
 
 // Update implements Predictor.
 func (p *LastValue) Update(key uint64, actual uint32) {
-	local, i := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	i := mix(key) & p.mask
+	e := &p.entries[i]
 	var old uint64
 	if p.track {
 		old = packLastEntry(*e)

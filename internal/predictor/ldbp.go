@@ -13,13 +13,8 @@ package predictor
 // the challenger around, so one wild value does not destroy a learned
 // pattern (the same hysteresis idea as the 2-delta stride predictor, with
 // an explicit competitive slot for the second pattern graph codes exhibit).
-//
-// Every Predict/Update touches exactly the one entry its key hashes to, so
-// LDBP decomposes into independent key shards (Sharder) exactly like
-// LastValue and Stride.
 type LDBP struct {
-	mask    uint64 // full-table index mask, shared by every shard
-	geom    shardGeom
+	mask    uint64
 	entries []ldbpEntry
 	track   bool
 	dig     uint64
@@ -41,7 +36,6 @@ func NewLDBP(bits int) *LDBP {
 	}
 	return &LDBP{
 		mask:    1<<uint(bits) - 1,
-		geom:    newShardGeom(0, 1),
 		entries: make([]ldbpEntry, 1<<uint(bits)),
 	}
 }
@@ -52,8 +46,7 @@ func (p *LDBP) Name() string { return "ldbp" }
 // Predict implements Predictor. An entry with no confident delta falls back
 // to last-value behaviour (the favoured delta starts at zero).
 func (p *LDBP) Predict(key uint64) (uint32, bool) {
-	local, _ := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	e := &p.entries[mix(key)&p.mask]
 	if !e.valid {
 		return 0, false
 	}
@@ -62,8 +55,8 @@ func (p *LDBP) Predict(key uint64) (uint32, bool) {
 
 // Update implements Predictor.
 func (p *LDBP) Update(key uint64, actual uint32) {
-	local, i := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	i := mix(key) & p.mask
+	e := &p.entries[i]
 	var oa, ob uint64
 	if p.track {
 		oa, ob = packLDBPEntry(*e)

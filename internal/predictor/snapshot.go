@@ -75,7 +75,6 @@ func digestMix(tag, a, b uint64) uint64 {
 
 type lastSnap struct {
 	mask    uint64
-	geom    shardGeom
 	entries []lastEntry
 	dig     uint64
 }
@@ -84,7 +83,7 @@ func (s *lastSnap) Digest() uint64 { return s.dig }
 
 func (s *lastSnap) Equal(other Snapshot) bool {
 	o, ok := other.(*lastSnap)
-	return ok && s.mask == o.mask && s.geom == o.geom && slices.Equal(s.entries, o.entries)
+	return ok && s.mask == o.mask && slices.Equal(s.entries, o.entries)
 }
 
 func packLastEntry(e lastEntry) uint64 {
@@ -103,7 +102,7 @@ func lastContrib(i, packed uint64) uint64 {
 
 // Snapshot implements Checkpointer.
 func (p *LastValue) Snapshot() Snapshot {
-	return &lastSnap{mask: p.mask, geom: p.geom, entries: slices.Clone(p.entries), dig: p.dig}
+	return &lastSnap{mask: p.mask, entries: slices.Clone(p.entries), dig: p.dig}
 }
 
 // Restore implements Checkpointer.
@@ -112,8 +111,8 @@ func (p *LastValue) Restore(s Snapshot) error {
 	if !ok {
 		return fmt.Errorf("%w: %T into *LastValue", ErrSnapshot, s)
 	}
-	if ls.mask != p.mask || ls.geom != p.geom {
-		return fmt.Errorf("%w: table size or shard geometry mismatch", ErrSnapshot)
+	if ls.mask != p.mask {
+		return fmt.Errorf("%w: table size mismatch", ErrSnapshot)
 	}
 	copy(p.entries, ls.entries)
 	p.dig = ls.dig
@@ -130,7 +129,6 @@ func (p *LastValue) Digest() uint64 { return p.dig }
 
 type strideSnap struct {
 	mask    uint64
-	geom    shardGeom
 	entries []strideEntry
 	dig     uint64
 }
@@ -139,7 +137,7 @@ func (s *strideSnap) Digest() uint64 { return s.dig }
 
 func (s *strideSnap) Equal(other Snapshot) bool {
 	o, ok := other.(*strideSnap)
-	return ok && s.mask == o.mask && s.geom == o.geom && slices.Equal(s.entries, o.entries)
+	return ok && s.mask == o.mask && slices.Equal(s.entries, o.entries)
 }
 
 func packStrideEntry(e strideEntry) (a, b uint64) {
@@ -163,7 +161,7 @@ func strideContrib(i, a, b uint64) uint64 {
 
 // Snapshot implements Checkpointer.
 func (p *Stride) Snapshot() Snapshot {
-	return &strideSnap{mask: p.mask, geom: p.geom, entries: slices.Clone(p.entries), dig: p.dig}
+	return &strideSnap{mask: p.mask, entries: slices.Clone(p.entries), dig: p.dig}
 }
 
 // Restore implements Checkpointer.
@@ -172,8 +170,8 @@ func (p *Stride) Restore(s Snapshot) error {
 	if !ok {
 		return fmt.Errorf("%w: %T into *Stride", ErrSnapshot, s)
 	}
-	if ss.mask != p.mask || ss.geom != p.geom {
-		return fmt.Errorf("%w: table size or shard geometry mismatch", ErrSnapshot)
+	if ss.mask != p.mask {
+		return fmt.Errorf("%w: table size mismatch", ErrSnapshot)
 	}
 	copy(p.entries, ss.entries)
 	p.dig = ss.dig
@@ -335,7 +333,6 @@ func (g *GShare) Digest() uint64 { return g.dig }
 
 type ldbpSnap struct {
 	mask    uint64
-	geom    shardGeom
 	entries []ldbpEntry
 	dig     uint64
 }
@@ -344,7 +341,7 @@ func (s *ldbpSnap) Digest() uint64 { return s.dig }
 
 func (s *ldbpSnap) Equal(other Snapshot) bool {
 	o, ok := other.(*ldbpSnap)
-	return ok && s.mask == o.mask && s.geom == o.geom && slices.Equal(s.entries, o.entries)
+	return ok && s.mask == o.mask && slices.Equal(s.entries, o.entries)
 }
 
 func packLDBPEntry(e ldbpEntry) (a, b uint64) {
@@ -365,7 +362,7 @@ func ldbpContrib(i, a, b uint64) uint64 {
 
 // Snapshot implements Checkpointer.
 func (p *LDBP) Snapshot() Snapshot {
-	return &ldbpSnap{mask: p.mask, geom: p.geom, entries: slices.Clone(p.entries), dig: p.dig}
+	return &ldbpSnap{mask: p.mask, entries: slices.Clone(p.entries), dig: p.dig}
 }
 
 // Restore implements Checkpointer.
@@ -374,8 +371,8 @@ func (p *LDBP) Restore(s Snapshot) error {
 	if !ok {
 		return fmt.Errorf("%w: %T into *LDBP", ErrSnapshot, s)
 	}
-	if ls.mask != p.mask || ls.geom != p.geom {
-		return fmt.Errorf("%w: table size or shard geometry mismatch", ErrSnapshot)
+	if ls.mask != p.mask {
+		return fmt.Errorf("%w: table size mismatch", ErrSnapshot)
 	}
 	copy(p.entries, ls.entries)
 	p.dig = ls.dig

@@ -12,9 +12,7 @@ package predictor
 // ones (a BFS frontier, a rank sweep) climb to the long-history tables.
 //
 // Like the paper's context predictor, TAGE reads and writes a global
-// history shared by every key, so it deliberately does not implement
-// Sharder: key shards cannot decompose its state exactly. It is fully
-// checkpointable, with the same O(1) XOR-composed digest scheme as the
+// history shared by every key. It is fully checkpointable, with the same O(1) XOR-composed digest scheme as the
 // other predictors (the history ring contributes per slot, the ring
 // cursor as its own tagged term).
 type TAGE struct {

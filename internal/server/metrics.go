@@ -85,8 +85,6 @@ type Metrics struct {
 	// Speculation (summed across speculative normal-mode jobs).
 	specJobs      atomic.Uint64 // jobs that ran the epoch-speculative pass
 	specChains    atomic.Uint64 // run-ahead chains launched
-	specShards    atomic.Uint64 // key shards per predictor category
-	specUnits     atomic.Uint64 // speculative state units
 	specCommits   atomic.Uint64 // epochs committed
 	specDiverged  atomic.Uint64 // epoch validations that diverged
 	specReplays   atomic.Uint64 // divergence recoveries replayed
@@ -153,8 +151,6 @@ func (m *Metrics) Inflight() int64 { return m.inflight.Load() }
 func (m *Metrics) observeSpec(st *dpg.SpecStats) {
 	m.specJobs.Add(1)
 	m.specChains.Add(uint64(st.Chains))
-	m.specShards.Add(uint64(st.Shards))
-	m.specUnits.Add(uint64(st.Units))
 	m.specCommits.Add(uint64(st.Epochs))
 	m.specDiverged.Add(uint64(st.Diverged))
 	m.specReplays.Add(uint64(st.Replayed))
@@ -188,8 +184,6 @@ func (m *Metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "dpgd_spooled_bytes_total %d\n", m.spooledBytes.Load())
 	fmt.Fprintf(w, "dpgd_spec_jobs_total %d\n", m.specJobs.Load())
 	fmt.Fprintf(w, "dpgd_spec_chains_total %d\n", m.specChains.Load())
-	fmt.Fprintf(w, "dpgd_spec_shards_total %d\n", m.specShards.Load())
-	fmt.Fprintf(w, "dpgd_spec_units_total %d\n", m.specUnits.Load())
 	fmt.Fprintf(w, "dpgd_spec_commits_total %d\n", m.specCommits.Load())
 	fmt.Fprintf(w, "dpgd_spec_diverged_total %d\n", m.specDiverged.Load())
 	fmt.Fprintf(w, "dpgd_spec_replays_total %d\n", m.specReplays.Load())

@@ -48,11 +48,6 @@ type Config struct {
 	// (0 disables). Degraded mode always runs without speculation.
 	// Default 2.
 	Speculation int
-	// Shards splits the speculative predictor state into N key shards per
-	// category, scaling chains to 4×N (0 = off, negative = auto-size from
-	// GOMAXPROCS). Applies only to speculative normal-mode jobs; results
-	// are identical either way. Default 0.
-	Shards int
 	// DecodeWorkers is the parallel-decode width for normal-mode jobs.
 	// Default GOMAXPROCS. Degraded mode always decodes sequentially.
 	DecodeWorkers int
@@ -618,13 +613,6 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 		}
 		if s.cfg.Speculation > 1 && len(obs) == 0 {
 			opts = append(opts, core.WithSpeculation(s.cfg.Speculation))
-			if s.cfg.Shards != 0 {
-				n := s.cfg.Shards
-				if n < 0 {
-					n = 0 // core auto-sizes from GOMAXPROCS
-				}
-				opts = append(opts, core.WithSpecShards(n))
-			}
 			specStats = new(dpg.SpecStats)
 			opts = append(opts, core.WithSpecStats(specStats))
 		}

@@ -428,33 +428,30 @@ func TestAnalyzeDegradedMode(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShardedSpeculation checks that a server running sharded
-// epoch speculation returns a payload byte-identical to a plain
-// sequential server's, and that the job's speculation statistics surface
-// as dpgd_spec_* counters on /metrics.
-func TestAnalyzeShardedSpeculation(t *testing.T) {
+// TestAnalyzeSpeculation checks that a server running epoch speculation
+// returns a payload byte-identical to a plain sequential server's, and
+// that the job's speculation statistics surface as dpgd_spec_* counters on
+// /metrics.
+func TestAnalyzeSpeculation(t *testing.T) {
 	data := traceBytes(t, "gcc", 40)
 
 	_, plain := testServer(t, nil) // speculation off
-	_, sharded := testServer(t, func(c *Config) {
-		c.Speculation = 4
-		c.Shards = 2
-	})
+	_, spec := testServer(t, func(c *Config) { c.Speculation = 4 })
 
 	status, want, _ := upload(t, plain, "?predictor=stride", bytes.NewReader(data))
 	if status != http.StatusOK {
 		t.Fatalf("plain upload: status %d", status)
 	}
-	status, got, _ := upload(t, sharded, "?predictor=stride", bytes.NewReader(data))
+	status, got, _ := upload(t, spec, "?predictor=stride", bytes.NewReader(data))
 	if status != http.StatusOK {
-		t.Fatalf("sharded upload: status %d", status)
+		t.Fatalf("speculative upload: status %d", status)
 	}
 	if !reflect.DeepEqual(got.analysisPayload, want.analysisPayload) {
-		t.Errorf("sharded payload differs from sequential:\n got %+v\nwant %+v",
+		t.Errorf("speculative payload differs from sequential:\n got %+v\nwant %+v",
 			got.analysisPayload, want.analysisPayload)
 	}
 
-	resp, err := http.Get(sharded.URL + "/metrics")
+	resp, err := http.Get(spec.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +459,6 @@ func TestAnalyzeShardedSpeculation(t *testing.T) {
 	resp.Body.Close()
 	for _, line := range []string{
 		"dpgd_spec_jobs_total 1",
-		"dpgd_spec_shards_total 2",
 		"dpgd_spec_fallback_jobs_total 0",
 		"dpgd_spec_abandoned_units_total 0",
 	} {
@@ -473,7 +469,6 @@ func TestAnalyzeShardedSpeculation(t *testing.T) {
 	for _, zero := range []string{
 		"dpgd_spec_chains_total 0",
 		"dpgd_spec_commits_total 0",
-		"dpgd_spec_units_total 0",
 	} {
 		if strings.Contains(string(body), zero+"\n") {
 			t.Errorf("metrics counter stuck at zero: %q", zero)

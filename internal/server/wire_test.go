@@ -36,7 +36,7 @@ func postResult(t *testing.T, url, query string, body []byte) (int, []byte, http
 // semantically equal — and an identical repeat is served from cache with
 // the same bytes.
 func TestResultEndpointParity(t *testing.T) {
-	_, ts := testServer(t, func(c *Config) { c.Speculation = 2; c.Shards = 2 })
+	_, ts := testServer(t, func(c *Config) { c.Speculation = 2 })
 	data := traceBytes(t, "gcc", 40)
 
 	tmp := filepath.Join(t.TempDir(), "gcc.dpg")

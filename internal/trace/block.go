@@ -2,22 +2,17 @@ package trace
 
 import (
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file exposes the parallel reader's per-block decoded batches.
-// Order-insensitive consumers (the model's shardable pre-pass) take whole
-// blocks concurrently via ForEachBlock instead of paying for the
-// event-by-event reassembly of Next; order-dependent consumers keep using
-// Next unchanged. Both views drain the same pipeline, so Stats, error
-// contracts, and StaticCounts behave identically.
+// Block consumers (the fused experiment engine, the streaming speculative
+// pass) take whole blocks via NextBlock instead of paying for the
+// event-by-event reassembly of Next. Both views drain the same pipeline,
+// so Stats, error contracts, and StaticCounts behave identically.
 
 // Block is one contiguous in-order run of decoded events. Index is the
-// block's position in stream order among delivered blocks (0, 1, 2, …), so
-// consumers that shard blocks across workers can still order first-touch
-// style discoveries globally.
+// block's position in stream order among delivered blocks (0, 1, 2, …).
 type Block struct {
 	Index  uint64
 	Events []Event
@@ -96,7 +91,7 @@ func (p *ParallelReader) nextBlockSeq(b *Block) error {
 // never reuses it, so without release every delivered block costs a fresh
 // allocation; a consumer that is finished with b.Events before asking for
 // the next block can hand the buffer back and keep the whole sweep at
-// O(block · workers) allocation, the way ForEachBlock recycles internally.
+// O(block · workers) allocation.
 // After ReleaseBlock, b.Events must not be touched (the slice may be
 // reused for a future block at any time). Releasing a block is optional
 // and only ever a performance matter.
@@ -107,81 +102,14 @@ func (p *ParallelReader) ReleaseBlock(b *Block) {
 	}
 }
 
-// ForEachBlock drains the whole stream, delivering decoded blocks to fn
-// from a pool of consumer goroutines. workers <= 0 uses all cores. Blocks
-// are dispatched in stream order through one FIFO channel, so each worker
-// sees its own subset of blocks in increasing Index order — the invariant
-// shardable passes rely on for exact first-touch merging. Globally, blocks
-// reach different workers concurrently and complete in any order.
-//
-// b and b.Events are valid only until fn returns; the buffers are recycled
-// afterwards. fn must be safe for concurrent calls with distinct worker
-// numbers (0 ≤ worker < workers). The first error — from fn, in arbitrary
-// order, or from decoding, in stream order — stops the sweep and is
-// returned; on success ForEachBlock returns nil after io.EOF, with Stats
-// and StaticCounts final.
-func (p *ParallelReader) ForEachBlock(workers int, fn func(worker int, b *Block) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ch := make(chan Block, workers)
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-	)
-	setErr := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		failed.Store(true)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := range ch {
-				if failed.Load() {
-					putEventSlice(b.Events)
-					continue
-				}
-				if err := fn(w, &b); err != nil {
-					setErr(err)
-					continue // fn may retain on error; don't recycle
-				}
-				putEventSlice(b.Events)
-			}
-		}(i)
-	}
-	var readErr error
-	for !failed.Load() {
-		var b Block
-		err := p.NextBlock(&b)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return readErr
-}
-
 // --- buffer pools ---------------------------------------------------------
 //
 // The parallel pipeline's two hot allocations — the raw block payload the
 // splitter reads and the decoded event slice a worker produces — both have
 // bounded, well-defined lifetimes, so they recycle through sync.Pools:
 // payloads return to the pool as soon as a worker has decoded them, and
-// event slices return once the consumer (Next's cursor, or ForEachBlock
-// after fn) has fully handed them off. Slices that escape to callers
-// (NextBlock) are simply never recycled.
+// event slices return once Next's cursor has fully handed them off, or
+// when a NextBlock caller hands them back through ReleaseBlock.
 
 var payloadPool sync.Pool
 
