@@ -30,16 +30,35 @@ func prePassTraces(t *testing.T) map[string]*trace.Trace {
 	return out
 }
 
-// TestDifferentialPrePassPredictsModelShape feeds one in-order stream to
-// the pre-pass and the model pass together and holds the pre-pass's
-// discoveries exactly equal to what the model pass produces: node, arc,
-// D-node, and neutral counts, the memory-operation populations, and the
-// static execution counts. A malformed event must then be rejected by
-// both.
+// TestDifferentialPrePassPredictsModelShape holds the pre-pass's
+// order-insensitive discoveries exactly equal to what the sequential model
+// pass produces over the same stream: node, arc, D-node, and neutral
+// counts, the memory-operation populations, and the static execution
+// counts.
 func TestDifferentialPrePassPredictsModelShape(t *testing.T) {
 	for name, tr := range prePassTraces(t) {
 		pre := NewPrePass(tr.NumStatic)
-		b, err := NewBuilder(tr.Name, tr.StaticCount, Config{Predictor: predictor.KindContext.Factory()})
+		for i := range tr.Events {
+			if err := pre.Observe(&tr.Events[i]); err != nil {
+				t.Fatalf("%s: pre-pass event %d: %v", name, i, err)
+			}
+		}
+		res, err := Run(tr, predictor.KindContext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPrePassShape(t, name, tr, pre, res)
+	}
+}
+
+// TestPipelineComposesPasses feeds one in-order stream to the pre-pass and
+// the model pass together, event by event, and checks both see every
+// event: the pre-pass's counts match the model's Result, and a malformed
+// event is then rejected by both.
+func TestPipelineComposesPasses(t *testing.T) {
+	for name, tr := range prePassTraces(t) {
+		pre := NewPrePass(tr.NumStatic)
+		b, err := NewBuilder(tr.Name, tr.StaticCount, Config{Predictor: predictor.KindLast.Factory()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,29 +81,36 @@ func TestDifferentialPrePassPredictsModelShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := pre.Stats()
-		if st.Events != res.Nodes {
-			t.Errorf("%s: pre-pass events %d, model nodes %d", name, st.Events, res.Nodes)
-		}
-		if st.Arcs != res.Arcs {
-			t.Errorf("%s: pre-pass arcs %d, model arcs %d", name, st.Arcs, res.Arcs)
-		}
-		if st.DNodes != res.DNodes {
-			t.Errorf("%s: pre-pass D nodes %d, model D nodes %d", name, st.DNodes, res.DNodes)
-		}
-		if st.NeutralNodes != res.NeutralNodes {
-			t.Errorf("%s: pre-pass neutral %d, model neutral %d", name, st.NeutralNodes, res.NeutralNodes)
-		}
-		if st.Loads != res.Addr.Loads || st.Stores != res.Addr.Stores {
-			t.Errorf("%s: pre-pass mem %d/%d, model %d/%d", name, st.Loads, st.Stores, res.Addr.Loads, res.Addr.Stores)
-		}
-		if !reflect.DeepEqual(pre.StaticCounts(), tr.StaticCount) {
-			t.Errorf("%s: pre-pass static counts diverge from the trace's", name)
-		}
-		if st.DistinctPCs == 0 || int(st.MaxPC) >= tr.NumStatic {
-			t.Errorf("%s: PC universe implausible: distinct=%d max=%d static=%d",
-				name, st.DistinctPCs, st.MaxPC, tr.NumStatic)
-		}
+		checkPrePassShape(t, name, tr, pre, res)
+	}
+}
+
+// checkPrePassShape compares the pre-pass's discoveries over tr with the
+// model pass's Result for the same stream.
+func checkPrePassShape(t *testing.T, name string, tr *trace.Trace, pre *PrePass, res *Result) {
+	t.Helper()
+	st := pre.Stats()
+	if st.Events != res.Nodes {
+		t.Errorf("%s: pre-pass events %d, model nodes %d", name, st.Events, res.Nodes)
+	}
+	if st.Arcs != res.Arcs {
+		t.Errorf("%s: pre-pass arcs %d, model arcs %d", name, st.Arcs, res.Arcs)
+	}
+	if st.DNodes != res.DNodes {
+		t.Errorf("%s: pre-pass D nodes %d, model D nodes %d", name, st.DNodes, res.DNodes)
+	}
+	if st.NeutralNodes != res.NeutralNodes {
+		t.Errorf("%s: pre-pass neutral %d, model neutral %d", name, st.NeutralNodes, res.NeutralNodes)
+	}
+	if st.Loads != res.Addr.Loads || st.Stores != res.Addr.Stores {
+		t.Errorf("%s: pre-pass mem %d/%d, model %d/%d", name, st.Loads, st.Stores, res.Addr.Loads, res.Addr.Stores)
+	}
+	if !reflect.DeepEqual(pre.StaticCounts(), tr.StaticCount) {
+		t.Errorf("%s: pre-pass static counts diverge from the trace's", name)
+	}
+	if st.DistinctPCs == 0 || int(st.MaxPC) >= tr.NumStatic {
+		t.Errorf("%s: PC universe implausible: distinct=%d max=%d static=%d",
+			name, st.DistinctPCs, st.MaxPC, tr.NumStatic)
 	}
 }
 

@@ -101,6 +101,40 @@ func TestSpeculativeDifferential(t *testing.T) {
 	}
 }
 
+// TestSpeculativeShardedDifferential holds the pass to the contract it
+// had when predictor categories could be split into key shards, at the one
+// shard that remains: every predictor kind, global-state ones (context,
+// tage) included, runs as four state units, so any worker count up to and
+// past four leaves the Result byte-identical to the sequential pass and
+// gets min(workers, 4) chains.
+func TestSpeculativeShardedDifferential(t *testing.T) {
+	traces := specTraces(t)
+	for name, tr := range traces {
+		for _, kind := range predictor.AllKinds {
+			cfg := Config{Predictor: kind.Factory(), PredictorName: kind.String()}
+			want, err := RunWith(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4, 16} {
+				var st SpecStats
+				got, err := RunSpeculative(tr, cfg, SpecConfig{Workers: workers, Epochs: 8, Stats: &st})
+				if err != nil {
+					t.Fatalf("%s/%s w=%d: %v", name, kind, workers, err)
+				}
+				ctx := name + "/" + kind.String()
+				mustEqualResults(t, ctx, got, want)
+				if st.Chains != min(workers, 4) {
+					t.Fatalf("%s w=%d: %d chains, want %d", ctx, workers, st.Chains, min(workers, 4))
+				}
+				if st.Diverged != 0 || st.Replayed != 0 || st.Abandoned != 0 || st.Fallback {
+					t.Fatalf("%s w=%d: spurious recovery: %+v", ctx, workers, st)
+				}
+			}
+		}
+	}
+}
+
 // TestSpeculativeMetamorphicEpochInvariance is the metamorphic suite:
 // epoch size and checkpoint interval are execution details and must never
 // change any figure of the Result.
