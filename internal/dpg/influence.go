@@ -31,6 +31,12 @@ func (s *inflSet) setSingle(gen uint32) {
 	s.over = false
 }
 
+// clear empties s, keeping its storage.
+func (s *inflSet) clear() {
+	s.items = s.items[:0]
+	s.over = false
+}
+
 // setBumped makes s a copy of src with every distance incremented by one —
 // the value has flowed through one more propagating element. s's storage
 // is reused and src is left untouched; the two must not share storage.

@@ -2,6 +2,7 @@ package dpg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/predictor"
@@ -135,11 +136,16 @@ type modelPass struct {
 	regs [isa.NumRegs]*value
 	mem  map[uint32]*value
 
-	// Generator table, indexed by generator id.
+	// Generator table, indexed by generator id. It holds only generators
+	// a live value may still reference: compactGens folds the rest into
+	// the Result and renumbers the survivors (see maybeCompact).
 	genClass []GenClass
 	genTree  []uint64
 	genDepth []uint32
 	genPC    []uint32
+	// liveGens is compactGens' buffer of referenced ids, sorted; its
+	// length after the last compaction sets the next trigger.
+	liveGens []uint32
 
 	// Value records released by overwritten slots, reused by newValue.
 	free []*value
@@ -211,6 +217,9 @@ func newModelPassOracle(name string, staticCount []uint64, cfg Config, predName 
 	if cfg.GraphLimit > 0 {
 		m.res.Graph = &Fragment{}
 	}
+	if !cfg.DisablePaths {
+		m.res.GenPoints = make(map[uint32]*GenPoint)
+	}
 	return m
 }
 
@@ -277,6 +286,108 @@ func (m *modelPass) newGen(c GenClass, pc uint32) uint32 {
 	m.genPC = append(m.genPC, pc)
 	m.res.Trees.ClassGens[c]++
 	return id
+}
+
+// compactFloor is the smallest generator table maybeCompact sweeps.
+const compactFloor = 4096
+
+// maybeCompact compacts the generator table once it has grown to twice
+// the live count the last compaction left, to the number of slots a sweep
+// walks, and to compactFloor, whichever is largest. Each sweep then pays
+// for itself with at least as many new generators as it walks, so the
+// cost stays amortised O(1) per generator. It runs only between events:
+// mid-event, the operand contributions hold fresh ids no slot owns yet.
+func (m *modelPass) maybeCompact() {
+	n := len(m.genClass)
+	if n >= compactFloor && n >= 2*len(m.liveGens) && n >= isa.NumRegs+len(m.mem) {
+		m.compactGens()
+	}
+}
+
+// compactGens folds every generator no live value references into the
+// Result and renumbers the survivors 0..k-1 in id order. A generator only
+// grows through the influence sets of values derived from it, so an
+// unreferenced one is final. Renumbering is a bijection applied in place,
+// which keeps every set's item order: sets compare ids only for equality
+// and trim breaks distance ties by position, so the Result does not depend
+// on when compaction runs. The pass's own influence buffers hold only the
+// previous event's sets, which are rewritten before they are read; they
+// are emptied here rather than renumbered.
+func (m *modelPass) compactGens() {
+	live := m.liveGens[:0]
+	m.eachLiveValue(func(v *value) {
+		for _, it := range v.infl.items {
+			live = append(live, it.gen)
+		}
+	})
+	slices.Sort(live)
+	live = slices.Compact(live)
+	m.liveGens = live
+
+	next := 0
+	for id := range m.genClass {
+		if next < len(live) && live[next] == uint32(id) {
+			m.genClass[next] = m.genClass[id]
+			m.genTree[next] = m.genTree[id]
+			m.genDepth[next] = m.genDepth[id]
+			m.genPC[next] = m.genPC[id]
+			next++
+		} else {
+			m.foldGen(id)
+		}
+	}
+	m.genClass = m.genClass[:next]
+	m.genTree = m.genTree[:next]
+	m.genDepth = m.genDepth[:next]
+	m.genPC = m.genPC[:next]
+
+	m.eachLiveValue(func(v *value) {
+		for i := range v.infl.items {
+			j, _ := slices.BinarySearch(live, v.infl.items[i].gen)
+			v.infl.items[i].gen = uint32(j)
+		}
+	})
+	for i := range m.contrib {
+		m.contrib[i].clear()
+	}
+	m.merge.clear()
+	m.scratch.clear()
+}
+
+// eachLiveValue calls f with every value record a register or memory word
+// owns.
+func (m *modelPass) eachLiveValue(f func(*value)) {
+	for _, v := range m.regs {
+		if v != nil {
+			f(v)
+		}
+	}
+	for _, v := range m.mem {
+		f(v)
+	}
+}
+
+// foldGen adds generator id's final tree to the Result's tree statistics
+// and its generate point. Finish folds the survivors of the last
+// compaction through the same path.
+func (m *modelPass) foldGen(id int) {
+	ts := &m.res.Trees
+	size := m.genTree[id]
+	bk := BucketOf(m.genDepth[id])
+	ts.GensByDepth[bk]++
+	ts.SizeByDepth[bk] += size
+	ts.Gens++
+	ts.Size += size
+	if m.res.GenPoints != nil {
+		pc := m.genPC[id]
+		gp := m.res.GenPoints[pc]
+		if gp == nil {
+			gp = &GenPoint{PC: pc}
+			m.res.GenPoints[pc] = gp
+		}
+		gp.Gens++
+		gp.TreeSize += size
+	}
 }
 
 // recordPropagatingElement accounts one propagating node or arc whose
@@ -394,6 +505,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	if err := m.checkEvent(e); err != nil {
 		return err
 	}
+	m.maybeCompact()
 	res := m.res
 	m.nodeIdx = res.Nodes
 	res.Nodes++
@@ -638,36 +750,16 @@ func (m *modelPass) endRun() {
 	m.res.Seq.PredictableInstrs += n
 }
 
-// Finish closes the run and folds the generator table into TreeStats. The
-// pass must not be used afterwards.
+// Finish closes the run and folds the generators still in the table into
+// TreeStats and GenPoints. The pass must not be used afterwards.
 func (m *modelPass) Finish() (*Result, error) {
 	if m.finished {
 		return nil, fmt.Errorf("%w: Finish called twice", ErrConfig)
 	}
 	m.finished = true
 	m.endRun()
-	ts := &m.res.Trees
-	if !m.cfg.DisablePaths {
-		m.res.GenPoints = make(map[uint32]*GenPoint)
-	}
 	for id := range m.genClass {
-		depth := m.genDepth[id]
-		size := m.genTree[id]
-		bk := BucketOf(depth)
-		ts.GensByDepth[bk]++
-		ts.SizeByDepth[bk] += size
-		ts.Gens++
-		ts.Size += size
-		if m.res.GenPoints != nil {
-			pc := m.genPC[id]
-			gp := m.res.GenPoints[pc]
-			if gp == nil {
-				gp = &GenPoint{PC: pc}
-				m.res.GenPoints[pc] = gp
-			}
-			gp.Gens++
-			gp.TreeSize += size
-		}
+		m.foldGen(id)
 	}
 	return m.res, nil
 }

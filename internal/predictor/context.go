@@ -19,18 +19,15 @@ type Context struct {
 	l1mask uint64
 	l2mask uint64
 	order  int
-	l1     []l1Entry
+	l1     []uint16 // order hashed values per first-level entry, most recent first
 	l2     []l2Entry
 	track  bool
 	dig    uint64
 }
 
-// maxOrder bounds the history length to the fixed array in l1Entry.
+// maxOrder bounds the history length to what the snapshot digest packs
+// (two 64-bit words of 16-bit hashed values).
 const maxOrder = 8
-
-type l1Entry struct {
-	hist [maxOrder]uint16 // hashed recent values, hist[0] most recent
-}
 
 type l2Entry struct {
 	value uint32
@@ -52,7 +49,7 @@ func NewContext(l1bits, l2bits, order int) *Context {
 		l1mask: 1<<uint(l1bits) - 1,
 		l2mask: 1<<uint(l2bits) - 1,
 		order:  order,
-		l1:     make([]l1Entry, 1<<uint(l1bits)),
+		l1:     make([]uint16, order<<uint(l1bits)),
 		l2:     make([]l2Entry, 1<<uint(l2bits)),
 	}
 }
@@ -64,12 +61,19 @@ func (p *Context) Name() string { return "context" }
 // level, as the paper's implementation does to bound table width.
 func hashValue(v uint32) uint16 { return uint16(v ^ v>>16) }
 
+// l1row returns first-level entry i: its hashed history, most recent
+// value first.
+func (p *Context) l1row(i uint64) []uint16 {
+	n := uint64(p.order)
+	return p.l1[i*n : i*n+n : i*n+n]
+}
+
 // l2index folds the hashed history (and nothing else — the second level is
 // shared across static instructions) into a second-level index.
-func (p *Context) l2index(e *l1Entry) uint64 {
+func (p *Context) l2index(hist []uint16) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < p.order; i++ {
-		h ^= uint64(e.hist[i])
+	for _, v := range hist {
+		h ^= uint64(v)
 		h *= 0x100000001b3
 	}
 	return mix(h) & p.l2mask
@@ -77,7 +81,7 @@ func (p *Context) l2index(e *l1Entry) uint64 {
 
 // Predict implements Predictor.
 func (p *Context) Predict(key uint64) (uint32, bool) {
-	l1 := &p.l1[mix(key)&p.l1mask]
+	l1 := p.l1row(mix(key) & p.l1mask)
 	l2 := &p.l2[p.l2index(l1)]
 	if !l2.valid {
 		return 0, false
@@ -88,7 +92,7 @@ func (p *Context) Predict(key uint64) (uint32, bool) {
 // Update implements Predictor.
 func (p *Context) Update(key uint64, actual uint32) {
 	i1 := mix(key) & p.l1mask
-	l1 := &p.l1[i1]
+	l1 := p.l1row(i1)
 	i2 := p.l2index(l1)
 	l2 := &p.l2[i2]
 	var old1, old2 uint64
@@ -112,10 +116,8 @@ func (p *Context) Update(key uint64, actual uint32) {
 		l2.ctr = 1
 	}
 	// Shift the new value into the history.
-	for i := p.order - 1; i > 0; i-- {
-		l1.hist[i] = l1.hist[i-1]
-	}
-	l1.hist[0] = hashValue(actual)
+	copy(l1[1:], l1)
+	l1[0] = hashValue(actual)
 	if p.track {
 		p.dig ^= old1 ^ l1Contrib(i1, l1) ^ old2 ^ l2Contrib(i2, packL2Entry(l2))
 	}
@@ -123,11 +125,7 @@ func (p *Context) Update(key uint64, actual uint32) {
 
 // Reset implements Predictor.
 func (p *Context) Reset() {
-	for i := range p.l1 {
-		p.l1[i] = l1Entry{}
-	}
-	for i := range p.l2 {
-		p.l2[i] = l2Entry{}
-	}
+	clear(p.l1)
+	clear(p.l2)
 	p.dig = 0
 }

@@ -194,7 +194,7 @@ type contextSnap struct {
 	l1mask uint64
 	l2mask uint64
 	order  int
-	l1     []l1Entry
+	l1     []uint16
 	l2     []l2Entry
 	dig    uint64
 }
@@ -207,14 +207,22 @@ func (s *contextSnap) Equal(other Snapshot) bool {
 		slices.Equal(s.l1, o.l1) && slices.Equal(s.l2, o.l2)
 }
 
-func packL1Entry(e *l1Entry) (a, b uint64) {
-	a = uint64(e.hist[0]) | uint64(e.hist[1])<<16 | uint64(e.hist[2])<<32 | uint64(e.hist[3])<<48
-	b = uint64(e.hist[4]) | uint64(e.hist[5])<<16 | uint64(e.hist[6])<<32 | uint64(e.hist[7])<<48
+// packL1Entry packs a first-level history into two words, four 16-bit
+// values each, most recent lowest; slots beyond the order pack as zero, so
+// the digest does not depend on how many slots the table stores.
+func packL1Entry(hist []uint16) (a, b uint64) {
+	for i, v := range hist {
+		if i < 4 {
+			a |= uint64(v) << (16 * i)
+		} else {
+			b |= uint64(v) << (16 * (i - 4))
+		}
+	}
 	return a, b
 }
 
-func l1Contrib(i uint64, e *l1Entry) uint64 {
-	a, b := packL1Entry(e)
+func l1Contrib(i uint64, hist []uint16) uint64 {
+	a, b := packL1Entry(hist)
 	if a == 0 && b == 0 {
 		return 0
 	}
