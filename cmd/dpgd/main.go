@@ -5,8 +5,10 @@
 // explicit backpressure (429 + Retry-After when full), and is analysed
 // under a per-job deadline with cancellation plumbed down to the decode
 // workers. Identical uploads are de-duplicated by a result cache keyed on
-// (trace digest × predictor × model version), with in-flight duplicates
-// coalesced onto one computation.
+// (trace digest × predictor × model version × requested experiments), with
+// in-flight duplicates coalesced onto one computation. /analyze is the
+// only upload endpoint; a directory of traces is aggregated in one process
+// by dpgrun -trace dir -merge.
 //
 // Usage:
 //

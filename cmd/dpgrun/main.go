@@ -73,7 +73,7 @@ func main() {
 
 	kinds := predictor.AllKinds
 	if !*all {
-		k, ok := kindByName(*pred)
+		k, ok := predictor.KindByName(*pred)
 		if !ok {
 			fail(fmt.Sprintf("unknown predictor %q", *pred))
 		}
@@ -83,8 +83,12 @@ func main() {
 	switch {
 	case *tracePat != "" && *workload != "":
 		fail("use either -trace or -workload, not both")
+	case *rounds != 0 && *workload == "":
+		fail("-rounds applies only to -workload")
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
+	case *merge && *graph > 0:
+		fail(graphOneTrace)
 	case *merge:
 		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate)
 	case *tracePat != "":
@@ -93,6 +97,9 @@ func main() {
 			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
 			return
 		}
+		if *graph > 0 {
+			fail(graphOneTrace)
+		}
 		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate)
 	case *workload != "":
 		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
@@ -100,6 +107,9 @@ func main() {
 		fail("missing -trace or -workload")
 	}
 }
+
+// graphOneTrace rejects -graph where there is no single trace to draw.
+const graphOneTrace = "-graph needs a single trace file or -workload, not several files or -merge"
 
 // expandTraces resolves -trace into file paths: a directory becomes every
 // *.dpg inside it, a glob pattern expands, and a plain path passes through.
@@ -338,10 +348,6 @@ func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor
 			report.WriteFragment(os.Stdout, res.Graph, disasm)
 		}
 	}
-}
-
-func kindByName(name string) (predictor.Kind, bool) {
-	return predictor.KindByName(name)
 }
 
 func printResult(r *dpg.Result) {

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -52,6 +53,19 @@ func TestCLIPipeline(t *testing.T) {
 		}
 		return string(out)
 	}
+	// dpgrun runs dpgrun alone and returns its stdout and stderr apart.
+	dpgrun := func(args ...string) ([]byte, string) {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(bin, "dpgrun"), args...)
+		cmd.Dir = work
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("dpgrun %v: %v\n%s", args, err, stderr.String())
+		}
+		return out, stderr.String()
+	}
 
 	// tracegen -> trace file.
 	tracePath := filepath.Join(work, "fig1.dpg")
@@ -69,25 +83,14 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// dpgrun -speculate produces byte-identical stdout (the stats line
-	// goes to stderr, which CombinedOutput folds in — so compare stdout
-	// only via a fresh invocation capturing it alone).
-	seqCmd := exec.Command(filepath.Join(bin, "dpgrun"), "-trace", tracePath, "-predictor", "stride")
-	seqOut, err := seqCmd.Output()
-	if err != nil {
-		t.Fatalf("dpgrun sequential: %v", err)
-	}
-	specCmd := exec.Command(filepath.Join(bin, "dpgrun"), "-trace", tracePath, "-predictor", "stride", "-speculate", "2")
-	var specErr bytes.Buffer
-	specCmd.Stderr = &specErr
-	specOut, err := specCmd.Output()
-	if err != nil {
-		t.Fatalf("dpgrun -speculate: %v\n%s", err, specErr.String())
-	}
+	// goes to stderr).
+	seqOut, _ := dpgrun("-trace", tracePath, "-predictor", "stride")
+	specOut, specErr := dpgrun("-trace", tracePath, "-predictor", "stride", "-speculate", "2")
 	if !bytes.Equal(seqOut, specOut) {
 		t.Errorf("dpgrun -speculate stdout differs from sequential run")
 	}
-	if !strings.Contains(specErr.String(), "speculation:") {
-		t.Errorf("dpgrun -speculate stderr missing stats line: %q", specErr.String())
+	if !strings.Contains(specErr, "speculation:") {
+		t.Errorf("dpgrun -speculate stderr missing stats line: %q", specErr)
 	}
 
 	// tracegen -compress: the compressed file is smaller, reports its codec,
@@ -119,6 +122,52 @@ func TestCLIPipeline(t *testing.T) {
 	for _, want := range []string{"merged 2 trace file(s)", "predictor: stride", "Table 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dpgrun -merge output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Flags the chosen mode would ignore are rejected with exit status 1:
+	// -graph needs one trace to draw, -rounds only shapes -workload.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-graph", []string{"-trace", work, "-graph", "8"}},
+		{"-graph", []string{"-trace", work, "-merge", "-graph", "8"}},
+		{"-rounds", []string{"-trace", tracePath, "-rounds", "2"}},
+	} {
+		cmd := exec.Command(filepath.Join(bin, "dpgrun"), c.args...)
+		cmd.Dir = work
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.flag) {
+			t.Errorf("dpgrun %v: err %v, want exit status 1 naming %s\n%s", c.args, err, c.flag, out)
+		}
+	}
+
+	// A trace file analyses exactly as the in-memory workload it was
+	// generated from: dpgrun -trace and -workload print the same stdout
+	// for every predictor.
+	gccPath := filepath.Join(t.TempDir(), "gcc.dpg")
+	run("tracegen", "-workload", "gcc", "-rounds", "2", "-o", gccPath)
+	fileOut, _ := dpgrun("-trace", gccPath, "-all")
+	memOut, _ := dpgrun("-workload", "gcc", "-rounds", "2", "-all")
+	if !bytes.Equal(fileOut, memOut) {
+		t.Errorf("dpgrun -trace stdout differs from -workload for gcc -rounds 2 -all:\n%s\n----\n%s", fileOut, memOut)
+	}
+
+	// Graph workloads (data-dependent branches) under tage, one plain and
+	// one compressed trace: -speculate 2 prints the sequential stdout.
+	graphDir := t.TempDir()
+	for _, g := range [][]string{
+		{"-workload", "bfs", "-rounds", "6"},
+		{"-workload", "ccp", "-rounds", "2", "-compress", "lz"},
+	} {
+		path := filepath.Join(graphDir, g[1]+".dpg")
+		run("tracegen", append(g, "-o", path)...)
+		seqOut, _ := dpgrun("-trace", path, "-predictor", "tage")
+		specOut, _ := dpgrun("-trace", path, "-predictor", "tage", "-speculate", "2")
+		if !bytes.Equal(seqOut, specOut) {
+			t.Errorf("%s: dpgrun -predictor tage -speculate 2 stdout differs from sequential run", g[1])
 		}
 	}
 

@@ -19,9 +19,4 @@ var (
 	// line up with the committed event stream). It indicates a bug, not bad
 	// input; the sequential passes can never return it.
 	ErrSpeculation = errors.New("speculative pass desynchronised")
-	// ErrWire reports a Result wire payload that DecodeResult refused:
-	// malformed JSON, an unknown wire version, a digest mismatch, or a
-	// non-canonical body. Partials crossing process boundaries fail loudly
-	// instead of merging garbage.
-	ErrWire = errors.New("malformed result wire payload")
 )

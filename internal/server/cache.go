@@ -2,13 +2,11 @@ package server
 
 import "sync"
 
-// jobOutcome is what one analysis job produces: either a response payload
-// (the /analyze report, or the /result wire-encoded partial) or a typed
-// job error. Degraded records whether the job ran with shed work (no
-// speculation, sequential decode).
+// jobOutcome is what one analysis job produces: either the /analyze
+// report payload or a typed job error. Degraded records whether the job
+// ran with shed work (no speculation, sequential decode).
 type jobOutcome struct {
-	payload  *analysisPayload // /analyze jobs
-	wire     []byte           // /result jobs: dpg.EncodeResult bytes
+	payload  *analysisPayload
 	jerr     *JobError
 	degraded bool
 }
@@ -55,24 +53,16 @@ func (g *flightGroup) complete(key string, f *flight, out jobOutcome) {
 	close(f.done)
 }
 
-// cacheEntry is one cached success: the /analyze report payload or the
-// /result wire bytes, depending on which endpoint computed it (the key
-// tells them apart, so one cache serves both).
-type cacheEntry struct {
-	payload *analysisPayload
-	wire    []byte
-}
-
 // resultCache is the bounded content-addressed result cache: key is
-// digest|predictor|model-version (plus a wire tag for /result entries),
-// value is the finished response payload. Only successes are cached — a
-// deadline or transient store failure must not poison later identical
-// uploads. Eviction is FIFO by insertion order; the cache exists to absorb
+// digest|predictor|model-version (plus the canonical experiment list when
+// one was requested), value is the finished report payload. Only
+// successes are cached — a deadline or transient store failure must not
+// poison later identical uploads. Eviction is FIFO by insertion order; the cache exists to absorb
 // repeated identical uploads, not to be a general LRU.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
-	m     map[string]cacheEntry
+	m     map[string]*analysisPayload
 	order []string
 }
 
@@ -80,17 +70,17 @@ func newResultCache(max int) *resultCache {
 	if max < 1 {
 		max = 1
 	}
-	return &resultCache{max: max, m: make(map[string]cacheEntry)}
+	return &resultCache{max: max, m: make(map[string]*analysisPayload)}
 }
 
-func (c *resultCache) get(key string) (cacheEntry, bool) {
+func (c *resultCache) get(key string) (*analysisPayload, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	return e, ok
 }
 
-func (c *resultCache) put(key string, e cacheEntry) {
+func (c *resultCache) put(key string, e *analysisPayload) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -106,7 +105,6 @@ type job struct {
 	size        int64
 	kind        predictor.Kind
 	experiments []string // canonical (sorted, deduped) experiment list
-	wire        bool     // /result job: produce the mergeable wire partial
 	degraded    bool     // admission-time overload decision
 	ctx         context.Context
 	cancel      context.CancelFunc
@@ -172,17 +170,11 @@ func New(cfg Config) (*Server, error) {
 // same state as text).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Handler returns the HTTP surface: POST /analyze (the human-readable
-// report), POST /result (the mergeable wire-encoded partial dpgfleet
-// scatters over), plus /healthz, /readyz, and /metrics.
+// Handler returns the HTTP surface: POST /analyze (the analysis report),
+// plus /healthz, /readyz, and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/analyze", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpload(w, r, false)
-	})
-	mux.HandleFunc("/result", func(w http.ResponseWriter, r *http.Request) {
-		s.handleUpload(w, r, true)
-	})
+	mux.HandleFunc("/analyze", s.handleUpload)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n")
@@ -304,40 +296,14 @@ func parseExperiments(q string) ([]string, error) {
 	return out, nil
 }
 
-// writeWireResponse sends a /result success: the dpg wire envelope bytes,
-// verbatim (the payload is canonical — no re-encoding, no trailing
-// newline), with the per-request flags as headers since the body layout
-// belongs to the codec.
-func writeWireResponse(w http.ResponseWriter, data []byte, cached, coalesced, degraded bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dpgd-Wire", strconv.Itoa(dpg.WireVersion))
-	if cached {
-		w.Header().Set("X-Dpgd-Cached", "1")
-	}
-	if coalesced {
-		w.Header().Set("X-Dpgd-Coalesced", "1")
-	}
-	if degraded {
-		w.Header().Set("X-Dpgd-Degraded", "1")
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-// handleUpload is the shared upload path behind /analyze and /result:
-// spool → cache → singleflight → queue. The trace streams from the request
-// body into the content-addressed store without ever being held in memory.
-// wire selects the response shape: the /analyze report payload, or the
-// /result mergeable partial (dpg.EncodeResult bytes).
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, wire bool) {
-	endpoint := "/analyze"
-	if wire {
-		endpoint = "/result"
-	}
+// handleUpload is the /analyze upload path: spool → cache → singleflight →
+// queue. The trace streams from the request body into the
+// content-addressed store without ever being held in memory.
+func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "request", fmt.Errorf("server: POST a BLKC trace to %s", endpoint))
+		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("server: POST a BLKC trace to /analyze"))
 		return
 	}
 	if s.isDraining() {
@@ -355,12 +321,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, wire bool)
 	if err != nil {
 		s.metrics.rejected.Add(1)
 		writeError(w, http.StatusBadRequest, "request", err)
-		return
-	}
-	if wire && len(exps) > 0 {
-		s.metrics.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, "request",
-			errors.New("server: /result returns the mergeable model partial; experiments ride /analyze"))
 		return
 	}
 
@@ -393,27 +353,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, wire bool)
 		// model run: same digest, different work, different cache entry.
 		key += "|" + strings.Join(exps, ",")
 	}
-	if wire {
-		// Same model run, different response encoding — and the wire
-		// version is part of the key so a codec bump never serves stale
-		// layouts.
-		key += "|wire" + strconv.Itoa(dpg.WireVersion)
-	}
-	if e, ok := s.cache.get(key); ok {
+	if p, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		s.metrics.totalHist.observe(time.Since(start))
-		if wire {
-			writeWireResponse(w, e.wire, true, false, false)
-		} else {
-			writeJSON(w, http.StatusOK, analyzeResponse{analysisPayload: *e.payload, Cached: true})
-		}
+		writeJSON(w, http.StatusOK, analyzeResponse{analysisPayload: *p, Cached: true})
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
 
 	f, leader := s.flights.start(key)
 	if leader {
-		if aerr := s.admit(r.Context(), key, sp, kind, exps, wire, f); aerr != nil {
+		if aerr := s.admit(r.Context(), key, sp, kind, exps, f); aerr != nil {
 			s.flights.complete(key, f, jobOutcome{jerr: &JobError{Kind: "admission", Err: aerr}})
 			switch {
 			case errors.Is(aerr, ErrQueueFull):
@@ -444,10 +394,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, wire bool)
 		writeError(w, out.jerr.httpStatus(), out.jerr.Kind, out.jerr)
 		return
 	}
-	if wire {
-		writeWireResponse(w, out.wire, false, !leader, out.degraded)
-		return
-	}
 	writeJSON(w, http.StatusOK, analyzeResponse{
 		analysisPayload: *out.payload,
 		Coalesced:       !leader,
@@ -462,7 +408,7 @@ const statusClientClosedRequest = 499
 // admit enqueues a job with explicit backpressure: a full queue fails with
 // ErrQueueFull (never blocks), a draining server with ErrDraining. The
 // degradation decision is taken here, from queue pressure at admission.
-func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind predictor.Kind, exps []string, wire bool, f *flight) error {
+func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind predictor.Kind, exps []string, f *flight) error {
 	degraded := float64(len(s.jobs)+1) >= s.cfg.DegradedAt*float64(s.cfg.QueueDepth)
 	jctx, jcancel := context.WithTimeout(reqCtx, s.cfg.JobTimeout)
 	stop := context.AfterFunc(s.baseCtx, jcancel)
@@ -473,7 +419,6 @@ func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind 
 		size:        sp.Size,
 		kind:        kind,
 		experiments: exps,
-		wire:        wire,
 		degraded:    degraded,
 		ctx:         jctx,
 		cancel:      func() { stop(); jcancel() },
@@ -537,10 +482,10 @@ func (s *Server) runJob(j *job) {
 		if s.beforeJob != nil {
 			s.beforeJob(j.ctx)
 		}
-		out.payload, out.wire, out.jerr = s.analyze(j)
+		out.payload, out.jerr = s.analyze(j)
 	}()
 	if out.jerr == nil {
-		s.cache.put(j.key, cacheEntry{payload: out.payload, wire: out.wire})
+		s.cache.put(j.key, out.payload)
 		s.metrics.jobsOK.Add(1)
 	} else {
 		s.metrics.jobFailed(out.jerr.Kind)
@@ -557,15 +502,13 @@ func (s *Server) runJob(j *job) {
 // ride the model's decode as streaming observers (core.WithObservers), so
 // a multi-experiment job still reads the spooled trace exactly once;
 // epoch speculation is skipped for those jobs (the fused pass runs the
-// sequential model). A wire job returns dpg.EncodeResult bytes instead of
-// the report payload — the same model run, so degraded mode changes how
-// the answer is computed but never the bytes.
-func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
+// sequential model).
+func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 	start := time.Now()
 	if err := s.store.Probe(j.ctx, j.path); err != nil {
 		// classifyJobErr separates cancellation/deadline from genuine
 		// store failures here.
-		return nil, nil, classifyJobErr(err)
+		return nil, classifyJobErr(err)
 	}
 	var (
 		reuseSim *analysis.ReuseSim
@@ -621,17 +564,10 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 	res, err := core.AnalyzeFile(j.path, opts...)
 	s.metrics.analyzeHist.observe(time.Since(start))
 	if err != nil {
-		return nil, nil, classifyJobErr(err)
+		return nil, classifyJobErr(err)
 	}
 	if specStats != nil {
 		s.metrics.observeSpec(specStats)
-	}
-	if j.wire {
-		data, err := dpg.EncodeResult(res, ModelVersion)
-		if err != nil {
-			return nil, nil, classifyJobErr(err)
-		}
-		return nil, data, nil
 	}
 	var exp *experimentsPayload
 	if len(obs) > 0 {
@@ -665,7 +601,7 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 		Blocks:       st.Blocks,
 		Overall:      analysis.Overall(res),
 		Experiments:  exp,
-	}, nil, nil
+	}, nil
 }
 
 // Shutdown drains the server: new work is refused immediately (readyz goes

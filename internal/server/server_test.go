@@ -493,7 +493,7 @@ func TestUploadTooLarge(t *testing.T) {
 }
 
 // TestHealthEndpoints checks /healthz, /readyz, and /metrics before and
-// after a drain.
+// after a drain, and that /analyze is the only upload route.
 func TestHealthEndpoints(t *testing.T) {
 	s, ts := testServer(t, nil)
 	for _, ep := range []string{"/healthz", "/readyz"} {
@@ -506,9 +506,25 @@ func TestHealthEndpoints(t *testing.T) {
 			t.Errorf("%s: status %d", ep, resp.StatusCode)
 		}
 	}
+	resp, err := http.Post(ts.URL+"/result", "application/octet-stream", bytes.NewReader(traceBytes(t, "fig1", 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /result: status %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/analyze")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Errorf("GET /analyze: status %d Allow %q, want 405 POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
 	// Run one job so metrics have content.
 	upload(t, ts, "", bytes.NewReader(traceBytes(t, "fig1", 5)))
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
