@@ -38,6 +38,15 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
+// reportEventRate reports a benchmark's throughput as millions of events
+// per second over its timed loop, each iteration having processed events
+// events. Call it after the loop.
+func reportEventRate(b *testing.B, events int) {
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(events)*float64(b.N)/sec/1e6, "Mevents/s")
+	}
+}
+
 // BenchmarkTable1 regenerates Table 1 (benchmark characteristics).
 func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
 
@@ -92,7 +101,7 @@ func benchRunWith(b *testing.B, tr *trace.Trace, cfg dpg.Config) *dpg.Result {
 }
 
 // BenchmarkVMExecute measures raw interpreter throughput
-// (instructions/op = trace length).
+// in Mevents/s (one event per executed instruction).
 func BenchmarkVMExecute(b *testing.B) {
 	w, _ := workloads.ByName("gcc")
 	prog, err := w.Program()
@@ -100,6 +109,7 @@ func BenchmarkVMExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := w.Input(w.Rounds/10, 1)
+	var steps uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := vm.New(prog)
@@ -107,22 +117,23 @@ func BenchmarkVMExecute(b *testing.B) {
 		if err := m.Run(workloads.MaxTraceLen, func(*trace.Event) {}); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(m.Steps()))
+		steps = m.Steps()
 	}
+	reportEventRate(b, int(steps))
 }
 
 // BenchmarkModel measures end-to-end model throughput per predictor
-// (bytes/s reported as events/s).
+// (Mevents/s).
 func BenchmarkModel(b *testing.B) {
 	tr := benchTrace(b)
 	for _, kind := range predictor.Kinds {
 		b.Run(kind.String(), func(b *testing.B) {
-			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
 				if _, err := dpg.Run(tr, kind); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportEventRate(b, tr.Len())
 		})
 	}
 }
@@ -130,7 +141,6 @@ func BenchmarkModel(b *testing.B) {
 // BenchmarkModelNoPaths isolates the cost of influence tracking.
 func BenchmarkModelNoPaths(b *testing.B) {
 	tr := benchTrace(b)
-	b.SetBytes(int64(tr.Len()))
 	for i := 0; i < b.N; i++ {
 		benchRunWith(b, tr, dpg.Config{
 			Predictor:     predictor.KindContext.Factory(),
@@ -138,6 +148,7 @@ func BenchmarkModelNoPaths(b *testing.B) {
 			DisablePaths:  true,
 		})
 	}
+	reportEventRate(b, tr.Len())
 }
 
 // BenchmarkPredictors measures raw predictor predict+update throughput.
@@ -157,17 +168,17 @@ func BenchmarkPredictors(b *testing.B) {
 // BenchmarkTraceEncode measures trace serialisation throughput.
 func BenchmarkTraceEncode(b *testing.B) {
 	tr := benchTrace(b)
-	b.SetBytes(int64(tr.Len()))
 	for i := 0; i < b.N; i++ {
 		if err := trace.WriteAll(io.Discard, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportEventRate(b, tr.Len())
 }
 
 // BenchmarkParallelDecode compares the sequential trace reader against the
 // concurrent block decoder at several worker counts on a multi-block
-// stream (bytes/s are events/s). The 8 KiB blocks give the pool enough
+// stream (Mevents/s). The 8 KiB blocks give the pool enough
 // frames to keep every worker busy.
 func BenchmarkParallelDecode(b *testing.B) {
 	tr := benchTrace(b)
@@ -179,7 +190,6 @@ func BenchmarkParallelDecode(b *testing.B) {
 	decode := func(b *testing.B, workers int) {
 		b.Helper()
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			var got *trace.Trace
 			var err error
@@ -195,6 +205,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 				b.Fatalf("decoded %d events, want %d", got.Len(), tr.Len())
 			}
 		}
+		reportEventRate(b, tr.Len())
 	}
 	b.Run("sequential", func(b *testing.B) { decode(b, 0) })
 	for _, workers := range []int{2, 4, 8} {
@@ -224,7 +235,6 @@ func BenchmarkCompressedDecode(b *testing.B) {
 		decode := func(b *testing.B, workers int) {
 			b.Helper()
 			b.ReportAllocs()
-			b.SetBytes(int64(tr.Len()))
 			b.ReportMetric(ratio, "ratio")
 			for i := 0; i < b.N; i++ {
 				var got *trace.Trace
@@ -241,6 +251,7 @@ func BenchmarkCompressedDecode(b *testing.B) {
 					b.Fatalf("decoded %d events, want %d", got.Len(), tr.Len())
 				}
 			}
+			reportEventRate(b, tr.Len())
 		}
 		b.Run(codec.String()+"/sequential", func(b *testing.B) { decode(b, 0) })
 		b.Run(codec.String()+"/workers4", func(b *testing.B) { decode(b, 4) })
@@ -261,16 +272,15 @@ func BenchmarkPipeline(b *testing.B) {
 	stream := func(b *testing.B, workers int) {
 		b.Helper()
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext), core.WithWorkers(workers)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportEventRate(b, tr.Len())
 	}
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			full, _, err := trace.ReadFileParallel(path, trace.Workers(4))
 			if err != nil {
@@ -280,6 +290,7 @@ func BenchmarkPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportEventRate(b, tr.Len())
 	})
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
@@ -291,7 +302,7 @@ func BenchmarkPipeline(b *testing.B) {
 // model pass alone (one experiment, one decode), the fused five-experiment
 // pass (model + reuse + ILP + confidence + speculation riding one decode
 // via WithObservers), and the same five experiments decoding separately —
-// the pre-fusion cost this engine exists to avoid. Bytes/s are events/s.
+// the pre-fusion cost this engine exists to avoid (Mevents/s).
 func BenchmarkFusedSuite(b *testing.B) {
 	tr := benchTrace(b)
 	path := filepath.Join(b.TempDir(), "gcc.dpg")
@@ -309,26 +320,25 @@ func BenchmarkFusedSuite(b *testing.B) {
 	}
 	b.Run("experiments1", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext), core.WithWorkers(2)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportEventRate(b, tr.Len())
 	})
 	b.Run("experiments5-fused", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext), core.WithWorkers(2),
 				core.WithObservers(sims()...)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportEventRate(b, tr.Len())
 	})
 	b.Run("experiments5-separate", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext), core.WithWorkers(2)); err != nil {
 				b.Fatal(err)
@@ -350,6 +360,7 @@ func BenchmarkFusedSuite(b *testing.B) {
 				f.Close()
 			}
 		}
+		reportEventRate(b, tr.Len())
 	})
 }
 
@@ -358,7 +369,7 @@ func BenchmarkFusedSuite(b *testing.B) {
 // the gcc trace with the context predictor — the heaviest predictor and
 // the one the paper's headline figures use. Results are byte-identical by
 // the differential battery; this benchmark records the speedup the
-// speculation buys (bytes/s are events/s).
+// speculation buys (Mevents/s).
 func BenchmarkSpeculativePass(b *testing.B) {
 	tr := benchTrace(b)
 	cfg := dpg.Config{
@@ -367,16 +378,15 @@ func BenchmarkSpeculativePass(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
 			benchRunWith(b, tr, cfg)
 		}
+		reportEventRate(b, tr.Len())
 	})
 	for _, workers := range []int{2, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
 				var st dpg.SpecStats
 				if _, err := dpg.RunSpeculative(tr, cfg, dpg.SpecConfig{Workers: workers, Stats: &st}); err != nil {
@@ -386,13 +396,14 @@ func BenchmarkSpeculativePass(b *testing.B) {
 					b.Fatalf("implausible speculation stats %+v", st)
 				}
 			}
+			reportEventRate(b, tr.Len())
 		})
 	}
 }
 
 // BenchmarkGraphWorkloads measures the model pass over the graph scenario
 // pack (bfs/pgr/ccp — branches on loaded adjacency values) with the
-// predictors added for it (tage, ldbp). Bytes/s are events/s; the gate
+// predictors added for it (tage, ldbp), in Mevents/s; the gate
 // keeps the hard-to-predict path from silently regressing.
 func BenchmarkGraphWorkloads(b *testing.B) {
 	for _, w := range workloads.Graph() {
@@ -406,12 +417,12 @@ func BenchmarkGraphWorkloads(b *testing.B) {
 		}
 		for _, kind := range []predictor.Kind{predictor.KindTAGE, predictor.KindLDBP} {
 			b.Run(w.Name+"/"+kind.String(), func(b *testing.B) {
-				b.SetBytes(int64(tr.Len()))
 				for i := 0; i < b.N; i++ {
 					if _, err := dpg.Run(tr, kind); err != nil {
 						b.Fatal(err)
 					}
 				}
+				reportEventRate(b, tr.Len())
 			})
 		}
 	}
@@ -534,10 +545,10 @@ func BenchmarkILP(b *testing.B) {
 	for _, kind := range predictor.Kinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			var st analysis.ILPStats
-			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
 				st = analysis.ILP(tr, kind)
 			}
+			reportEventRate(b, tr.Len())
 			b.ReportMetric(st.Speedup(), "vp-speedup")
 		})
 	}
@@ -546,11 +557,11 @@ func BenchmarkILP(b *testing.B) {
 // BenchmarkReuse measures the reuse-buffer analysis throughput.
 func BenchmarkReuse(b *testing.B) {
 	tr := benchTrace(b)
-	b.SetBytes(int64(tr.Len()))
 	var st analysis.ReuseStats
 	for i := 0; i < b.N; i++ {
 		st = analysis.Reuse(tr, 16)
 	}
+	reportEventRate(b, tr.Len())
 	b.ReportMetric(st.ReusePct(), "reuse%")
 }
 

@@ -14,11 +14,14 @@
 //	dpgrun -trace damaged.dpg -strict=false   # resync past corrupt blocks
 //	dpgrun -trace gcc.dpg -workers 8          # 8 concurrent decode workers
 //
-// Trace files are streamed from disk through the sequential model pass,
-// which takes its static execution counts — and, in strict mode, the
-// header's event count — from the trace footer probe (an in-order pre-pass
-// runs only when the probe cannot answer), so each predictor costs one
-// decode and peak memory stays O(block·workers) regardless of trace size.
+// A single trace file is streamed from disk once for all the predictors
+// asked for: the static execution counts — and, in strict mode, the
+// header's event count — come from the trace footer probe (an in-order
+// pre-pass runs only when the probe cannot answer), then one decode feeds
+// every predictor's model pass at once, each on its own goroutine, so
+// -all costs one decode and peak memory stays O(block·workers) plus the
+// models' tables regardless of trace size. Under -speculate the
+// predictors run one after another, one decode each.
 // When -trace names a directory or matches several files, the files fan
 // out across a bounded worker pool (-parallel) with a per-file summary
 // line per predictor; the exit status is non-zero if any file failed.
@@ -128,9 +131,10 @@ func expandTraces(pat string) []string {
 	return paths
 }
 
-// fileOpts assembles the streaming options shared by both file modes.
-func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate int) []core.Option {
-	opts := []core.Option{core.WithKind(k), core.WithWorkers(workers), core.WithContext(ctx)}
+// fileOpts assembles the streaming options shared by both file modes;
+// callers add the predictor choice.
+func fileOpts(ctx context.Context, graph int, strict bool, workers, speculate int) []core.Option {
+	opts := []core.Option{core.WithWorkers(workers), core.WithContext(ctx)}
 	if graph > 0 {
 		opts = append(opts, core.WithGraphLimit(graph))
 	}
@@ -165,14 +169,16 @@ func printSpecStats(st dpg.SpecStats) {
 		st.Epochs, st.Chains, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
 }
 
-// runFile streams one trace file through the pass pipeline, once per
-// predictor, printing the same header and per-predictor report as the
-// workload mode.
+// runFile streams one trace file through the model for every predictor,
+// printing the same header and per-predictor report as the workload mode.
+// One decode feeds every predictor's model pass at once
+// (core.AnalyzeFileKinds); only -speculate runs the predictors one after
+// another, one decode each.
 func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate int) {
 	// The header needs the event and static counts. In strict mode the
 	// footer probe answers them without decoding an event; for a v1 stream,
-	// a damaged file or lenient input, where AnalyzeFile falls back to its
-	// pre-pass anyway, the first predictor asks for the pre-pass summary.
+	// a damaged file or lenient input, where the analysis runs its
+	// pre-pass anyway, the pre-pass summary answers them.
 	var events uint64
 	static := -1
 	if strict {
@@ -180,27 +186,13 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 			events, static = fi.Total, len(fi.Counts)
 		}
 	}
-	for i, k := range kinds {
-		var ps dpg.PreStats
-		var st trace.Stats
-		var ss dpg.SpecStats
-		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate), core.WithTraceStats(&st))
-		if i == 0 && static < 0 {
-			opts = append(opts, core.WithPreStats(&ps))
-		}
-		if speculate != 0 {
-			opts = append(opts, core.WithSpecStats(&ss))
-		}
-		r, err := core.AnalyzeFile(path, opts...)
-		if errors.Is(err, core.ErrAborted) {
-			failInterrupted(i, len(kinds))
-		}
-		if err != nil {
-			fail(err.Error())
-		}
-		if speculate != 0 {
-			printSpecStats(ss)
-		}
+	var ps dpg.PreStats
+	var st trace.Stats
+	opts := append(fileOpts(ctx, graph, strict, workers, speculate), core.WithTraceStats(&st))
+	if static < 0 {
+		opts = append(opts, core.WithPreStats(&ps))
+	}
+	show := func(i int, r *dpg.Result) {
 		if i == 0 {
 			if static < 0 {
 				events, static = ps.Events, len(ps.StaticCount)
@@ -214,6 +206,32 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if graph > 0 {
 			report.WriteFragment(os.Stdout, r.Graph, nil)
 		}
+	}
+
+	if speculate == 0 {
+		rs, err := core.AnalyzeFileKinds(path, kinds, opts...)
+		if errors.Is(err, core.ErrAborted) {
+			failInterrupted(0, len(kinds))
+		}
+		if err != nil {
+			fail(err.Error())
+		}
+		for i, r := range rs {
+			show(i, r)
+		}
+		return
+	}
+	for i, k := range kinds {
+		var ss dpg.SpecStats
+		r, err := core.AnalyzeFile(path, append(opts, core.WithKind(k), core.WithSpecStats(&ss))...)
+		if errors.Is(err, core.ErrAborted) {
+			failInterrupted(i, len(kinds))
+		}
+		if err != nil {
+			fail(err.Error())
+		}
+		printSpecStats(ss)
+		show(i, r)
 	}
 }
 
@@ -229,7 +247,7 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 	for i, k := range kinds {
 		// No WithSpecStats here: one options slice serves every concurrent
 		// file, and a shared stats pointer would race.
-		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
+		byKind[i] = core.AnalyzeFiles(paths, parallel, append(fileOpts(ctx, 0, strict, workers, speculate), core.WithKind(k))...)
 	}
 	failed, interrupted := 0, 0
 	for fi, path := range paths {
@@ -282,7 +300,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 	}
 	headerDone := false
 	for i, k := range kinds {
-		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
+		res, files, err := core.AnalyzeDir(dir, parallel, append(fileOpts(ctx, 0, strict, workers, speculate), core.WithKind(k))...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
 		}

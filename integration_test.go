@@ -154,6 +154,49 @@ func TestCLIPipeline(t *testing.T) {
 	if !bytes.Equal(fileOut, memOut) {
 		t.Errorf("dpgrun -trace stdout differs from -workload for gcc -rounds 2 -all:\n%s\n----\n%s", fileOut, memOut)
 	}
+	// -all models every predictor on one decode; -speculate runs them one
+	// at a time, and prints the same stdout.
+	if specOut, _ := dpgrun("-trace", gccPath, "-all", "-speculate", "2"); !bytes.Equal(specOut, fileOut) {
+		t.Errorf("dpgrun -trace -all -speculate 2 stdout differs from -all:\n%s\n----\n%s", specOut, fileOut)
+	}
+
+	// On a damaged trace, -strict=false -all prints the header once and
+	// then each predictor's section exactly as a -predictor run does, with
+	// one corruption summary on stderr.
+	blockedPath := filepath.Join(t.TempDir(), "gcc-blocks.dpg")
+	run("tracegen", "-workload", "gcc", "-rounds", "2", "-blocklen", "64", "-o", blockedPath)
+	data, err := os.ReadFile(blockedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	flippedPath := filepath.Join(t.TempDir(), "gcc-flipped.dpg")
+	if err := os.WriteFile(flippedPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allOut, allErr := dpgrun("-trace", flippedPath, "-strict=false", "-all")
+	if n := strings.Count(allErr, "corruption summary"); n != 1 {
+		t.Errorf("dpgrun -strict=false -all printed %d corruption summaries, want 1:\n%s", n, allErr)
+	}
+	var header string
+	var want bytes.Buffer
+	for _, k := range predictor.AllKinds {
+		out, _ := dpgrun("-trace", flippedPath, "-strict=false", "-predictor", k.String())
+		at := bytes.Index(out, []byte("== predictor: "))
+		if at < 0 {
+			t.Fatalf("dpgrun -predictor %s printed no section:\n%s", k, out)
+		}
+		if header == "" {
+			header = string(out[:at])
+			want.WriteString(header)
+		} else if string(out[:at]) != header {
+			t.Errorf("dpgrun -predictor %s header %q, want %q", k, out[:at], header)
+		}
+		want.Write(out[at:])
+	}
+	if !bytes.Equal(allOut, want.Bytes()) {
+		t.Errorf("dpgrun -strict=false -all stdout is not the header plus each -predictor section:\n%s\n----\n%s", allOut, want.Bytes())
+	}
 
 	// Graph workloads (data-dependent branches) under tage, one plain and
 	// one compressed trace: -speculate 2 prints the sequential stdout.

@@ -81,7 +81,11 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	// Under WithObservers the second pass fans the one decode out to the
 	// model and every registered observer.
 	if len(cfg.observers) > 0 {
-		return analyzeObservers(path, name, counts, &cfg)
+		res, err := analyzeModels(path, name, counts, &cfg, []dpg.Config{cfg.model})
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
 	}
 
 	// Pass 2: stream events through the sequential model pass — or, under

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/dpg"
 	"repro/internal/predictor"
-	"repro/internal/trace"
 )
 
 // This file is the suite's fused single-pass experiment engine. Under
@@ -102,101 +100,69 @@ func (s *Suite) fusedFor(name, path string) (*fusedProducts, error) {
 	return fe.p, fe.err
 }
 
-// fusedCounts recovers the static counts and header name the model
-// builders need before the event stream: the footer probe when the file's
-// frame structure is intact (no event decode), the pre-pass otherwise —
-// which reproduces AnalyzeFile's established error contract
-// for damaged files.
-func (s *Suite) fusedCounts(path string) ([]uint64, string, error) {
-	if fi, err := trace.ScanFooterFile(path); err == nil {
-		return fi.Counts, fi.Name, nil
-	}
-	cfg := config{parallel: true, workers: s.cfg.Workers}
-	return scanPrePass(path, &cfg)
-}
-
 // fusedOnce runs the one decode that serves every experiment on one
-// workload. Observers are registered in a fixed order; order is
+// workload: a model pass per suite kind (plus the correlation model on
+// integer workloads) and the streaming simulators, all through
+// analyzeModels. Observers are registered in a fixed order; order is
 // irrelevant to results (each observer only reads the shared events), as
 // the metamorphic tests prove.
 func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
-	counts, tname, err := s.fusedCounts(path)
+	cfg := config{parallel: true, workers: s.cfg.Workers}
+	counts, tname, err := scanCounts(path, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	isInt := isIntName(name)
 
 	kinds := s.suiteKinds()
-	var obs []analysis.Observer
-	models := make(map[predictor.Kind]*modelObserver, len(kinds))
+	models := make([]dpg.Config, 0, len(kinds)+1)
 	for _, k := range kinds {
-		mo, err := newModelObserver(tname, counts, dpg.Config{
-			Predictor:     k.Factory(),
-			PredictorName: k.String(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		models[k] = mo
-		obs = append(obs, mo)
+		models = append(models, dpg.Config{Predictor: k.Factory(), PredictorName: k.String()})
 	}
 	ilps := make([]*analysis.ILPSim, len(kinds))
 	for i, k := range kinds {
 		ilps[i] = analysis.NewILPSim(tname, k)
-		obs = append(obs, ilps[i])
+		cfg.observers = append(cfg.observers, ilps[i])
 	}
 	var (
-		corr     *modelObserver
 		reuse    *analysis.ReuseSim
 		conf     *analysis.ConfidenceSim
 		specBase *analysis.SpecSim
 		specs    map[uint8]*analysis.SpecSim
 	)
 	if isInt {
-		corr, err = newModelObserver(tname, counts, suiteCorrConfig())
-		if err != nil {
-			return nil, err
-		}
+		models = append(models, suiteCorrConfig())
 		reuse = analysis.NewReuseSim(tname, suiteReuseBits)
 		conf = analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
 		specBase = analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
-		obs = append(obs, corr, reuse, conf, specBase)
+		cfg.observers = append(cfg.observers, reuse, conf, specBase)
 		specs = make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
 		for _, th := range suiteSpecThresholds {
 			sim := analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(th))
 			specs[th] = sim
-			obs = append(obs, sim)
+			cfg.observers = append(cfg.observers, sim)
 		}
 	}
 
 	if s.cfg.Progress != nil {
-		fmt.Fprintf(s.cfg.Progress, "fusing %-5s (%d observers, one decode) from %s\n", name, len(obs), path)
+		fmt.Fprintf(s.cfg.Progress, "fusing %-5s (%d observers, one decode) from %s\n",
+			name, len(models)+len(cfg.observers), path)
 	}
-	f, err := os.Open(path)
+	res, err := analyzeModels(path, tname, counts, &cfg, models)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	pr, err := trace.NewParallelReader(f, trace.Workers(s.cfg.Workers))
-	if err != nil {
-		return nil, wrapTraceErr(err)
-	}
-	defer pr.Close()
-	defer noteDecode(path)()
-	if err := analysis.RunObservers(pr, obs...); err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-	}
 
-	p := &fusedProducts{model: make(map[predictor.Kind]*dpg.Result, len(models))}
-	for k, mo := range models {
-		p.model[k] = mo.res
+	p := &fusedProducts{model: make(map[predictor.Kind]*dpg.Result, len(kinds))}
+	for i, k := range kinds {
+		p.model[k] = res[i]
 	}
 	p.ilp = make([]analysis.ILPStats, len(ilps))
 	for i, sim := range ilps {
 		p.ilp[i] = sim.Stats()
 	}
 	if isInt {
-		p.corr = corr.res
+		p.corr = res[len(kinds)]
 		p.reuse = reuse.Stats()
 		p.confidence = conf.Points()
 		p.specBase = specBase.Stats()

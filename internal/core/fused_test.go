@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dpg"
@@ -143,23 +146,36 @@ func TestFusedDecodeOnce(t *testing.T) {
 }
 
 // TestAnalyzeFileDecodeCounts pins the per-call decode budget of
-// AnalyzeFile: one decode on a healthy v2 file (footer probe answers the
-// pre-pass), one with observers fanned out, two only when the probe
-// cannot answer (pre-pass statistics requested).
+// AnalyzeFile and AnalyzeFileKinds: one decode on a healthy v2 file
+// (footer probe answers the pre-pass), one with observers fanned out or
+// five predictors modelled, two only when the probe cannot answer
+// (pre-pass statistics requested).
 func TestAnalyzeFileDecodeCounts(t *testing.T) {
 	path, _ := writeScaledTrace(t, t.TempDir(), "fig1", 0.05)
+	kinds := func(opts ...Option) error {
+		_, err := AnalyzeFileKinds(path, predictor.AllKinds, opts...)
+		return err
+	}
+	file := func(opts ...Option) error {
+		_, err := AnalyzeFile(path, opts...)
+		return err
+	}
 	for _, tc := range []struct {
 		label string
+		run   func(...Option) error
 		opts  []Option
 		want  int
 	}{
-		{"plain", nil, 1},
-		{"parallel", []Option{WithWorkers(4)}, 1},
-		{"observers", []Option{WithObservers(analysis.NewReuseSim("", 8))}, 1},
-		{"prestats", []Option{WithPreStats(new(dpg.PreStats))}, 2},
+		{"plain", file, nil, 1},
+		{"parallel", file, []Option{WithWorkers(4)}, 1},
+		{"observers", file, []Option{WithObservers(analysis.NewReuseSim("", 8))}, 1},
+		{"prestats", file, []Option{WithPreStats(new(dpg.PreStats))}, 2},
+		{"kinds", kinds, nil, 1},
+		{"kinds/parallel", kinds, []Option{WithWorkers(4)}, 1},
+		{"kinds/prestats", kinds, []Option{WithPreStats(new(dpg.PreStats))}, 2},
 	} {
 		snapshot := installDecodeCounter(t)
-		if _, err := AnalyzeFile(path, tc.opts...); err != nil {
+		if err := tc.run(tc.opts...); err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
 		if got := snapshot()[path]; got != tc.want {
@@ -280,6 +296,200 @@ func TestAnalyzeFileObserversCorruptionParity(t *testing.T) {
 		if fusedErr != nil && !typed(fusedErr) {
 			t.Errorf("cut at %d: fused err = %v, want typed taxonomy error", cut, fusedErr)
 		}
+	}
+}
+
+// analyzeEachKind is AnalyzeFileKinds' reference: one AnalyzeFile call,
+// one decode, per predictor, each filling its own trace.Stats.
+func analyzeEachKind(path string, kinds []predictor.Kind, opts ...Option) ([]*dpg.Result, []trace.Stats, error) {
+	res := make([]*dpg.Result, len(kinds))
+	stats := make([]trace.Stats, len(kinds))
+	for i, k := range kinds {
+		var err error
+		res[i], err = AnalyzeFile(path, append(opts[:len(opts):len(opts)], WithKind(k), WithTraceStats(&stats[i]))...)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return res, stats, nil
+}
+
+// TestAnalyzeFileKindsDifferential is the parity gate of the one-decode
+// multi-predictor entry point: for every workload × decode worker count,
+// AnalyzeFileKinds over every predictor must return exactly what five
+// separate AnalyzeFile calls return, in kinds order — also with model
+// options that apply to every kind, and in lenient mode on a damaged file,
+// where the decode summary must match too.
+func TestAnalyzeFileKindsDifferential(t *testing.T) {
+	names := workloads.Names()
+	if testing.Short() {
+		names = []string{"fig1", "gcc", "bfs"}
+	}
+	dir := t.TempDir()
+	for _, name := range names {
+		path, _ := writeScaledTrace(t, dir, name, 0.03, trace.BlockEvents(256))
+		want, _, err := analyzeEachKind(path, predictor.AllKinds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := AnalyzeFileKinds(path, predictor.AllKinds, WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/workers=%d: AnalyzeFileKinds diverges from per-kind AnalyzeFile", name, workers)
+			}
+		}
+	}
+
+	// Model options reach every kind; WithKind is overridden, and a
+	// reordered subset comes back in the order asked for.
+	path, _ := writeScaledTrace(t, dir, "gcc", 0.03, trace.BlockEvents(256))
+	subset := []predictor.Kind{predictor.KindLDBP, predictor.KindLast, predictor.KindContext}
+	for _, tc := range []struct {
+		label string
+		opts  []Option
+	}{
+		{"graph", []Option{WithGraphLimit(16)}},
+		{"nopaths", []Option{WithoutPaths(), WithKind(predictor.KindStride)}},
+	} {
+		want, _, err := analyzeEachKind(path, subset, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		got, err := AnalyzeFileKinds(path, subset, append(tc.opts, WithWorkers(2))...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: AnalyzeFileKinds diverges from per-kind AnalyzeFile", tc.label)
+		}
+	}
+
+	// Lenient mode on a flipped byte: the surviving events, and the
+	// decode summary, are the same whichever way the file is read.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	bad := filepath.Join(dir, "flipped.dpg")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := analyzeEachKind(bad, predictor.AllKinds, WithLenientTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats[0].BlocksSkipped == 0 {
+		t.Fatalf("flipped byte skipped no block: %+v", wantStats[0])
+	}
+	for _, workers := range []int{1, 4} {
+		var st trace.Stats
+		got, err := AnalyzeFileKinds(bad, predictor.AllKinds, WithLenientTrace(), WithWorkers(workers), WithTraceStats(&st))
+		if err != nil {
+			t.Fatalf("lenient/workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lenient/workers=%d: AnalyzeFileKinds diverges from per-kind AnalyzeFile", workers)
+		}
+		for i, ws := range wantStats {
+			if st != ws {
+				t.Errorf("lenient/workers=%d: trace stats %+v, AnalyzeFile(%s) %+v", workers, st, predictor.AllKinds[i], ws)
+			}
+		}
+	}
+
+	// An unknown kind is a configuration error, as under AnalyzeFile.
+	if _, err := AnalyzeFileKinds(path, []predictor.Kind{predictor.KindLast, 99}); !errors.Is(err, ErrConfig) {
+		t.Errorf("unknown kind: err = %v, want ErrConfig", err)
+	}
+}
+
+// TestAnalyzeFileKindsCorruptionParity runs the corruption flip and
+// truncation matrix through AnalyzeFileKinds and holds it to
+// AnalyzeFile's error contract: both fail with the typed taxonomy, or both
+// succeed with the same results.
+func TestAnalyzeFileKindsCorruptionParity(t *testing.T) {
+	w, _ := workloads.ByName("fig1")
+	tr, _ := w.TraceRounds(3, 1)
+	good := filepath.Join(t.TempDir(), "good.dpg")
+	if err := trace.WriteFile(good, tr, trace.BlockEvents(16)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed := func(err error) bool {
+		return errors.Is(err, ErrMalformedEvent) || errors.Is(err, ErrTruncated) ||
+			errors.Is(err, ErrChecksum) || errors.Is(err, trace.ErrMalformed)
+	}
+	dir := t.TempDir()
+	check := func(label string, variant []byte) {
+		path := filepath.Join(dir, label+".dpg")
+		if err := os.WriteFile(path, variant, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, _, plainErr := analyzeEachKind(path, predictor.AllKinds)
+		got, kindsErr := AnalyzeFileKinds(path, predictor.AllKinds, WithWorkers(2))
+		switch {
+		case (plainErr == nil) != (kindsErr == nil):
+			t.Errorf("%s: AnalyzeFile err = %v, AnalyzeFileKinds err = %v (contract parity broken)",
+				label, plainErr, kindsErr)
+		case kindsErr != nil && !typed(kindsErr):
+			t.Errorf("%s: AnalyzeFileKinds err = %v, want typed taxonomy error", label, kindsErr)
+		case kindsErr == nil && !reflect.DeepEqual(got, want):
+			t.Errorf("%s: AnalyzeFileKinds results diverge from AnalyzeFile's", label)
+		}
+	}
+	for off := 0; off < len(data); off += len(data)/16 + 1 {
+		bad, err := io.ReadAll(faultinject.NewReader(bytes.NewReader(data),
+			faultinject.Flip{Offset: int64(off), XOR: 0xFF}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("flip%d", off), bad)
+	}
+	for cut := 1; cut < len(data); cut += len(data)/8 + 1 {
+		check(fmt.Sprintf("cut%d", cut), data[:cut])
+	}
+}
+
+// cancelObserver cancels its context on the first event it sees, so the
+// decode is cut off mid-stream with every model pass running.
+type cancelObserver struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelObserver) Observe(*trace.Event) { c.once.Do(c.cancel) }
+
+// TestAnalyzeFileKindsCancelNoLeak cancels AnalyzeFileKinds mid-stream:
+// the call returns ErrAborted (matching context.Canceled too) and leaves
+// no decode worker or observer goroutine behind.
+func TestAnalyzeFileKindsCancelNoLeak(t *testing.T) {
+	// ~38K events: several 4096-event blocks even at Workers(1).
+	path, _ := writeScaledTrace(t, t.TempDir(), "gcc", 0.2, trace.BlockEvents(16))
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := AnalyzeFileKinds(path, predictor.AllKinds, WithWorkers(workers), WithContext(ctx),
+			WithObservers(&cancelObserver{cancel: cancel}))
+		cancel()
+		if res != nil || !errors.Is(err, ErrAborted) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: res = %v, err = %v, want nil and ErrAborted", workers, res, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d live, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dpg"
+	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
@@ -18,16 +19,6 @@ type modelObserver struct {
 	b   *dpg.Builder
 	err error
 	res *dpg.Result
-}
-
-// newModelObserver builds the model pass for one predictor
-// configuration over pre-scanned static counts.
-func newModelObserver(name string, counts []uint64, mcfg dpg.Config) (*modelObserver, error) {
-	b, err := dpg.NewBuilder(name, counts, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	return &modelObserver{b: b}, nil
 }
 
 // Observe feeds one event through the model pass.
@@ -66,36 +57,79 @@ func noteDecode(path string) (end func()) {
 	return func() {}
 }
 
-// analyzeObservers is AnalyzeFile's fused second pass under
-// WithObservers: one decode of the file feeds the model pass and
-// every registered observer through analysis.RunObservers. The error
-// contract matches the sequential path — decode failures surface as
-// "core: streaming <path>: ..." with the trace taxonomy folded into the
-// core sentinels — with observer failures additionally wrapped in typed
-// *analysis.ObserverError values (joined when several fire).
-func analyzeObservers(path, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
-	mo, err := newModelObserver(name, counts, cfg.model)
+// AnalyzeFileKinds runs the model under every predictor in kinds over one
+// decode of a trace file and returns the results in kinds order. Each
+// result is identical to AnalyzeFile(path, WithKind(k), opts...): the
+// static counts are read once (the footer probe, or the pre-pass where
+// AnalyzeFile would run it), then the file streams once through
+// analysis.RunObservers into one model pass per kind, each on its own
+// goroutine, next to any WithObservers observers. The model options
+// (WithGraphLimit, WithoutPaths, WithSharedInputOutput) apply to every
+// kind; WithKind and WithPredictor are overridden. The error contract is
+// AnalyzeFile's, and like WithObservers the pass ignores WithSpeculation.
+func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*dpg.Result, error) {
+	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.ctxErr(); err != nil {
+		return nil, wrapAbort(err)
+	}
+	counts, name, err := scanCounts(path, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	models := make([]dpg.Config, len(kinds))
+	for i, k := range kinds {
+		models[i] = cfg.model
+		models[i].Predictor = k.Factory()
+		models[i].PredictorName = k.String()
+	}
+	return analyzeModels(path, name, counts, &cfg, models)
+}
+
+// analyzeModels is the one fused decode behind AnalyzeFileKinds,
+// AnalyzeFile under WithObservers and the suite's fused engine: it opens
+// path and streams its blocks once through analysis.RunObservers into
+// one model pass per configuration in models plus every cfg.observers
+// observer, and returns the model results in models order. Decode
+// failures surface as "core: streaming <path>: ..." with the trace
+// taxonomy folded into the core sentinels; model failures (a malformed
+// event) additionally arrive wrapped in typed *analysis.ObserverError
+// values, joined when several fire.
+func analyzeModels(path, name string, counts []uint64, cfg *config, models []dpg.Config) ([]*dpg.Result, error) {
+	mos := make([]*modelObserver, len(models))
+	obs := make([]analysis.Observer, 0, len(models)+len(cfg.observers))
+	for i, mcfg := range models {
+		b, err := dpg.NewBuilder(name, counts, mcfg)
+		if err != nil {
+			return nil, err
+		}
+		mos[i] = &modelObserver{b: b}
+		obs = append(obs, mos[i])
+	}
+	obs = append(obs, cfg.observers...)
+
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	ropts := cfg.blockReaderOpts()
-	pr, err := trace.NewParallelReader(f, ropts...)
+	pr, err := trace.NewParallelReader(f, cfg.blockReaderOpts()...)
 	if err != nil {
 		return nil, wrapTraceErr(err)
 	}
 	defer pr.Close()
 	defer noteDecode(path)()
-	obs := append([]analysis.Observer{mo}, cfg.observers...)
 	if err := analysis.RunObservers(pr, obs...); err != nil {
 		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
 	}
 	if cfg.statsOut != nil {
 		*cfg.statsOut = pr.Stats()
 	}
-	return mo.res, nil
+	out := make([]*dpg.Result, len(mos))
+	for i, mo := range mos {
+		out[i] = mo.res
+	}
+	return out, nil
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // writeScaledTrace generates a workload trace at a small scale and writes
-// it to dir, returning the path and the in-memory trace it encodes.
-func writeScaledTrace(t *testing.T, dir, name string, scale float64) (string, *trace.Trace) {
+// it to dir with the given writer options (small blocks, say), returning
+// the path and the in-memory trace it encodes.
+func writeScaledTrace(t *testing.T, dir, name string, scale float64, wopts ...trace.WriteOption) (string, *trace.Trace) {
 	t.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -33,7 +34,7 @@ func writeScaledTrace(t *testing.T, dir, name string, scale float64) (string, *t
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name+".dpg")
-	if err := trace.WriteFile(path, tr); err != nil {
+	if err := trace.WriteFile(path, tr, wopts...); err != nil {
 		t.Fatal(err)
 	}
 	return path, tr
