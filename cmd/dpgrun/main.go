@@ -21,11 +21,15 @@
 // every predictor's model pass at once, each on its own goroutine, so
 // -all costs one decode and peak memory stays O(block·workers) plus the
 // models' tables regardless of trace size. Under -speculate the
-// predictors run one after another, one decode each.
+// predictors run one after another, one decode each; -speculate, like
+// -graph, needs a single trace file or -workload.
 // When -trace names a directory or matches several files, the files fan
-// out across a bounded worker pool (-parallel) with a per-file summary
-// line per predictor; the exit status is non-zero if any file failed.
-// With -merge, a directory's files fold into one exact aggregate report.
+// out across a bounded worker pool (-parallel), each decoded once for all
+// the predictors, with a per-file summary line per predictor; the exit
+// status is non-zero if any file failed. A directory means its *.dpg
+// files, subdirectories skipped. With -merge, a directory's files fold
+// into one exact aggregate report per predictor, again one decode per
+// file.
 //
 // By default a corrupt or truncated trace file is rejected with a typed
 // error and a non-zero exit. With -strict=false the reader resynchronises
@@ -90,20 +94,17 @@ func main() {
 		fail("-rounds applies only to -workload")
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
-	case *merge && *graph > 0:
-		fail(graphOneTrace)
 	case *merge:
-		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate)
+		oneTraceFlags(*graph, *speculate)
+		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel)
 	case *tracePat != "":
 		paths := expandTraces(*tracePat)
 		if len(paths) == 1 {
 			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
 			return
 		}
-		if *graph > 0 {
-			fail(graphOneTrace)
-		}
-		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate)
+		oneTraceFlags(*graph, *speculate)
+		runFiles(ctx, paths, kinds, *strict, *workers, *parallel)
 	case *workload != "":
 		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
 	default:
@@ -111,16 +112,30 @@ func main() {
 	}
 }
 
-// graphOneTrace rejects -graph where there is no single trace to draw.
-const graphOneTrace = "-graph needs a single trace file or -workload, not several files or -merge"
-
-// expandTraces resolves -trace into file paths: a directory becomes every
-// *.dpg inside it, a glob pattern expands, and a plain path passes through.
-func expandTraces(pat string) []string {
-	if st, err := os.Stat(pat); err == nil && st.IsDir() {
-		pat = filepath.Join(pat, "*.dpg")
+// oneTraceFlags rejects the flags only single-trace modes honour: -graph
+// (there is no single trace to draw) and -speculate (only the single-file
+// and -workload passes run speculatively).
+func oneTraceFlags(graph, speculate int) {
+	const why = " needs a single trace file or -workload, not several files or -merge"
+	if graph > 0 {
+		fail("-graph" + why)
 	}
-	paths, err := filepath.Glob(pat)
+	if speculate != 0 {
+		fail("-speculate" + why)
+	}
+}
+
+// expandTraces resolves -trace into file paths: a directory becomes its
+// trace files (core.TraceFiles, the listing -merge uses too), a glob
+// pattern expands, and a plain path passes through.
+func expandTraces(pat string) []string {
+	var paths []string
+	var err error
+	if st, serr := os.Stat(pat); serr == nil && st.IsDir() {
+		paths, err = core.TraceFiles(pat)
+	} else {
+		paths, err = filepath.Glob(pat)
+	}
 	if err != nil {
 		fail(fmt.Sprintf("bad -trace pattern %q: %v", pat, err))
 	}
@@ -131,17 +146,12 @@ func expandTraces(pat string) []string {
 	return paths
 }
 
-// fileOpts assembles the streaming options shared by both file modes;
-// callers add the predictor choice.
-func fileOpts(ctx context.Context, graph int, strict bool, workers, speculate int) []core.Option {
+// fileOpts assembles the streaming options shared by every file mode.
+func fileOpts(ctx context.Context, strict bool, workers int) []core.Option {
 	opts := []core.Option{core.WithWorkers(workers), core.WithContext(ctx)}
-	if graph > 0 {
-		opts = append(opts, core.WithGraphLimit(graph))
-	}
 	if !strict {
 		opts = append(opts, core.WithLenientTrace())
 	}
-	opts = append(opts, specOpts(speculate)...)
 	return opts
 }
 
@@ -188,7 +198,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 	}
 	var ps dpg.PreStats
 	var st trace.Stats
-	opts := append(fileOpts(ctx, graph, strict, workers, speculate), core.WithTraceStats(&st))
+	opts := append(fileOpts(ctx, strict, workers), core.WithGraphLimit(graph), core.WithTraceStats(&st))
 	if static < 0 {
 		opts = append(opts, core.WithPreStats(&ps))
 	}
@@ -221,6 +231,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		}
 		return
 	}
+	opts = append(opts, specOpts(speculate)...)
 	for i, k := range kinds {
 		var ss dpg.SpecStats
 		r, err := core.AnalyzeFile(path, append(opts, core.WithKind(k), core.WithSpecStats(&ss))...)
@@ -235,44 +246,43 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 	}
 }
 
-// runFiles fans several trace files out across a worker pool, one
-// AnalyzeFiles sweep per predictor, and prints per-file summary lines in
-// file-major order. Any per-file failure turns into a non-zero exit after
-// every file has been reported.
-func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
+// runFiles fans several trace files out across a worker pool in one
+// AnalyzeFiles call, each file decoded once for every predictor, and
+// prints per-file summary lines in file-major order. Any per-file failure
+// turns into a non-zero exit after every file has been reported; the
+// summary counts one run per (file, predictor).
+func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel int) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	byKind := make([][]core.FileResult, len(kinds))
-	for i, k := range kinds {
-		// No WithSpecStats here: one options slice serves every concurrent
-		// file, and a shared stats pointer would race.
-		byKind[i] = core.AnalyzeFiles(paths, parallel, append(fileOpts(ctx, 0, strict, workers, speculate), core.WithKind(k))...)
-	}
 	failed, interrupted := 0, 0
-	for fi, path := range paths {
-		fmt.Printf("== %s ==\n", path)
-		for ki, k := range kinds {
-			fr := byKind[ki][fi]
-			if errors.Is(fr.Err, core.ErrAborted) {
-				interrupted++
+	for _, fr := range core.AnalyzeFiles(paths, kinds, parallel, fileOpts(ctx, strict, workers)...) {
+		fmt.Printf("== %s ==\n", fr.Path)
+		switch {
+		case errors.Is(fr.Err, core.ErrAborted):
+			interrupted += len(kinds)
+			for _, k := range kinds {
 				fmt.Printf("  %-10s INTERRUPTED\n", k)
-				continue
 			}
-			if fr.Err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "dpgrun: %s (%s): %v\n", path, k, fr.Err)
+			continue
+		case fr.Err != nil:
+			failed += len(kinds)
+			fmt.Fprintf(os.Stderr, "dpgrun: %s: %v\n", fr.Path, fr.Err)
+			for _, k := range kinds {
 				fmt.Printf("  %-10s ERROR (see stderr)\n", k)
-				continue
 			}
-			row := analysis.Overall(fr.Res)
+			continue
+		}
+		for i, k := range kinds {
+			res := fr.Res[i]
+			row := analysis.Overall(res)
 			fmt.Printf("  %-10s %12d events   gen %5.1f%%   prop %5.1f%%   term %5.1f%%   unpred %5.1f%%\n",
-				k, fr.Res.Nodes, row.NodeGen+row.ArcGen, row.NodeProp+row.ArcProp,
+				k, res.Nodes, row.NodeGen+row.ArcGen, row.NodeProp+row.ArcProp,
 				row.NodeTerm+row.ArcTerm, row.UnpredPct)
-			if !strict && (fr.Stats.BlocksSkipped > 0 || fr.Stats.Truncated || fr.Stats.FooterLost) {
-				fmt.Fprintf(os.Stderr, "dpgrun: %s: ", path)
-				printCorruption(fr.Stats)
-			}
+		}
+		if !strict && (fr.Stats.BlocksSkipped > 0 || fr.Stats.Truncated || fr.Stats.FooterLost) {
+			fmt.Fprintf(os.Stderr, "dpgrun: %s: ", fr.Path)
+			printCorruption(fr.Stats)
 		}
 	}
 	total := len(paths) * len(kinds)
@@ -287,31 +297,29 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 	}
 }
 
-// runMerged analyzes every .dpg file in a directory and reports one exact
-// aggregate per predictor (core.AnalyzeDir): the merged Result is
-// byte-identical to what a single analysis of the concatenated populations
-// would report, regardless of fan-out, decode, or speculation configuration.
-func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
+// runMerged analyzes every trace file in a directory in one
+// core.AnalyzeDir call, each file decoded once for every predictor, and
+// reports one exact aggregate per predictor: each merged Result is
+// byte-identical to what a single analysis of the concatenated
+// populations would report, regardless of fan-out or decode
+// configuration.
+func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel int) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		fail(fmt.Sprintf("-merge needs a directory of .dpg files; %q is not one", dir))
 	}
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	headerDone := false
-	for i, k := range kinds {
-		res, files, err := core.AnalyzeDir(dir, parallel, append(fileOpts(ctx, 0, strict, workers, speculate), core.WithKind(k))...)
-		if errors.Is(err, core.ErrAborted) {
-			failInterrupted(i, len(kinds))
-		}
-		if err != nil {
-			fail(err.Error())
-		}
-		if !headerDone {
-			headerDone = true
-			fmt.Printf("merged %d trace file(s) from %s: %d dynamic instructions\n\n",
-				len(files), dir, res.Nodes)
-		}
+	merged, files, err := core.AnalyzeDir(dir, kinds, parallel, fileOpts(ctx, strict, workers)...)
+	if errors.Is(err, core.ErrAborted) {
+		failInterrupted(0, len(kinds))
+	}
+	if err != nil {
+		fail(err.Error())
+	}
+	fmt.Printf("merged %d trace file(s) from %s: %d dynamic instructions\n\n",
+		len(files), dir, merged[0].Nodes)
+	for _, res := range merged {
 		printResult(res)
 	}
 }

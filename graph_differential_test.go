@@ -102,13 +102,21 @@ func TestGraphDifferentialBattery(t *testing.T) {
 	}
 
 	// Capstone: the directory-merge coordinator over the mixed-codec graph
-	// trace set equals hand-merging the per-file analyses, per new kind.
+	// trace set, both new kinds on one decode per file, equals
+	// hand-merging the per-file analyses, per kind.
 	paths, err := filepath.Glob(filepath.Join(dir, "*.dpg"))
 	if err != nil || len(paths) != len(files) {
 		t.Fatalf("globbing graph traces: %v (%d files, want %d)", err, len(paths), len(files))
 	}
 	sort.Strings(paths)
-	for _, kind := range graphKinds {
+	got, perFile, err := core.AnalyzeDir(dir, graphKinds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perFile) != len(paths) || len(got) != len(graphKinds) {
+		t.Fatalf("%d file results and %d aggregates, want %d and %d", len(perFile), len(got), len(paths), len(graphKinds))
+	}
+	for i, kind := range graphKinds {
 		var partials []*dpg.Result
 		for _, p := range paths {
 			r, err := core.AnalyzeFile(p, core.WithKind(kind))
@@ -122,14 +130,7 @@ func TestGraphDifferentialBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Name = filepath.Base(dir)
-		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpeculation(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(perFile) != len(paths) {
-			t.Fatalf("%s: %d file results, want %d", kind, len(perFile), len(paths))
-		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("%s: AnalyzeDir aggregate diverges from hand-merged sequential analyses", kind)
 		}
 	}

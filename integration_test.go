@@ -66,6 +66,28 @@ func TestCLIPipeline(t *testing.T) {
 		}
 		return out, stderr.String()
 	}
+	// perKind runs dpgrun once per predictor and returns what one -all run
+	// must print: the shared header, then each run's predictor section.
+	perKind := func(args ...string) []byte {
+		t.Helper()
+		var header string
+		var want bytes.Buffer
+		for _, k := range predictor.AllKinds {
+			out, _ := dpgrun(append(args, "-predictor", k.String())...)
+			at := bytes.Index(out, []byte("== predictor: "))
+			if at < 0 {
+				t.Fatalf("dpgrun %v -predictor %s printed no section:\n%s", args, k, out)
+			}
+			if header == "" {
+				header = string(out[:at])
+				want.WriteString(header)
+			} else if string(out[:at]) != header {
+				t.Errorf("dpgrun %v -predictor %s header %q, want %q", args, k, out[:at], header)
+			}
+			want.Write(out[at:])
+		}
+		return want.Bytes()
+	}
 
 	// tracegen -> trace file.
 	tracePath := filepath.Join(work, "fig1.dpg")
@@ -116,23 +138,69 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("dpgrun on compressed trace: %q", out)
 	}
 
+	// A subdirectory named like a trace is skipped by directory mode and
+	// -merge alike: both list the directory the same way.
+	if err := os.Mkdir(filepath.Join(work, "sub.dpg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
 	// dpgrun -merge aggregates the directory (one plain + one compressed
-	// trace at this point) into a single exact report.
-	out = run("dpgrun", "-merge", "-trace", work, "-predictor", "stride", "-speculate", "2")
+	// trace at this point) into a single exact report; -merge -all prints
+	// the header once and then each -merge -predictor section.
+	out = run("dpgrun", "-merge", "-trace", work, "-predictor", "stride")
 	for _, want := range []string{"merged 2 trace file(s)", "predictor: stride", "Table 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dpgrun -merge output missing %q:\n%s", want, out)
 		}
 	}
+	if mergeAll, _ := dpgrun("-merge", "-trace", work, "-all"); !bytes.Equal(mergeAll, perKind("-merge", "-trace", work)) {
+		t.Errorf("dpgrun -merge -all stdout is not the header plus each -merge -predictor section:\n%s", mergeAll)
+	}
+
+	// Directory mode decodes each file once for every predictor; -all
+	// prints, per file, exactly the rows the -predictor runs print.
+	var fileLines []string
+	rows := make([][]string, len(predictor.AllKinds)) // [kind][file]
+	for ki, k := range predictor.AllKinds {
+		out, _ := dpgrun("-trace", work, "-predictor", k.String())
+		for _, line := range strings.Split(string(out), "\n") {
+			switch {
+			case strings.HasPrefix(line, "== ") && ki == 0:
+				fileLines = append(fileLines, line)
+			case strings.HasPrefix(line, "  "):
+				rows[ki] = append(rows[ki], line)
+			}
+		}
+	}
+	if len(fileLines) != 2 {
+		t.Fatalf("dpgrun -trace %s listed %d files, want the 2 traces: %q", work, len(fileLines), fileLines)
+	}
+	var wantDir strings.Builder
+	for fi, line := range fileLines {
+		wantDir.WriteString(line + "\n")
+		for ki := range predictor.AllKinds {
+			if len(rows[ki]) != len(fileLines) {
+				t.Fatalf("dpgrun -predictor %s printed %d rows for %d files", predictor.AllKinds[ki], len(rows[ki]), len(fileLines))
+			}
+			wantDir.WriteString(rows[ki][fi] + "\n")
+		}
+	}
+	fmt.Fprintf(&wantDir, "\n2 file(s), %d predictor run(s), 0 failure(s)\n", 2*len(predictor.AllKinds))
+	if dirAll, _ := dpgrun("-trace", work, "-all"); string(dirAll) != wantDir.String() {
+		t.Errorf("dpgrun -trace dir -all stdout:\n%s\nwant the -predictor rows:\n%s", dirAll, wantDir.String())
+	}
 
 	// Flags the chosen mode would ignore are rejected with exit status 1:
-	// -graph needs one trace to draw, -rounds only shapes -workload.
+	// -graph needs one trace to draw, -speculate one trace to run
+	// speculatively, and -rounds only shapes -workload.
 	for _, c := range []struct {
 		flag string
 		args []string
 	}{
 		{"-graph", []string{"-trace", work, "-graph", "8"}},
 		{"-graph", []string{"-trace", work, "-merge", "-graph", "8"}},
+		{"-speculate", []string{"-trace", work, "-speculate", "2"}},
+		{"-speculate", []string{"-trace", work, "-merge", "-speculate", "2"}},
 		{"-rounds", []string{"-trace", tracePath, "-rounds", "2"}},
 	} {
 		cmd := exec.Command(filepath.Join(bin, "dpgrun"), c.args...)
@@ -178,24 +246,8 @@ func TestCLIPipeline(t *testing.T) {
 	if n := strings.Count(allErr, "corruption summary"); n != 1 {
 		t.Errorf("dpgrun -strict=false -all printed %d corruption summaries, want 1:\n%s", n, allErr)
 	}
-	var header string
-	var want bytes.Buffer
-	for _, k := range predictor.AllKinds {
-		out, _ := dpgrun("-trace", flippedPath, "-strict=false", "-predictor", k.String())
-		at := bytes.Index(out, []byte("== predictor: "))
-		if at < 0 {
-			t.Fatalf("dpgrun -predictor %s printed no section:\n%s", k, out)
-		}
-		if header == "" {
-			header = string(out[:at])
-			want.WriteString(header)
-		} else if string(out[:at]) != header {
-			t.Errorf("dpgrun -predictor %s header %q, want %q", k, out[:at], header)
-		}
-		want.Write(out[at:])
-	}
-	if !bytes.Equal(allOut, want.Bytes()) {
-		t.Errorf("dpgrun -strict=false -all stdout is not the header plus each -predictor section:\n%s\n----\n%s", allOut, want.Bytes())
+	if want := perKind("-trace", flippedPath, "-strict=false"); !bytes.Equal(allOut, want) {
+		t.Errorf("dpgrun -strict=false -all stdout is not the header plus each -predictor section:\n%s\n----\n%s", allOut, want)
 	}
 
 	// Graph workloads (data-dependent branches) under tage, one plain and
@@ -368,7 +420,7 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 
 	// Capstone: the directory-merge coordinator over the full mixed-codec
 	// spread (three workloads × two codecs) equals hand-merging the
-	// sequential per-file analyses — speculation and fan-out included.
+	// sequential per-file analyses — fan-out and parallel decode included.
 	paths, err := filepath.Glob(filepath.Join(dir, "*.dpg"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("globbing sweep traces: %v (%d files)", err, len(paths))
@@ -387,15 +439,14 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Name = filepath.Base(dir)
-	got, files, err := core.AnalyzeDir(dir, 3,
-		core.WithKind(predictor.KindContext), core.WithSpeculation(2))
+	got, files, err := core.AnalyzeDir(dir, []predictor.Kind{predictor.KindContext}, 3, core.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != len(paths) {
 		t.Fatalf("merge capstone: %d file results, want %d", len(files), len(paths))
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, []*dpg.Result{want}) {
 		t.Fatal("merge capstone: AnalyzeDir aggregate differs from hand-merged sequential analyses")
 	}
 }

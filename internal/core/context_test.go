@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -180,52 +179,13 @@ func TestAnalyzeFileCancelMidSpeculation(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
-// TestAnalyzeFilesFailFast checks WithFailFast stops launching new files
-// after the first hard failure while keeping completed results, and that
-// the default still runs every file.
-func TestAnalyzeFilesFailFast(t *testing.T) {
-	good := writeWorkloadTrace(t, "fig1", 10)
-	bad := filepath.Join(t.TempDir(), "bad.dpg")
-	if err := os.WriteFile(bad, []byte("this is not a trace file at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	paths := []string{good, bad, good, good}
-
-	out := AnalyzeFiles(paths, 1, WithKind(predictor.KindLast), WithFailFast())
-	if out[0].Err != nil || out[0].Res == nil {
-		t.Fatalf("file before the failure should succeed: %v", out[0].Err)
-	}
-	if out[1].Err == nil || errors.Is(out[1].Err, ErrAborted) {
-		t.Fatalf("corrupt file should fail hard, got %v", out[1].Err)
-	}
-	for i := 2; i < len(out); i++ {
-		if !errors.Is(out[i].Err, ErrAborted) {
-			t.Errorf("file %d after the failure: want ErrAborted, got %v", i, out[i].Err)
-		}
-		if out[i].Res != nil {
-			t.Errorf("file %d was analysed despite fail-fast", i)
-		}
-	}
-
-	// Default behavior: every path runs to completion.
-	all := AnalyzeFiles(paths, 1, WithKind(predictor.KindLast))
-	for i, fr := range all {
-		if i == 1 {
-			continue
-		}
-		if fr.Err != nil || fr.Res == nil {
-			t.Errorf("without fail-fast, file %d should succeed: %v", i, fr.Err)
-		}
-	}
-}
-
 // TestAnalyzeFilesContextCancel checks a dead context marks every file
 // aborted without analysing any of them.
 func TestAnalyzeFilesContextCancel(t *testing.T) {
 	good := writeWorkloadTrace(t, "fig1", 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := AnalyzeFiles([]string{good, good, good}, 2, WithContext(ctx))
+	out := AnalyzeFiles([]string{good, good, good}, predictor.AllKinds, 2, WithContext(ctx))
 	for i, fr := range out {
 		if !errors.Is(fr.Err, ErrAborted) || !errors.Is(fr.Err, context.Canceled) {
 			t.Errorf("file %d: want ErrAborted/context.Canceled, got %v", i, fr.Err)

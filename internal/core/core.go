@@ -34,7 +34,7 @@ import (
 
 // config is the resolved form of the public options: the model
 // configuration plus the trace-ingestion knobs AnalyzeFile honours
-// (reader choice, lenient decoding, stats surfacing). RunTrace operates
+// (decode workers, lenient decoding, stats surfacing). RunTrace operates
 // on an already-decoded trace, so it uses only the model half.
 type config struct {
 	model       dpg.Config
@@ -48,7 +48,6 @@ type config struct {
 	specEpochs  int
 	specStats   *dpg.SpecStats
 	ctx         context.Context
-	failFast    bool
 	observers   []analysis.Observer
 }
 
@@ -84,10 +83,11 @@ func WithSharedInputOutput() Option {
 	return func(c *config) { c.model.SharedInputOutput = true }
 }
 
-// WithWorkers makes AnalyzeFile decode the trace file with the concurrent
-// block decoder using n workers (0 = all cores). Decoding is proven
-// equivalent to the sequential reader, so results are identical; only
-// ingestion throughput changes. RunTrace, which takes an already-decoded
+// WithWorkers makes AnalyzeFile decode the trace file with n concurrent
+// block-decode workers (0 = all cores) instead of the default one, the
+// block decoder's sequential fallback. Decoding is proven equivalent to
+// the sequential reader, so results are identical; only ingestion
+// throughput changes. RunTrace, which takes an already-decoded
 // trace, ignores the option.
 func WithWorkers(n int) Option {
 	return func(c *config) {
@@ -171,20 +171,11 @@ func WithObservers(obs ...analysis.Observer) Option {
 // deadline passes, AnalyzeFile aborts promptly — decode workers, the
 // pre-pass, and the speculative pass all stop within the current block —
 // and returns an error matching ErrAborted (and the context's own error
-// via errors.Is). AnalyzeFiles additionally stops launching new files once
-// the context ends, marking the unstarted ones with ErrAborted. A nil ctx
+// via errors.Is). Under AnalyzeFiles the files not yet started when the
+// context ends are marked with ErrAborted without being opened. A nil ctx
 // (the default) disables cancellation entirely.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
-}
-
-// WithFailFast makes AnalyzeFiles stop launching new files after the
-// first hard failure: in-flight analyses finish (their results are kept),
-// and every file not yet started is marked with an error matching
-// ErrAborted instead of being analysed. Without it the fan-out always
-// runs every path to completion.
-func WithFailFast() Option {
-	return func(c *config) { c.failFast = true }
 }
 
 // specConfig translates the speculation half of the config for dpg.
@@ -194,22 +185,6 @@ func (c *config) specConfig() dpg.SpecConfig {
 		Epochs:  c.specEpochs,
 		Stats:   c.specStats,
 	}
-}
-
-// readerOpts translates the ingestion half of the config into reader
-// options.
-func (c *config) readerOpts() []trace.ReaderOption {
-	var opts []trace.ReaderOption
-	if c.lenient {
-		opts = append(opts, trace.Lenient())
-	}
-	if c.parallel {
-		opts = append(opts, trace.Workers(c.workers))
-	}
-	if c.ctx != nil {
-		opts = append(opts, trace.WithContext(c.ctx))
-	}
-	return opts
 }
 
 // ctxErr reports the config's context error (nil without WithContext or
@@ -698,13 +673,12 @@ func (s *Suite) Run(id string, w io.Writer) (err error) {
 	return fmt.Errorf("core: unknown experiment %q (known: %v)", id, ExperimentIDs())
 }
 
-// RunAll executes every experiment in order, precomputing the model runs
-// in parallel first when the suite is configured for it.
+// RunAll executes every experiment in order after precomputing every
+// product on up to cfg.Parallel workers, so each workload's trace is
+// generated (or decoded) once however many experiments read it.
 func (s *Suite) RunAll(w io.Writer) error {
-	if s.cfg.Parallel > 1 {
-		if err := s.Precompute(); err != nil {
-			return err
-		}
+	if err := s.Precompute(); err != nil {
+		return err
 	}
 	for _, id := range ExperimentIDs() {
 		if err := s.Run(id, w); err != nil {
@@ -1032,20 +1006,11 @@ func (s *Suite) traceFilePath(name string) (string, bool) {
 
 // traceOnce regenerates a workload trace at the suite's scale without
 // touching the trace cache (used by experiments whose products were not
-// precomputed, after the standard predictor runs released the trace).
-// Under TraceFile it loads the trace file instead — kept for
-// completeness, though no suite experiment materializes a file any more:
-// every file-mode experiment reads the fused engine's single decode (see
-// fused.go).
+// precomputed, after the standard predictor runs released the trace). It
+// never reads a trace file: its callers run only for workloads
+// traceFilePath declined, since every file-mode experiment reads the
+// fused engine's single decode (see fused.go).
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		defer noteDecode(path)()
-		t, _, err := trace.ReadFileParallel(path, trace.Workers(s.cfg.Workers))
-		if err != nil {
-			return nil, wrapTraceErr(err)
-		}
-		return t, nil
-	}
 	w, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown workload %q", name)

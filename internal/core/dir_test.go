@@ -41,26 +41,30 @@ func writeTraceDir(t *testing.T, names ...string) (string, []string) {
 }
 
 // TestAnalyzeDirMergeParity is the directory-merge differential: the
-// aggregate AnalyzeDir computes — under any mix of fan-out parallelism,
-// decode workers, and speculation — must be byte-identical to
-// merging sequential per-file analyses by hand.
+// per-kind aggregates AnalyzeDir computes — under any mix of fan-out
+// parallelism and decode workers — must be byte-identical to merging
+// per-file, per-kind AnalyzeFile analyses by hand.
 func TestAnalyzeDirMergeParity(t *testing.T) {
 	dir, paths := writeTraceDir(t, "fig1", "gcc", "com")
-	base := []Option{WithKind(predictor.KindStride)}
+	kinds := []predictor.Kind{predictor.KindStride, predictor.KindLast, predictor.KindTAGE}
 
-	var partials []*dpg.Result
-	for _, p := range paths {
-		r, err := AnalyzeFile(p, base...)
+	want := make([]*dpg.Result, len(kinds))
+	for i, k := range kinds {
+		var partials []*dpg.Result
+		for _, p := range paths {
+			r, err := AnalyzeFile(p, WithKind(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			partials = append(partials, r)
+		}
+		m, err := dpg.MergeResults(partials...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials = append(partials, r)
+		m.Name = filepath.Base(dir) // distinct workload names merge to the dir name
+		want[i] = m
 	}
-	want, err := dpg.MergeResults(partials...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Name = filepath.Base(dir) // distinct workload names merge to the dir name
 
 	// Decoys the listing must skip: a non-trace file and a subdirectory
 	// whose name looks like a trace.
@@ -72,13 +76,12 @@ func TestAnalyzeDirMergeParity(t *testing.T) {
 	}
 
 	configs := map[string][]Option{
-		"sequential":      base,
-		"parallel-decode": append([]Option{WithWorkers(2)}, base...),
-		"speculative":     append([]Option{WithSpeculation(4)}, base...),
+		"sequential":      nil,
+		"parallel-decode": {WithWorkers(2)},
 	}
 	for name, opts := range configs {
 		for _, parallel := range []int{1, 3} {
-			got, files, err := AnalyzeDir(dir, parallel, opts...)
+			got, files, err := AnalyzeDir(dir, kinds, parallel, opts...)
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", name, parallel, err)
 			}
@@ -91,7 +94,7 @@ func TestAnalyzeDirMergeParity(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s parallel=%d: merged Result differs from hand-merged sequential analyses", name, parallel)
+				t.Fatalf("%s parallel=%d: merged Results differ from hand-merged per-file analyses", name, parallel)
 			}
 		}
 	}
@@ -105,15 +108,15 @@ func TestAnalyzeDirSingleFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := AnalyzeDir(dir, 1, WithKind(predictor.KindLast))
+	got, _, err := AnalyzeDir(dir, []predictor.Kind{predictor.KindLast}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
 		t.Fatal("single-file aggregate differs from AnalyzeFile")
 	}
-	if got.Name != want.Name {
-		t.Fatalf("single-file aggregate renamed %q to %q", want.Name, got.Name)
+	if got[0].Name != want.Name {
+		t.Fatalf("single-file aggregate renamed %q to %q", want.Name, got[0].Name)
 	}
 }
 
@@ -121,10 +124,11 @@ func TestAnalyzeDirSingleFile(t *testing.T) {
 // directory, no trace files, and a corrupt member all fail loudly — a
 // partial aggregate is never returned.
 func TestAnalyzeDirErrors(t *testing.T) {
-	if _, _, err := AnalyzeDir(filepath.Join(t.TempDir(), "absent"), 1); err == nil {
+	kinds := []predictor.Kind{predictor.KindContext}
+	if _, _, err := AnalyzeDir(filepath.Join(t.TempDir(), "absent"), kinds, 1); err == nil {
 		t.Fatal("missing directory: no error")
 	}
-	if _, _, err := AnalyzeDir(t.TempDir(), 1); !errors.Is(err, ErrConfig) {
+	if _, _, err := AnalyzeDir(t.TempDir(), kinds, 1); !errors.Is(err, ErrConfig) {
 		t.Fatalf("empty directory: err = %v, want ErrConfig", err)
 	}
 
@@ -133,7 +137,7 @@ func TestAnalyzeDirErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, files, err := AnalyzeDir(dir, 2)
+	res, files, err := AnalyzeDir(dir, kinds, 2)
 	if err == nil || res != nil {
 		t.Fatalf("corrupt member: res=%v err=%v, want nil result and error", res, err)
 	}

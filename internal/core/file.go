@@ -2,44 +2,26 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dpg"
+	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
-// traceReader is the streaming surface shared by the sequential and
-// parallel trace decoders; the model pass of AnalyzeFile is agnostic to
-// which one is behind it.
-type traceReader interface {
-	Next(*trace.Event) error
-	Name() string
-	NumStatic() int
-	Stats() trace.Stats
-	StaticCounts() []uint64
-	Close() error
-}
-
-// openTraceReader opens path with the reader the config selects:
-// sequential by default, the concurrent block decoder under WithWorkers,
-// lenient under WithLenientTrace.
-func openTraceReader(path string, cfg *config) (traceReader, *os.File, error) {
+// openTraceReader opens path with the block decoder every file pass in
+// this package reads through (see blockReaderOpts): one worker by
+// default, WithWorkers' count otherwise, lenient under WithLenientTrace.
+func openTraceReader(path string, cfg *config) (*trace.ParallelReader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var r traceReader
-	if cfg.parallel {
-		r, err = trace.NewParallelReader(f, cfg.readerOpts()...)
-	} else {
-		r, err = trace.NewReader(f, cfg.readerOpts()...)
-	}
+	r, err := trace.NewParallelReader(f, cfg.blockReaderOpts()...)
 	if err != nil {
 		f.Close()
 		return nil, nil, wrapTraceErr(err)
@@ -54,13 +36,15 @@ func openTraceReader(path string, cfg *config) (traceReader, *os.File, error) {
 // decodes no events; only when the probe cannot answer — a v1 stream, a
 // damaged file, lenient mode, or a WithPreStats request — does a first
 // streaming pass run the pre-pass (dpg.PrePass) over the events in stream
-// order. The model pass then streams the events exactly once — alone, or
-// fanned out to every WithObservers observer on the same decode.
+// order. The model pass then streams the events exactly once through the
+// same fan-out as AnalyzeFileKinds — alone, or next to every
+// WithObservers observer on the same decode.
 //
-// WithWorkers decodes both passes with the concurrent block decoder;
-// WithLenientTrace analyses whatever survives a damaged file
-// instead of failing; WithTraceStats surfaces the decode summary;
-// WithPreStats surfaces the pre-pass summary.
+// WithWorkers decodes both passes with that many block-decode workers
+// (one by default); WithLenientTrace analyses whatever survives a damaged
+// file instead of failing; WithTraceStats surfaces the decode summary;
+// WithPreStats surfaces the pre-pass summary. WithSpeculation without
+// observers runs the epoch-speculative model pass instead.
 func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -78,59 +62,33 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		return nil, err
 	}
 
-	// Under WithObservers the second pass fans the one decode out to the
-	// model and every registered observer.
-	if len(cfg.observers) > 0 {
-		res, err := analyzeModels(path, name, counts, &cfg, []dpg.Config{cfg.model})
-		if err != nil {
-			return nil, err
-		}
-		return res[0], nil
+	// Pass 2: under WithSpeculation (and no observers), the
+	// epoch-speculative pass, which overlaps the predictor chains with the
+	// classification sweep while producing byte-identical results;
+	// otherwise the one model fan-out.
+	if cfg.speculate && len(cfg.observers) == 0 {
+		return analyzeSpeculative(path, name, counts, &cfg)
 	}
+	res, err := analyzeModels(path, name, counts, &cfg, []dpg.Config{cfg.model})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
 
-	// Pass 2: stream events through the sequential model pass — or, under
-	// WithSpeculation, through the epoch-speculative pass, which overlaps
-	// the predictor chains with the classification sweep while producing
-	// byte-identical results.
-	r, f, err := openTraceReader(path, &cfg)
+// analyzeSpeculative is AnalyzeFile's second pass under WithSpeculation:
+// it batches the file's events into blocks and feeds them to the
+// epoch-speculative model pass. The error contract matches analyzeModels
+// exactly: read errors and model errors both surface as
+// "core: streaming <path>: ..." with the same underlying taxonomy.
+func analyzeSpeculative(path, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
+	r, f, err := openTraceReader(path, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	defer r.Close()
 	defer noteDecode(path)()
-	if cfg.speculate {
-		return analyzeSpeculative(path, r, name, counts, &cfg)
-	}
-	b, err := dpg.NewBuilder(name, counts, cfg.model)
-	if err != nil {
-		return nil, err
-	}
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		if err := b.Observe(&e); err != nil {
-			return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-		}
-	}
-	if cfg.statsOut != nil {
-		*cfg.statsOut = r.Stats()
-	}
-	return b.Finish()
-}
-
-// analyzeSpeculative is AnalyzeFile's second pass under WithSpeculation:
-// it batches the reader's events into blocks and feeds them to the
-// epoch-speculative model pass. The error contract matches the sequential
-// path exactly: read errors and model errors both surface as
-// "core: streaming <path>: ..." with the same underlying taxonomy.
-func analyzeSpeculative(path string, r traceReader, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
 	spec := cfg.specConfig()
 	if spec.Epochs > 0 {
 		// The pre-pass already counted the trace, so a requested epoch
@@ -209,10 +167,9 @@ func scanCounts(path string, cfg *config) ([]uint64, string, error) {
 	return scanPrePass(path, cfg)
 }
 
-// blockReaderOpts resolves the parallel-reader options for a block-feed
-// decode: Workers(1) by default — the sequential decode fallback, which
-// still chunks events into synthetic blocks — or the configured count
-// under WithWorkers.
+// blockReaderOpts resolves the block decoder's options: Workers(1) by
+// default — the sequential decode fallback, which still chunks events
+// into synthetic blocks — or the configured count under WithWorkers.
 func (c *config) blockReaderOpts() []trace.ReaderOption {
 	ropts := []trace.ReaderOption{trace.Workers(1)}
 	if c.lenient {
@@ -266,39 +223,27 @@ func scanPrePass(path string, cfg *config) ([]uint64, string, error) {
 	return counts, r.Name(), nil
 }
 
-// FileResult is one file's outcome in a multi-file analysis.
+// FileResult is one file's outcome in a multi-file analysis: either one
+// Result per requested predictor kind, in kinds order, or the error that
+// failed the file.
 type FileResult struct {
 	Path  string
-	Res   *dpg.Result
+	Res   []*dpg.Result
 	Stats trace.Stats
 	Err   error
 }
 
-// AnalyzeFiles fans AnalyzeFile out over several trace files with up to
+// AnalyzeFiles runs AnalyzeFileKinds over several trace files with up to
 // parallel concurrent analyses (0 or 1 = sequential), the same bounded
-// worker-pool shape Suite.Precompute uses for model runs. Results keep the
-// input order; per-file failures land in FileResult.Err without stopping
-// the other files.
-//
-// Under WithFailFast the fan-out stops launching new files after the
-// first hard failure: analyses already in flight run to completion, and
-// every file not yet started gets an ErrAborted-matching error instead.
-// Under WithContext, cancellation both aborts in-flight analyses and
-// prevents new ones from starting.
-func AnalyzeFiles(paths []string, parallel int, opts ...Option) []FileResult {
+// worker-pool shape Suite.Precompute uses for model runs: each file is
+// decoded once for every kind. Results keep the input order; per-file
+// failures land in FileResult.Err without stopping the other files. Under
+// WithContext, cancellation both aborts in-flight analyses and marks the
+// files not yet started with ErrAborted. Like AnalyzeFileKinds it ignores
+// WithKind, WithPredictor and WithSpeculation.
+func AnalyzeFiles(paths []string, kinds []predictor.Kind, parallel int, opts ...Option) []FileResult {
 	out := make([]FileResult, len(paths))
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(paths) {
-		parallel = len(paths)
-	}
-	// The fan-out policy knobs (fail-fast, context) live in the same
-	// option set as the per-file configuration; resolve them once here. An
-	// invalid option set is left for the per-file AnalyzeFile calls to
-	// report, preserving the per-file error contract.
-	cfg, _ := buildConfig(opts)
-	var failed atomic.Bool
+	parallel = min(max(parallel, 1), len(paths))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -308,19 +253,8 @@ func AnalyzeFiles(paths []string, parallel int, opts ...Option) []FileResult {
 			for i := range jobs {
 				fr := &out[i]
 				fr.Path = paths[i]
-				if err := cfg.ctxErr(); err != nil {
-					fr.Err = wrapAbort(err)
-					continue
-				}
-				if cfg.failFast && failed.Load() {
-					fr.Err = fmt.Errorf("%w: fail-fast: an earlier file failed", ErrAborted)
-					continue
-				}
 				perFile := append(append([]Option{}, opts...), WithTraceStats(&fr.Stats))
-				fr.Res, fr.Err = AnalyzeFile(paths[i], perFile...)
-				if fr.Err != nil && !errors.Is(fr.Err, ErrAborted) {
-					failed.Store(true)
-				}
+				fr.Res, fr.Err = AnalyzeFileKinds(paths[i], kinds, perFile...)
 			}
 		}()
 	}

@@ -146,12 +146,14 @@ func TestFusedDecodeOnce(t *testing.T) {
 }
 
 // TestAnalyzeFileDecodeCounts pins the per-call decode budget of
-// AnalyzeFile and AnalyzeFileKinds: one decode on a healthy v2 file
-// (footer probe answers the pre-pass), one with observers fanned out or
-// five predictors modelled, two only when the probe cannot answer
+// AnalyzeFile, AnalyzeFileKinds, AnalyzeFiles and AnalyzeDir: one decode
+// on a healthy v2 file (footer probe answers the pre-pass), one with
+// observers fanned out or five predictors modelled — per file, too, when
+// several files fan out — and two only when the probe cannot answer
 // (pre-pass statistics requested).
 func TestAnalyzeFileDecodeCounts(t *testing.T) {
-	path, _ := writeScaledTrace(t, t.TempDir(), "fig1", 0.05)
+	dir := t.TempDir()
+	path, _ := writeScaledTrace(t, dir, "fig1", 0.05)
 	kinds := func(opts ...Option) error {
 		_, err := AnalyzeFileKinds(path, predictor.AllKinds, opts...)
 		return err
@@ -180,6 +182,36 @@ func TestAnalyzeFileDecodeCounts(t *testing.T) {
 		}
 		if got := snapshot()[path]; got != tc.want {
 			t.Errorf("%s: %d decodes, want %d", tc.label, got, tc.want)
+		}
+	}
+
+	other, _ := writeScaledTrace(t, dir, "com", 0.05)
+	for _, tc := range []struct {
+		label string
+		run   func() error
+	}{
+		{"files", func() error {
+			for _, fr := range AnalyzeFiles([]string{path, other}, predictor.AllKinds, 2, WithWorkers(2)) {
+				if fr.Err != nil {
+					return fr.Err
+				}
+			}
+			return nil
+		}},
+		{"dir", func() error {
+			_, _, err := AnalyzeDir(dir, predictor.AllKinds, 2)
+			return err
+		}},
+	} {
+		snapshot := installDecodeCounter(t)
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		counts := snapshot()
+		for _, p := range []string{path, other} {
+			if counts[p] != 1 {
+				t.Errorf("%s: %s decoded %d times for five kinds, want 1", tc.label, filepath.Base(p), counts[p])
+			}
 		}
 	}
 }
@@ -490,6 +522,63 @@ func TestAnalyzeFileKindsCancelNoLeak(t *testing.T) {
 			t.Fatalf("goroutine leak: %d live, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAnalyzeFilesKinds holds the multi-file fan-out to the per-file,
+// per-kind reference: at every fan-out width × decode worker count,
+// AnalyzeFiles over every predictor returns, per file and in kinds order,
+// exactly what one AnalyzeFile call per (file, kind) returns, and a
+// damaged file fails alone in its own FileResult.
+func TestAnalyzeFilesKinds(t *testing.T) {
+	dir := t.TempDir()
+	var healthy []string
+	var want [][]*dpg.Result
+	for _, name := range []string{"fig1", "gcc", "bfs"} {
+		path, _ := writeScaledTrace(t, dir, name, 0.03, trace.BlockEvents(256))
+		res, _, err := analyzeEachKind(path, predictor.AllKinds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		healthy = append(healthy, path)
+		want = append(want, res)
+	}
+	data, err := os.ReadFile(healthy[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "truncated.dpg")
+	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{healthy[0], bad, healthy[1], healthy[2]}
+	want = [][]*dpg.Result{want[0], nil, want[1], want[2]}
+
+	for _, parallel := range []int{1, 3} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("parallel=%d/workers=%d", parallel, workers)
+			got := AnalyzeFiles(paths, predictor.AllKinds, parallel, WithWorkers(workers))
+			if len(got) != len(paths) {
+				t.Fatalf("%s: %d results for %d paths", label, len(got), len(paths))
+			}
+			for i, fr := range got {
+				switch {
+				case fr.Path != paths[i]:
+					t.Errorf("%s: result %d is for %q, want %q", label, i, fr.Path, paths[i])
+				case want[i] == nil:
+					if fr.Res != nil || !errors.Is(fr.Err, ErrTruncated) {
+						t.Errorf("%s: damaged file: res = %v, err = %v, want nil and ErrTruncated", label, fr.Res, fr.Err)
+					}
+				case fr.Err != nil:
+					t.Errorf("%s: healthy %s failed: %v", label, fr.Path, fr.Err)
+				case !reflect.DeepEqual(fr.Res, want[i]):
+					t.Errorf("%s: %s diverges from per-kind AnalyzeFile", label, fr.Path)
+				case fr.Stats.Events != want[i][0].Nodes:
+					t.Errorf("%s: %s stats report %d events, results have %d nodes",
+						label, fr.Path, fr.Stats.Events, want[i][0].Nodes)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/dpg"
@@ -66,7 +65,7 @@ func noteDecode(path string) (end func()) {
 // goroutine, next to any WithObservers observers. The model options
 // (WithGraphLimit, WithoutPaths, WithSharedInputOutput) apply to every
 // kind; WithKind and WithPredictor are overridden. The error contract is
-// AnalyzeFile's, and like WithObservers the pass ignores WithSpeculation.
+// AnalyzeFile's, and the pass ignores WithSpeculation.
 func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -88,15 +87,15 @@ func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*d
 	return analyzeModels(path, name, counts, &cfg, models)
 }
 
-// analyzeModels is the one fused decode behind AnalyzeFileKinds,
-// AnalyzeFile under WithObservers and the suite's fused engine: it opens
-// path and streams its blocks once through analysis.RunObservers into
-// one model pass per configuration in models plus every cfg.observers
-// observer, and returns the model results in models order. Decode
-// failures surface as "core: streaming <path>: ..." with the trace
-// taxonomy folded into the core sentinels; model failures (a malformed
-// event) additionally arrive wrapped in typed *analysis.ObserverError
-// values, joined when several fire.
+// analyzeModels is the one fused decode behind AnalyzeFileKinds (and so
+// AnalyzeFiles and AnalyzeDir), AnalyzeFile without WithSpeculation and
+// the suite's fused engine: it opens path and streams its blocks once
+// through analysis.RunObservers into one model pass per configuration in
+// models plus every cfg.observers observer, and returns the model
+// results in models order. Decode failures surface as "core: streaming
+// <path>: ..." with the trace taxonomy folded into the core sentinels;
+// model failures (a malformed event) additionally arrive wrapped in
+// typed *analysis.ObserverError values, joined when several fire.
 func analyzeModels(path, name string, counts []uint64, cfg *config, models []dpg.Config) ([]*dpg.Result, error) {
 	mos := make([]*modelObserver, len(models))
 	obs := make([]analysis.Observer, 0, len(models)+len(cfg.observers))
@@ -110,15 +109,11 @@ func analyzeModels(path, name string, counts []uint64, cfg *config, models []dpg
 	}
 	obs = append(obs, cfg.observers...)
 
-	f, err := os.Open(path)
+	pr, f, err := openTraceReader(path, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	pr, err := trace.NewParallelReader(f, cfg.blockReaderOpts()...)
-	if err != nil {
-		return nil, wrapTraceErr(err)
-	}
 	defer pr.Close()
 	defer noteDecode(path)()
 	if err := analysis.RunObservers(pr, obs...); err != nil {

@@ -156,7 +156,8 @@ func TestAnalyzeFilesFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths := []string{a, bad, b}
-	results := AnalyzeFiles(paths, 2, WithKind(predictor.KindStride), WithWorkers(2))
+	kinds := []predictor.Kind{predictor.KindStride}
+	results := AnalyzeFiles(paths, kinds, 2, WithWorkers(2))
 	if len(results) != len(paths) {
 		t.Fatalf("got %d results for %d paths", len(results), len(paths))
 	}
@@ -176,7 +177,7 @@ func TestAnalyzeFilesFanOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(results[i].Res, want) {
+		if len(results[i].Res) != 1 || !reflect.DeepEqual(results[i].Res[0], want) {
 			t.Errorf("fan-out result for %q diverges from direct analysis", paths[i])
 		}
 		if results[i].Stats.Events != want.Nodes {

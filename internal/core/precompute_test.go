@@ -24,15 +24,16 @@ func countingSource(calls *atomic.Int32) func(string, int, uint64) (*trace.Trace
 	}
 }
 
-// TestSuiteGeneratesEachTraceOnce checks that a precomputed RunAll
-// generates every workload's trace exactly once — the model runs and every
-// experiment product share it — and releases all of them afterwards.
+// TestSuiteGeneratesEachTraceOnce checks that RunAll, which always
+// precomputes, generates every workload's trace exactly once at every
+// parallelism — the model runs and every experiment product share it —
+// and releases all of them afterwards.
 func TestSuiteGeneratesEachTraceOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure set in -short mode")
 	}
 	for _, paper := range []bool{false, true} {
-		for _, par := range []int{2, 4} {
+		for _, par := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("paper=%v/parallel=%d", paper, par), func(t *testing.T) {
 				var calls atomic.Int32
 				s := NewSuite(SuiteConfig{
@@ -58,15 +59,19 @@ func TestSuiteGeneratesEachTraceOnce(t *testing.T) {
 }
 
 // TestSuitePrecomputeParity holds the precomputed RunAll byte-identical to
-// the lazy one, which runs every experiment on demand.
+// running every experiment on demand with Run, which is the schedule a
+// single-experiment run takes.
 func TestSuitePrecomputeParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure set in -short mode")
 	}
 	for _, paper := range []bool{false, true} {
 		var lazy, pre bytes.Buffer
-		if err := NewSuite(SuiteConfig{Scale: 0.02, Parallel: 1, PaperCorpus: paper}).RunAll(&lazy); err != nil {
-			t.Fatal(err)
+		onDemand := NewSuite(SuiteConfig{Scale: 0.02, Parallel: 1, PaperCorpus: paper})
+		for _, id := range ExperimentIDs() {
+			if err := onDemand.Run(id, &lazy); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
 		}
 		if err := NewSuite(SuiteConfig{Scale: 0.02, Parallel: 4, PaperCorpus: paper}).RunAll(&pre); err != nil {
 			t.Fatal(err)
