@@ -312,10 +312,10 @@ func BenchmarkFusedSuite(b *testing.B) {
 	sims := func() []analysis.Observer {
 		return []analysis.Observer{
 			analysis.NewReuseSim("gcc", 16),
-			analysis.NewILPSim("gcc", predictor.KindContext),
+			analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{}),
 			analysis.NewConfidenceSim(predictor.KindContext, 7),
-			analysis.NewSpecSim("gcc", predictor.KindContext,
-				analysis.SpecConfig{Width: 64, Threshold: 3, MaxConfidence: 7, Penalty: 8}),
+			analysis.NewSpecSweep("gcc", predictor.KindContext,
+				analysis.SweepConfig{Width: 64, MaxConfidence: 7, Penalty: 8, Thresholds: []uint8{3}}),
 		}
 	}
 	b.Run("experiments1", func(b *testing.B) {

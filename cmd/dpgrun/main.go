@@ -209,7 +209,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 			}
 			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, events, static)
 			if !strict {
-				printCorruption(st)
+				printCorruption("dpgrun: ", st)
 			}
 		}
 		printResult(r)
@@ -281,8 +281,7 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 				row.NodeTerm+row.ArcTerm, row.UnpredPct)
 		}
 		if !strict && (fr.Stats.BlocksSkipped > 0 || fr.Stats.Truncated || fr.Stats.FooterLost) {
-			fmt.Fprintf(os.Stderr, "dpgrun: %s: ", fr.Path)
-			printCorruption(fr.Stats)
+			printCorruption("dpgrun: "+fr.Path+": ", fr.Stats)
 		}
 	}
 	total := len(paths) * len(kinds)
@@ -386,19 +385,20 @@ func printResult(r *dpg.Result) {
 	report.WriteBranches(os.Stdout, []analysis.BranchRow{analysis.BranchClasses(r)})
 }
 
-// printCorruption summarises what the lenient reader recovered (and lost).
-func printCorruption(st trace.Stats) {
+// printCorruption summarises on stderr, after prefix, what the lenient
+// reader recovered (and lost).
+func printCorruption(prefix string, st trace.Stats) {
 	if st.BlocksSkipped == 0 && !st.Truncated && !st.FooterLost {
 		compressed := ""
 		if st.BlocksCompressed > 0 {
 			compressed = fmt.Sprintf(", %d compressed", st.BlocksCompressed)
 		}
-		fmt.Fprintf(os.Stderr, "dpgrun: trace intact (v%d, %d blocks%s, %d events)\n",
-			st.Version, st.Blocks, compressed, st.Events)
+		fmt.Fprintf(os.Stderr, "%strace intact (v%d, %d blocks%s, %d events)\n",
+			prefix, st.Version, st.Blocks, compressed, st.Events)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "dpgrun: corruption summary (v%d): recovered %d events from %d blocks; skipped %d damaged region(s), %d bytes",
-		st.Version, st.Events, st.Blocks, st.BlocksSkipped, st.BytesSkipped)
+	fmt.Fprintf(os.Stderr, "%scorruption summary (v%d): recovered %d events from %d blocks; skipped %d damaged region(s), %d bytes",
+		prefix, st.Version, st.Events, st.Blocks, st.BlocksSkipped, st.BytesSkipped)
 	if st.Truncated {
 		fmt.Fprint(os.Stderr, "; stream truncated")
 	}

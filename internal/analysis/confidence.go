@@ -49,9 +49,7 @@ func (c *ConfidenceSim) Observe(e *trace.Event) {
 	if !isa.InfoFor(e.Op).HasRd || isa.IsPassThrough(e.Op) || isa.IsBranch(e.Op) || e.Op == isa.OpJal {
 		return
 	}
-	key := uint64(e.PC)
-	conf := c.p.ConfidenceOf(key)
-	pred, ok := c.p.Predict(key)
+	conf, pred, ok := c.p.Verdict(uint64(e.PC), e.DstVal)
 	correct := ok && pred == e.DstVal
 	c.total++
 	for th := uint8(0); th <= c.maxLevel; th++ {
@@ -62,7 +60,6 @@ func (c *ConfidenceSim) Observe(e *trace.Event) {
 			}
 		}
 	}
-	c.p.Update(key, e.DstVal)
 }
 
 // Points returns one coverage/accuracy point per threshold 0..maxLevel for

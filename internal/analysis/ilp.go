@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"repro/internal/isa"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 )
@@ -52,89 +51,12 @@ func (s ILPStats) Speedup() float64 {
 	return float64(s.CritPathBase) / float64(s.CritPathVP)
 }
 
-// ilpReady carries the cycle a value becomes available on both timelines.
-type ilpReady struct{ base, vp uint64 }
-
-// ILPSim is the streaming form of the dataflow-limit study: feed events
-// one at a time with Observe and read the critical paths with Stats.
-// Memory stays O(touched memory words + predictor), independent of trace
-// length, so a suite can drive several sims (one per predictor kind) in a
-// single pass off a trace-file reader without materializing the events.
-type ILPSim struct {
-	pred  predictor.Predictor
-	regs  [isa.NumRegs]ilpReady
-	mem   map[uint32]ilpReady
-	stats ILPStats
-}
-
-// NewILPSim builds a dataflow-limit simulator. kind selects the value
-// predictor used on the prediction side; input operands are predicted per
-// (PC, slot) with immediate update, exactly like the model's input side.
-func NewILPSim(name string, kind predictor.Kind) *ILPSim {
-	return &ILPSim{
-		pred:  kind.New(),
-		mem:   make(map[uint32]ilpReady),
-		stats: ILPStats{Name: name, Predictor: kind.String()},
-	}
-}
-
-// Observe issues one dynamic instruction on both timelines.
-func (s *ILPSim) Observe(e *trace.Event) {
-	s.stats.Instructions++
-	var inBase, inVP uint64
-
-	key := func(slot int) uint64 { return uint64(e.PC)<<2 | uint64(slot) }
-	consume := func(r ilpReady, k uint64, actual uint32) {
-		if r.base > inBase {
-			inBase = r.base
-		}
-		pv, ok := s.pred.Predict(k)
-		s.pred.Update(k, actual)
-		if ok && pv == actual {
-			return // predicted: contributes no wait on the VP timeline
-		}
-		if r.vp > inVP {
-			inVP = r.vp
-		}
-	}
-
-	for slot := 0; slot < int(e.NSrc); slot++ {
-		if e.SrcReg[slot] == 0 {
-			continue // $0 reads are immediates
-		}
-		consume(s.regs[e.SrcReg[slot]], key(slot), e.SrcVal[slot])
-	}
-	if isa.IsLoad(e.Op) {
-		consume(s.mem[e.Addr&^3], key(2), e.MemVal)
-	}
-
-	doneBase := inBase + 1
-	doneVP := inVP + 1
-	if doneBase > s.stats.CritPathBase {
-		s.stats.CritPathBase = doneBase
-	}
-	if doneVP > s.stats.CritPathVP {
-		s.stats.CritPathVP = doneVP
-	}
-
-	// Publish results.
-	switch {
-	case isa.IsStore(e.Op):
-		s.mem[e.Addr&^3] = ilpReady{base: doneBase, vp: doneVP}
-	case e.DstReg != isa.NoReg && e.DstReg != 0:
-		s.regs[e.DstReg] = ilpReady{base: doneBase, vp: doneVP}
-	}
-}
-
-// Stats returns the statistics observed so far.
-func (s *ILPSim) Stats() ILPStats { return s.stats }
-
-// ILP computes the dataflow-limit statistics for an in-memory trace — the
-// materializing façade over ILPSim.
+// ILP computes the dataflow-limit statistics for an in-memory trace: a
+// SpecSweep with no gates.
 func ILP(t *trace.Trace, kind predictor.Kind) ILPStats {
-	sim := NewILPSim(t.Name, kind)
+	sw := NewSpecSweep(t.Name, kind, SweepConfig{})
 	for i := range t.Events {
-		sim.Observe(&t.Events[i])
+		sw.Observe(&t.Events[i])
 	}
-	return sim.Stats()
+	return sw.Stats().ILP
 }

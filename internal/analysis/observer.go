@@ -12,8 +12,8 @@ import (
 
 // This file is the observer fan-out engine: the piece that turns "five
 // experiments, five decodes" into "five experiments, one decode". Every
-// streaming experiment in this package (ReuseSim, ILPSim, ConfidenceSim,
-// SpecSim — and, in internal/core, the model pipeline itself) satisfies
+// streaming experiment in this package (ReuseSim, ConfidenceSim,
+// SpecSweep — and, in internal/core, the model pipeline itself) satisfies
 // Observer; RunObservers registers any set of them onto one shared decode
 // of a trace and runs them concurrently, one goroutine per observer, each
 // fed the decoded blocks in stream order. Memory stays at the source's own

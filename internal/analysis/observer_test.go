@@ -31,20 +31,24 @@ func observerTrace(t testing.TB) *trace.Trace {
 	return tr
 }
 
+// testSweepConfig is the suite's speculation machine gated at one
+// threshold.
+var testSweepConfig = SweepConfig{Width: 64, MaxConfidence: 7, Penalty: 8, Thresholds: []uint8{3}}
+
 // soloSims runs each simulator kind alone over tr and returns the
 // reference stats.
-func soloSims(t *testing.T, tr *trace.Trace) (ReuseStats, ILPStats, []ConfidencePoint, SpecStats) {
+func soloSims(t *testing.T, tr *trace.Trace) (ReuseStats, ILPStats, []ConfidencePoint, SweepStats) {
 	t.Helper()
 	reuse := NewReuseSim("gcc", 12)
-	ilp := NewILPSim("gcc", predictor.KindContext)
+	ilp := NewSpecSweep("gcc", predictor.KindContext, SweepConfig{})
 	conf := NewConfidenceSim(predictor.KindContext, 7)
-	spec := NewSpecSim("gcc", predictor.KindContext, SpecConfig{Width: 64, Threshold: 3, MaxConfidence: 7, Penalty: 8})
+	spec := NewSpecSweep("gcc", predictor.KindContext, testSweepConfig)
 	for _, sim := range []Observer{reuse, ilp, conf, spec} {
 		if err := ObserveTrace(tr, sim); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return reuse.Stats(), ilp.Stats(), conf.Points(), spec.Stats()
+	return reuse.Stats(), ilp.Stats().ILP, conf.Points(), spec.Stats()
 }
 
 // TestObserverOrderInvariance is the metamorphic gate: any registration
@@ -55,11 +59,11 @@ func TestObserverOrderInvariance(t *testing.T) {
 	tr := observerTrace(t)
 	wantReuse, wantILP, wantConf, wantSpec := soloSims(t, tr)
 
-	build := func() (*ReuseSim, *ILPSim, *ConfidenceSim, *SpecSim) {
+	build := func() (*ReuseSim, *SpecSweep, *ConfidenceSim, *SpecSweep) {
 		return NewReuseSim("gcc", 12),
-			NewILPSim("gcc", predictor.KindContext),
+			NewSpecSweep("gcc", predictor.KindContext, SweepConfig{}),
 			NewConfidenceSim(predictor.KindContext, 7),
-			NewSpecSim("gcc", predictor.KindContext, SpecConfig{Width: 64, Threshold: 3, MaxConfidence: 7, Penalty: 8})
+			NewSpecSweep("gcc", predictor.KindContext, testSweepConfig)
 	}
 	orders := [][]int{
 		{0, 1, 2, 3},
@@ -85,7 +89,7 @@ func TestObserverOrderInvariance(t *testing.T) {
 					t.Errorf("order %v: reuse stats diverge from solo run", order)
 				}
 			case 1:
-				if ilp.Stats() != wantILP {
+				if ilp.Stats().ILP != wantILP {
 					t.Errorf("order %v: ILP stats diverge from solo run", order)
 				}
 			case 2:
@@ -93,7 +97,7 @@ func TestObserverOrderInvariance(t *testing.T) {
 					t.Errorf("order %v: confidence points diverge from solo run", order)
 				}
 			case 3:
-				if spec.Stats() != wantSpec {
+				if !reflect.DeepEqual(spec.Stats(), wantSpec) {
 					t.Errorf("order %v: speculation stats diverge from solo run", order)
 				}
 			}
@@ -134,7 +138,7 @@ func TestObserverPanicIsolation(t *testing.T) {
 	wantReuse, wantILP, _, _ := soloSims(t, tr)
 
 	reuse := NewReuseSim("gcc", 12)
-	ilp := NewILPSim("gcc", predictor.KindContext)
+	ilp := NewSpecSweep("gcc", predictor.KindContext, SweepConfig{})
 	bomb := &bombObserver{n: 3}
 	err := ObserveTrace(tr, reuse, bomb, ilp)
 	var oe *ObserverError
@@ -147,7 +151,7 @@ func TestObserverPanicIsolation(t *testing.T) {
 	if reuse.Stats() != wantReuse {
 		t.Error("reuse sibling corrupted by a panicking observer")
 	}
-	if ilp.Stats() != wantILP {
+	if ilp.Stats().ILP != wantILP {
 		t.Error("ILP sibling corrupted by a panicking observer")
 	}
 }
@@ -545,7 +549,7 @@ func TestObserverConcurrentOrderExactlyOnce(t *testing.T) {
 	wantReuse, wantILP, _, _ := soloSims(t, tr)
 	seqs := seqObservers(tr.Events, 5)
 	reuse := NewReuseSim("gcc", 12)
-	ilp := NewILPSim("gcc", predictor.KindContext)
+	ilp := NewSpecSweep("gcc", predictor.KindContext, SweepConfig{})
 	obs := append(asObservers(seqs), reuse, ilp)
 	if err := RunObservers(&chunkSource{events: tr.Events}, obs...); err != nil {
 		t.Fatal(err)
@@ -559,7 +563,7 @@ func TestObserverConcurrentOrderExactlyOnce(t *testing.T) {
 	if reuse.Stats() != wantReuse {
 		t.Error("reuse stats diverge from the solo run under concurrent fan-out")
 	}
-	if ilp.Stats() != wantILP {
+	if ilp.Stats().ILP != wantILP {
 		t.Error("ILP stats diverge from the solo run under concurrent fan-out")
 	}
 }

@@ -60,109 +60,204 @@ func (s SpecStats) MisspecPct() float64 {
 	return 100 * float64(s.Misspeculations) / float64(s.Speculations)
 }
 
-// SpecSim is the streaming form of the timing model: feed events one at a
-// time with Observe and read the run's statistics with Stats. The fetch
-// cycle of each instruction is its position in the observed stream divided
-// by the machine width, so the sim's output is identical to running
-// Speculate over the materialized trace. Memory stays O(touched memory
-// words + predictor), independent of trace length, so a suite can drive
-// several sims (one per threshold) in a single pass off a trace-file
-// reader without materializing the events.
-type SpecSim struct {
-	cfg       SpecConfig
-	name      string
-	predName  string
-	pred      *predictor.Confidence
-	regs      [isa.NumRegs]uint64
-	mem       map[uint32]uint64
-	idx       uint64
-	lastCycle uint64
-	specs     uint64
-	misspecs  uint64
+// specNever is a gate above counter saturation (for MaxConfidence 7): a
+// timeline at this threshold never speculates, the sweep's baseline.
+const specNever uint8 = 8
+
+// SweepConfig is one machine read at several confidence gates: the
+// SpecConfig fields every timeline shares, plus one Threshold per
+// timeline.
+type SweepConfig struct {
+	Width         int
+	MaxConfidence uint8
+	Penalty       uint64
+	Thresholds    []uint8
 }
 
-// NewSpecSim builds a timing-model simulator with the given predictor kind
-// on the consumer side (per (PC, slot) keys, immediate update — the
-// model's input-side arrangement). It panics if cfg.Width is not positive;
-// a zero cfg.MaxConfidence defaults to 7.
-func NewSpecSim(name string, kind predictor.Kind, cfg SpecConfig) *SpecSim {
+// SpeculationSweep returns the speculation experiment's machine — 64-wide,
+// 8-cycle recovery, confidence counters saturating at 7 — and its gates:
+// the never-speculate baseline first, then the thresholds 0, 1, 3 and 7.
+// The figures suite and dpgd's ?experiments= both read it.
+func SpeculationSweep() SweepConfig {
+	return SweepConfig{Width: 64, MaxConfidence: 7, Penalty: 8, Thresholds: []uint8{specNever, 0, 1, 3, 7}}
+}
+
+// SweepStats is the outcome of one sweep: the dataflow-limit study under
+// the sweep's predictor and one timing-model run per threshold, in
+// SweepConfig.Thresholds order.
+type SweepStats struct {
+	ILP  ILPStats
+	Spec []SpecStats
+}
+
+// SpecSweep is the streaming form of the dataflow-limit study and of the
+// speculation threshold sweep: feed events one at a time with Observe and
+// read every timeline with Stats. One confidence-gated
+// predictor on the consumer side (per (PC, slot) keys, immediate update —
+// the model's input-side arrangement) resolves each operand once; the
+// verdict then advances the two ILP timelines (base and value-predicted)
+// and one timing-model timeline per threshold, because the thresholds
+// only gate what is counted, never what the predictor sees. The fetch
+// cycle of each instruction is its position in the observed stream
+// divided by the machine width. Memory stays O(touched memory words ×
+// timelines + one predictor), independent of trace length.
+type SpecSweep struct {
+	cfg      SweepConfig
+	name     string
+	predName string
+	pred     *predictor.Confidence
+	// Ready cycles, one row of lanes per register and per stored word:
+	// lane 0 is the ILP base timeline, lane 1 the ILP value-predicted
+	// one, lane 2+i the timing model at Thresholds[i].
+	lanes   int
+	regs    []uint64
+	memRow  map[uint32]int // word address -> row offset into mem
+	mem     []uint64
+	zero    []uint64 // the row of a never-stored word
+	ready   []uint64 // per-event scratch: input-ready cycle per lane
+	penalty []uint64 // per-event scratch: recovery charge per threshold
+	last    []uint64 // per lane: the latest completion cycle
+	specs   []uint64
+	misses  []uint64
+	idx     uint64
+}
+
+// NewSpecSweep builds a sweep with the given predictor kind. A zero cfg
+// runs the ILP timelines alone. It panics if cfg has gates and cfg.Width
+// is not positive; a zero cfg.MaxConfidence defaults to 7.
+func NewSpecSweep(name string, kind predictor.Kind, cfg SweepConfig) *SpecSweep {
 	if cfg.Width <= 0 {
-		panic("analysis: speculation width must be positive")
+		if len(cfg.Thresholds) > 0 {
+			panic("analysis: speculation width must be positive")
+		}
+		cfg.Width = 1 // no gate reads the fetch cycle
 	}
 	if cfg.MaxConfidence == 0 {
 		cfg.MaxConfidence = 7
 	}
-	return &SpecSim{
+	cfg.Thresholds = append([]uint8(nil), cfg.Thresholds...)
+	n := len(cfg.Thresholds)
+	lanes := 2 + n
+	return &SpecSweep{
 		cfg:      cfg,
 		name:     name,
 		predName: kind.String(),
 		pred:     predictor.NewConfidence(kind.New(), 16, cfg.MaxConfidence),
-		mem:      make(map[uint32]uint64),
+		lanes:    lanes,
+		regs:     make([]uint64, isa.NumRegs*lanes),
+		memRow:   make(map[uint32]int),
+		zero:     make([]uint64, lanes),
+		ready:    make([]uint64, lanes),
+		penalty:  make([]uint64, n),
+		last:     make([]uint64, lanes),
+		specs:    make([]uint64, n),
+		misses:   make([]uint64, n),
 	}
 }
 
-// Observe issues one dynamic instruction through the timing model.
-func (s *SpecSim) Observe(e *trace.Event) {
+// Observe issues one dynamic instruction on every timeline.
+func (s *SpecSweep) Observe(e *trace.Event) {
 	fetch := s.idx / uint64(s.cfg.Width)
 	s.idx++
-	ready := fetch
-	var penalty uint64
-	key := func(pc uint32, slot int) uint64 { return uint64(pc)<<2 | uint64(slot) }
-
-	consume := func(avail uint64, k uint64, actual uint32) {
-		conf := s.pred.ConfidenceOf(k)
-		pv, ok := s.pred.Predict(k)
-		s.pred.Update(k, actual)
-		if ok && conf >= s.cfg.Threshold {
-			s.specs++
-			if pv == actual {
-				return // speculated correctly: no wait
-			}
-			s.misspecs++
-			penalty += s.cfg.Penalty
-		}
-		if avail > ready {
-			ready = avail
-		}
+	s.ready[0], s.ready[1] = 0, 0
+	for i := range s.penalty {
+		s.ready[2+i] = fetch
+		s.penalty[i] = 0
 	}
 
 	for slot := 0; slot < int(e.NSrc); slot++ {
-		if e.SrcReg[slot] == 0 {
-			continue
+		if r := e.SrcReg[slot]; r != 0 { // $0 reads are immediates
+			s.consume(s.regs[int(r)*s.lanes:][:s.lanes], uint64(e.PC)<<2|uint64(slot), e.SrcVal[slot])
 		}
-		consume(s.regs[e.SrcReg[slot]], key(e.PC, slot), e.SrcVal[slot])
 	}
 	if isa.IsLoad(e.Op) {
-		consume(s.mem[e.Addr&^3], key(e.PC, 2), e.MemVal)
+		row := s.zero
+		if off, ok := s.memRow[e.Addr&^3]; ok {
+			row = s.mem[off : off+s.lanes]
+		}
+		s.consume(row, uint64(e.PC)<<2|2, e.MemVal)
 	}
 
-	done := ready + 1 + penalty
-	if done > s.lastCycle {
-		s.lastCycle = done
+	// Completion cycles, written over the scratch row.
+	done := s.ready
+	for l := range done {
+		done[l]++
+		if l >= 2 {
+			done[l] += s.penalty[l-2]
+		}
+		if done[l] > s.last[l] {
+			s.last[l] = done[l]
+		}
 	}
 	switch {
 	case isa.IsStore(e.Op):
-		s.mem[e.Addr&^3] = done
+		off, ok := s.memRow[e.Addr&^3]
+		if !ok {
+			off = len(s.mem)
+			s.memRow[e.Addr&^3] = off
+			s.mem = append(s.mem, s.zero...)
+		}
+		copy(s.mem[off:], done)
 	case e.DstReg != isa.NoReg && e.DstReg != 0:
-		s.regs[e.DstReg] = done
+		copy(s.regs[int(e.DstReg)*s.lanes:], done)
 	}
 }
 
-// Stats returns the run's statistics for the events observed so far.
-func (s *SpecSim) Stats() SpecStats {
-	return SpecStats{
-		Name: s.name, Predictor: s.predName, Config: s.cfg,
-		Instructions: s.idx, Cycles: s.lastCycle,
-		Speculations: s.specs, Misspeculations: s.misspecs,
+// consume resolves one operand whose producer completes at avail (one
+// cycle per lane) and folds it into every timeline's input-ready cycle.
+func (s *SpecSweep) consume(avail []uint64, key uint64, actual uint32) {
+	conf, pv, ok := s.pred.Verdict(key, actual)
+	hit := ok && pv == actual
+	s.ready[0] = max(s.ready[0], avail[0])
+	if !hit { // a predicted operand costs the VP timeline no wait
+		s.ready[1] = max(s.ready[1], avail[1])
+	}
+	for i, th := range s.cfg.Thresholds {
+		if ok && conf >= th {
+			s.specs[i]++
+			if hit {
+				continue // speculated correctly: no wait
+			}
+			s.misses[i]++
+			s.penalty[i] += s.cfg.Penalty
+		}
+		s.ready[2+i] = max(s.ready[2+i], avail[2+i])
 	}
 }
 
-// Speculate runs the timing model over an in-memory trace — the
-// materializing façade over SpecSim.
+// Stats returns every timeline's statistics for the events observed so
+// far.
+func (s *SpecSweep) Stats() SweepStats {
+	out := SweepStats{
+		ILP: ILPStats{
+			Name: s.name, Predictor: s.predName, Instructions: s.idx,
+			CritPathBase: s.last[0], CritPathVP: s.last[1],
+		},
+		Spec: make([]SpecStats, len(s.cfg.Thresholds)),
+	}
+	for i, th := range s.cfg.Thresholds {
+		out.Spec[i] = SpecStats{
+			Name: s.name, Predictor: s.predName,
+			Config: SpecConfig{
+				Width: s.cfg.Width, Threshold: th,
+				MaxConfidence: s.cfg.MaxConfidence, Penalty: s.cfg.Penalty,
+			},
+			Instructions: s.idx, Cycles: s.last[2+i],
+			Speculations: s.specs[i], Misspeculations: s.misses[i],
+		}
+	}
+	return out
+}
+
+// Speculate runs the timing model at one threshold over an in-memory
+// trace — a one-gate SpecSweep.
 func Speculate(t *trace.Trace, kind predictor.Kind, cfg SpecConfig) SpecStats {
-	sim := NewSpecSim(t.Name, kind, cfg)
+	sw := NewSpecSweep(t.Name, kind, SweepConfig{
+		Width: cfg.Width, MaxConfidence: cfg.MaxConfidence, Penalty: cfg.Penalty,
+		Thresholds: []uint8{cfg.Threshold},
+	})
 	for i := range t.Events {
-		sim.Observe(&t.Events[i])
+		sw.Observe(&t.Events[i])
 	}
-	return sim.Stats()
+	return sw.Stats().Spec[0]
 }

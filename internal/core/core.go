@@ -1112,18 +1112,17 @@ func (s *Suite) ilp(w io.Writer) error {
 func (s *Suite) speculation(w io.Writer) error {
 	fmt.Fprintln(w, "Speculation: 64-wide (dataflow-bound) machine, context value prediction, 8-cycle recovery; IPC / misspec% by confidence threshold")
 	fmt.Fprintf(w, "%-6s %9s", "bench", "no-spec")
-	for _, th := range suiteSpecThresholds {
+	for _, th := range analysis.SpeculationSweep().Thresholds[1:] {
 		fmt.Fprintf(w, "      t=%d", th)
 	}
 	fmt.Fprintln(w)
 	for _, name := range intNames() {
-		base, byTh, err := s.speculationStats(name)
+		stats, err := s.speculationStats(name)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6s %9.2f", name, base.IPC())
-		for _, th := range suiteSpecThresholds {
-			st := byTh[th]
+		fmt.Fprintf(w, "%-6s %9.2f", name, stats[0].IPC())
+		for _, st := range stats[1:] {
 			fmt.Fprintf(w, " %4.2f/%2.0f%%", st.IPC(), st.MisspecPct())
 		}
 		fmt.Fprintln(w)

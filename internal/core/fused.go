@@ -28,18 +28,17 @@ const (
 	suiteConfMaxLevel = 7
 	// suiteReuseBits sizes the reuse buffer (2^16 = 64K entries).
 	suiteReuseBits = 16
-	// suiteSpecNever is a threshold above counter saturation: the
-	// speculation experiment's never-speculate baseline.
-	suiteSpecNever = 8
 )
 
-// suiteSpecThresholds is the speculation experiment's confidence sweep.
-var suiteSpecThresholds = []uint8{0, 1, 3, 7}
-
-// suiteSpecConfig is the speculation experiment's machine: 64-wide,
-// 8-cycle recovery, confidence counters saturating at 7.
-func suiteSpecConfig(th uint8) analysis.SpecConfig {
-	return analysis.SpecConfig{Width: 64, Threshold: th, MaxConfidence: 7, Penalty: 8}
+// suiteSweepConfig is the sweep the suite runs under predictor kind k on
+// one workload: every kind's sweep yields its ILP entry, and the context
+// sweep on integer workloads (the only ones the speculation experiment
+// covers) also carries the speculation experiment's gates.
+func suiteSweepConfig(name string, k predictor.Kind) analysis.SweepConfig {
+	if k != predictor.KindContext || !isIntName(name) {
+		return analysis.SweepConfig{}
+	}
+	return analysis.SpeculationSweep()
 }
 
 // suiteCorrConfig is the correlation experiment's model configuration:
@@ -63,8 +62,7 @@ type fusedProducts struct {
 	reuse      analysis.ReuseStats
 	ilp        []analysis.ILPStats // indexed like Suite.suiteKinds()
 	confidence []analysis.ConfidencePoint
-	specBase   analysis.SpecStats
-	spec       map[uint8]analysis.SpecStats
+	spec       []analysis.SpecStats // indexed like SpeculationSweep().Thresholds
 }
 
 // fusedEntry is the singleflight slot for one workload's fused run.
@@ -119,29 +117,20 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 	for _, k := range kinds {
 		models = append(models, dpg.Config{Predictor: k.Factory(), PredictorName: k.String()})
 	}
-	ilps := make([]*analysis.ILPSim, len(kinds))
+	sweeps := make([]*analysis.SpecSweep, len(kinds))
 	for i, k := range kinds {
-		ilps[i] = analysis.NewILPSim(tname, k)
-		cfg.observers = append(cfg.observers, ilps[i])
+		sweeps[i] = analysis.NewSpecSweep(tname, k, suiteSweepConfig(name, k))
+		cfg.observers = append(cfg.observers, sweeps[i])
 	}
 	var (
-		reuse    *analysis.ReuseSim
-		conf     *analysis.ConfidenceSim
-		specBase *analysis.SpecSim
-		specs    map[uint8]*analysis.SpecSim
+		reuse *analysis.ReuseSim
+		conf  *analysis.ConfidenceSim
 	)
 	if isInt {
 		models = append(models, suiteCorrConfig())
 		reuse = analysis.NewReuseSim(tname, suiteReuseBits)
 		conf = analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-		specBase = analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
-		cfg.observers = append(cfg.observers, reuse, conf, specBase)
-		specs = make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
-		for _, th := range suiteSpecThresholds {
-			sim := analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(th))
-			specs[th] = sim
-			cfg.observers = append(cfg.observers, sim)
-		}
+		cfg.observers = append(cfg.observers, reuse, conf)
 	}
 
 	if s.cfg.Progress != nil {
@@ -157,19 +146,18 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 	for i, k := range kinds {
 		p.model[k] = res[i]
 	}
-	p.ilp = make([]analysis.ILPStats, len(ilps))
-	for i, sim := range ilps {
-		p.ilp[i] = sim.Stats()
+	p.ilp = make([]analysis.ILPStats, len(sweeps))
+	for i, sw := range sweeps {
+		st := sw.Stats()
+		p.ilp[i] = st.ILP
+		if len(st.Spec) > 0 {
+			p.spec = st.Spec
+		}
 	}
 	if isInt {
 		p.corr = res[len(kinds)]
 		p.reuse = reuse.Stats()
 		p.confidence = conf.Points()
-		p.specBase = specBase.Stats()
-		p.spec = make(map[uint8]analysis.SpecStats, len(specs))
-		for th, sim := range specs {
-			p.spec[th] = sim.Stats()
-		}
 	}
 	return p, nil
 }
@@ -227,26 +215,28 @@ func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
 		}
 		return p.ilp, nil
 	}
-	return productsFor[analysis.ILPStats](s, name, s.ilpJobs(name))
+	sweeps, err := productsFor[analysis.SweepStats](s, name, s.sweepJobs(name))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]analysis.ILPStats, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = sw.ILP
+	}
+	return out, nil
 }
 
-// speculationStats returns the never-speculate baseline plus the stats at
-// each swept threshold for one workload.
-func (s *Suite) speculationStats(name string) (analysis.SpecStats, map[uint8]analysis.SpecStats, error) {
+// speculationStats returns the speculation experiment's timelines for one
+// workload, in SpeculationSweep().Thresholds order: the never-speculate
+// baseline first.
+func (s *Suite) speculationStats(name string) ([]analysis.SpecStats, error) {
 	if path, ok := s.traceFilePath(name); ok {
 		p, err := s.fusedFor(name, path)
 		if err != nil {
-			return analysis.SpecStats{}, nil, err
+			return nil, err
 		}
-		return p.specBase, p.spec, nil
+		return p.spec, nil
 	}
-	all, err := productsFor[analysis.SpecStats](s, name, specJobs(name))
-	if err != nil {
-		return analysis.SpecStats{}, nil, err
-	}
-	out := make(map[uint8]analysis.SpecStats, len(suiteSpecThresholds))
-	for i, th := range suiteSpecThresholds {
-		out[th] = all[i+1]
-	}
-	return all[0], out, nil
+	sweep, err := productFor[analysis.SweepStats](s, name, sweepJob(name, predictor.KindContext))
+	return sweep.Spec, err
 }

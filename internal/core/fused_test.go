@@ -231,25 +231,25 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 	// Reference sims over the in-memory events.
 	refReuse := analysis.NewReuseSim("gcc", suiteReuseBits)
 	refConf := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-	refSpec := analysis.NewSpecSim("gcc", predictor.KindContext, suiteSpecConfig(3))
-	refILP := analysis.NewILPSim("gcc", predictor.KindContext)
+	refSweep := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SpeculationSweep())
+	refILP := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{})
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		refReuse.Observe(e)
 		refConf.Observe(e)
-		refSpec.Observe(e)
+		refSweep.Observe(e)
 		refILP.Observe(e)
 	}
 
 	for _, workers := range []int{1, 2, 4} {
 		reuse := analysis.NewReuseSim("gcc", suiteReuseBits)
 		conf := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-		spec := analysis.NewSpecSim("gcc", predictor.KindContext, suiteSpecConfig(3))
-		ilp := analysis.NewILPSim("gcc", predictor.KindContext)
+		sweep := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SpeculationSweep())
+		ilp := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{})
 		got, err := AnalyzeFile(path,
 			WithKind(predictor.KindContext), WithWorkers(workers),
 			WithSpeculation(4), // must be a no-op under observers
-			WithObservers(reuse, ilp, conf, spec))
+			WithObservers(reuse, ilp, conf, sweep))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -262,11 +262,55 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 		if !reflect.DeepEqual(conf.Points(), refConf.Points()) {
 			t.Errorf("workers=%d: confidence sim diverges from in-memory reference", workers)
 		}
-		if spec.Stats() != refSpec.Stats() {
-			t.Errorf("workers=%d: speculation sim diverges from in-memory reference", workers)
+		if !reflect.DeepEqual(sweep.Stats(), refSweep.Stats()) {
+			t.Errorf("workers=%d: speculation sweep diverges from in-memory reference", workers)
 		}
-		if ilp.Stats() != refILP.Stats() {
+		if !reflect.DeepEqual(ilp.Stats(), refILP.Stats()) {
 			t.Errorf("workers=%d: ILP sim diverges from in-memory reference", workers)
+		}
+		if sweep.Stats().ILP != refILP.Stats().ILP {
+			t.Errorf("workers=%d: the gated sweep's ILP timelines diverge from the gateless sweep's", workers)
+		}
+	}
+}
+
+// TestFusedObserverSet pins the fused pass's consumer set. On an integer
+// workload: five models plus the correlation model, one SpecSweep per
+// kind (the context one gated), the reuse buffer and the confidence
+// sweep — 13 consumers holding six context predictors (the context and
+// correlation models' input and output sides, the context sweep's, the
+// confidence sweep's). Elsewhere: the five models and five gateless
+// sweeps. The products keep their shapes either way.
+func TestFusedObserverSet(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name      string
+		consumers int
+		gates     int
+	}{
+		{"gcc", 13, 5},
+		{"swm", 10, 0},
+	} {
+		path, tr := writeScaledTrace(t, dir, tc.name, 0.02)
+		var progress bytes.Buffer
+		s := NewSuite(SuiteConfig{Progress: &progress})
+		p, err := s.fusedFor(tc.name, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("(%d observers, one decode)", tc.consumers); !bytes.Contains(progress.Bytes(), []byte(want)) {
+			t.Errorf("%s: progress %q, want %s", tc.name, progress.String(), want)
+		}
+		if len(p.spec) != tc.gates {
+			t.Errorf("%s: %d speculation timelines, want %d", tc.name, len(p.spec), tc.gates)
+		}
+		if len(p.ilp) != len(predictor.AllKinds) {
+			t.Fatalf("%s: %d ILP entries", tc.name, len(p.ilp))
+		}
+		for i, k := range predictor.AllKinds {
+			if want := analysis.ILP(tr, k); p.ilp[i] != want {
+				t.Errorf("%s: ILP[%s] %+v, want %+v", tc.name, k, p.ilp[i], want)
+			}
 		}
 	}
 }

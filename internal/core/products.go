@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/dpg"
 	"repro/internal/predictor"
@@ -111,19 +109,30 @@ func productFor[T any](s *Suite, name string, job productJob) (T, error) {
 }
 
 // productJobs lists, in scheduling order, every product the suite's
-// experiments read for one workload: one ILP simulator per predictor kind,
-// and for integer workloads — the only ones those experiments cover — the
-// correlation model, the reuse buffer, the confidence sweep and one
-// speculation machine per threshold, never-speculate baseline first.
-// Precompute skips it for trace-file workloads, whose fused pass computes
-// every product.
+// experiments read for one workload: one sweep per predictor kind (the
+// ILP study, and under context the speculation gates too) and, for
+// integer workloads (the only ones those experiments cover), the
+// correlation model, the reuse buffer and the confidence sweep. The
+// context sweep and the correlation model, the heavy jobs, go first: a
+// workload's last jobs overlap the next workload's trace and model runs,
+// so a heavy job at the tail raises the suite's peak memory. Precompute
+// skips it for trace-file workloads, whose fused pass computes every
+// product.
 func (s *Suite) productJobs(name string) []productJob {
-	jobs := s.ilpJobs(name)
-	if !isIntName(name) {
-		return jobs
+	isInt := isIntName(name)
+	jobs := []productJob{sweepJob(name, predictor.KindContext)}
+	if isInt {
+		jobs = append(jobs, corrJob(name))
 	}
-	jobs = append(jobs, corrJob(name), reuseJob(name), confidenceJob(name))
-	return append(jobs, specJobs(name)...)
+	for _, k := range s.suiteKinds() {
+		if k != predictor.KindContext {
+			jobs = append(jobs, sweepJob(name, k))
+		}
+	}
+	if isInt {
+		jobs = append(jobs, reuseJob(name), confidenceJob(name))
+	}
+	return jobs
 }
 
 func isIntName(name string) bool {
@@ -142,19 +151,26 @@ func observeAll(t *trace.Trace, observe func(*trace.Event)) {
 	}
 }
 
-// ilpJobs are the dataflow-limit simulators, one per suite predictor kind
-// in suiteKinds order.
-func (s *Suite) ilpJobs(name string) []productJob {
+// sweepJobs are the ILP study's sweeps, one per suite predictor kind in
+// suiteKinds order.
+func (s *Suite) sweepJobs(name string) []productJob {
 	kinds := s.suiteKinds()
 	jobs := make([]productJob, len(kinds))
 	for i, k := range kinds {
-		jobs[i] = productJob{key: name + "/ilp/" + k.String(), run: func(t *trace.Trace) (any, error) {
-			sim := analysis.NewILPSim(name, k)
-			observeAll(t, sim.Observe)
-			return sim.Stats(), nil
-		}}
+		jobs[i] = sweepJob(name, k)
 	}
 	return jobs
+}
+
+// sweepJob runs one workload's sweep under predictor kind k (see
+// suiteSweepConfig). It returns plain stats, so no predictor outlives
+// the job.
+func sweepJob(name string, k predictor.Kind) productJob {
+	return productJob{key: name + "/sweep/" + k.String(), run: func(t *trace.Trace) (any, error) {
+		sw := analysis.NewSpecSweep(name, k, suiteSweepConfig(name, k))
+		observeAll(t, sw.Observe)
+		return sw.Stats(), nil
+	}}
 }
 
 func corrJob(name string) productJob {
@@ -177,19 +193,4 @@ func confidenceJob(name string) productJob {
 		observeAll(t, sim.Observe)
 		return sim.Points(), nil
 	}}
-}
-
-// specJobs are the speculation machines: the never-speculate baseline,
-// then one per suiteSpecThresholds entry in order.
-func specJobs(name string) []productJob {
-	ths := append([]uint8{suiteSpecNever}, suiteSpecThresholds...)
-	jobs := make([]productJob, len(ths))
-	for i, th := range ths {
-		jobs[i] = productJob{key: fmt.Sprintf("%s/spec/%d", name, th), run: func(t *trace.Trace) (any, error) {
-			sim := analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(th))
-			observeAll(t, sim.Observe)
-			return sim.Stats(), nil
-		}}
-	}
-	return jobs
 }

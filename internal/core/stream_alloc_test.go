@@ -56,10 +56,9 @@ func TestFusedObserversAllocationCap(t *testing.T) {
 	fused := func() uint64 {
 		reuse := analysis.NewReuseSim("gcc", 16)
 		got := measure(reuse,
-			analysis.NewILPSim("gcc", predictor.KindContext),
+			analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{}),
 			analysis.NewConfidenceSim(predictor.KindContext, 7),
-			analysis.NewSpecSim("gcc", predictor.KindContext,
-				analysis.SpecConfig{Width: 64, Threshold: 3, MaxConfidence: 7, Penalty: 8}))
+			analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SpeculationSweep()))
 		if reuse.Stats().Eligible == 0 {
 			t.Fatal("observers saw no events")
 		}

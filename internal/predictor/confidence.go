@@ -46,11 +46,14 @@ func (c *Confidence) Predict(key uint64) (uint32, bool) {
 // ConfidenceOf returns the current confidence level for key (0..maxLevel).
 func (c *Confidence) ConfidenceOf(key uint64) uint8 { return *c.slot(key) }
 
-// Update implements Predictor: it first scores the inner prediction against
-// actual to train the confidence counter, then updates the inner predictor.
-func (c *Confidence) Update(key uint64, actual uint32) {
-	pred, ok := c.inner.Predict(key)
+// Verdict resolves one prediction for key against actual in a single
+// inner lookup: it returns the confidence level and the inner prediction
+// as they stood before actual was seen, then trains the counter (rise on a
+// hit, reset on a miss) and updates the inner predictor.
+func (c *Confidence) Verdict(key uint64, actual uint32) (conf uint8, pred uint32, ok bool) {
 	s := c.slot(key)
+	conf = *s
+	pred, ok = c.inner.Predict(key)
 	if ok && pred == actual {
 		if *s < c.max {
 			*s++
@@ -59,7 +62,11 @@ func (c *Confidence) Update(key uint64, actual uint32) {
 		*s = 0 // misprediction resets confidence (strict gating)
 	}
 	c.inner.Update(key, actual)
+	return conf, pred, ok
 }
+
+// Update implements Predictor: Verdict with the verdict discarded.
+func (c *Confidence) Update(key uint64, actual uint32) { c.Verdict(key, actual) }
 
 // Reset implements Predictor.
 func (c *Confidence) Reset() {

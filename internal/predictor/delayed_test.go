@@ -115,6 +115,33 @@ func TestConfidenceCounters(t *testing.T) {
 	}
 }
 
+// TestConfidenceVerdict holds Verdict to the three-call sequence it
+// replaces (ConfidenceOf, Predict, Update) on every kind: the same
+// verdict on every step, and a twin driven the old way stays in lockstep.
+func TestConfidenceVerdict(t *testing.T) {
+	for _, kind := range AllKinds {
+		c := NewConfidence(kind.New(), 10, 7)
+		twin := NewConfidence(kind.New(), 10, 7)
+		x := uint32(1)
+		for i := 0; i < 20000; i++ {
+			key := uint64(i % 37)
+			x = x*1664525 + 1013904223
+			actual := uint32(i) * uint32(key) // strided per key
+			if x>>28 == 0 {
+				actual = x // an occasional surprise
+			}
+			wantConf := twin.ConfidenceOf(key)
+			wantPred, wantOK := twin.Predict(key)
+			twin.Update(key, actual)
+			conf, pred, ok := c.Verdict(key, actual)
+			if conf != wantConf || pred != wantPred || ok != wantOK {
+				t.Fatalf("%s step %d: Verdict (%d,%d,%v), want (%d,%d,%v)",
+					kind, i, conf, pred, ok, wantConf, wantPred, wantOK)
+			}
+		}
+	}
+}
+
 func TestConfidenceConstructorValidates(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewConfidence(NewLastValue(8), 0, 7) },

@@ -512,9 +512,10 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 	}
 	var (
 		reuseSim *analysis.ReuseSim
-		ilpSim   *analysis.ILPSim
 		confSim  *analysis.ConfidenceSim
-		specSims []*analysis.SpecSim
+		sweep    *analysis.SpecSweep
+		wantILP  bool
+		wantSpec bool
 		obs      []analysis.Observer
 	)
 	for _, name := range j.experiments {
@@ -523,22 +524,23 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 			reuseSim = analysis.NewReuseSim("", 16)
 			obs = append(obs, reuseSim)
 		case "ilp":
-			ilpSim = analysis.NewILPSim("", j.kind)
-			obs = append(obs, ilpSim)
+			wantILP = true
 		case "confidence":
 			confSim = analysis.NewConfidenceSim(j.kind, 7)
 			obs = append(obs, confSim)
 		case "speculation":
-			// Never-speculate baseline (threshold above saturation) plus
-			// the suite's threshold sweep.
-			for _, th := range []uint8{8, 0, 1, 3, 7} {
-				sim := analysis.NewSpecSim("", j.kind, analysis.SpecConfig{
-					Width: 64, Threshold: th, MaxConfidence: 7, Penalty: 8,
-				})
-				specSims = append(specSims, sim)
-				obs = append(obs, sim)
-			}
+			wantSpec = true
 		}
+	}
+	if wantILP || wantSpec {
+		// One predictor serves both: the ILP study and, if asked for, the
+		// speculation experiment's never-speculate baseline and gates.
+		var cfg analysis.SweepConfig
+		if wantSpec {
+			cfg = analysis.SpeculationSweep()
+		}
+		sweep = analysis.NewSpecSweep("", j.kind, cfg)
+		obs = append(obs, sweep)
 	}
 	var st trace.Stats
 	opts := []core.Option{
@@ -577,18 +579,19 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 			rs.Name = res.Name
 			exp.Reuse = &rs
 		}
-		if ilpSim != nil {
-			is := ilpSim.Stats()
-			is.Name = res.Name
-			exp.ILP = &is
+		if sweep != nil {
+			sw := sweep.Stats()
+			if wantILP {
+				sw.ILP.Name = res.Name
+				exp.ILP = &sw.ILP
+			}
+			for _, ss := range sw.Spec {
+				ss.Name = res.Name
+				exp.Speculation = append(exp.Speculation, ss)
+			}
 		}
 		if confSim != nil {
 			exp.Confidence = confSim.Points()
-		}
-		for _, sim := range specSims {
-			ss := sim.Stats()
-			ss.Name = res.Name
-			exp.Speculation = append(exp.Speculation, ss)
 		}
 	}
 	return &analysisPayload{

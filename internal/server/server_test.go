@@ -682,28 +682,29 @@ func TestAnalyzeExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	reuse := analysis.NewReuseSim(got.Name, 16)
-	ilp := analysis.NewILPSim(got.Name, predictor.KindLast)
 	conf := analysis.NewConfidenceSim(predictor.KindLast, 7)
-	var specs []*analysis.SpecSim
-	for _, th := range []uint8{8, 0, 1, 3, 7} {
-		specs = append(specs, analysis.NewSpecSim(got.Name, predictor.KindLast, analysis.SpecConfig{
-			Width: 64, Threshold: th, MaxConfidence: 7, Penalty: 8,
-		}))
-	}
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		reuse.Observe(e)
-		ilp.Observe(e)
 		conf.Observe(e)
-		for _, sp := range specs {
-			sp.Observe(e)
-		}
+	}
+	ilp := analysis.ILP(tr, predictor.KindLast)
+	ilp.Name = got.Name
+	// One single-gate run per threshold: never-speculate first, then the
+	// suite's sweep.
+	var specs []analysis.SpecStats
+	for _, th := range []uint8{8, 0, 1, 3, 7} {
+		ss := analysis.Speculate(tr, predictor.KindLast, analysis.SpecConfig{
+			Width: 64, Threshold: th, MaxConfidence: 7, Penalty: 8,
+		})
+		ss.Name = got.Name
+		specs = append(specs, ss)
 	}
 	if exp.Reuse == nil || *exp.Reuse != reuse.Stats() {
 		t.Errorf("reuse %+v, want %+v", exp.Reuse, reuse.Stats())
 	}
-	if exp.ILP == nil || *exp.ILP != ilp.Stats() {
-		t.Errorf("ilp %+v, want %+v", exp.ILP, ilp.Stats())
+	if exp.ILP == nil || *exp.ILP != ilp {
+		t.Errorf("ilp %+v, want %+v", exp.ILP, ilp)
 	}
 	if !reflect.DeepEqual(exp.Confidence, conf.Points()) {
 		t.Errorf("confidence %+v, want %+v", exp.Confidence, conf.Points())
@@ -712,8 +713,8 @@ func TestAnalyzeExperiments(t *testing.T) {
 		t.Fatalf("%d speculation entries, want %d", len(exp.Speculation), len(specs))
 	}
 	for i, sp := range specs {
-		if exp.Speculation[i] != sp.Stats() {
-			t.Errorf("speculation[%d] %+v, want %+v", i, exp.Speculation[i], sp.Stats())
+		if exp.Speculation[i] != sp {
+			t.Errorf("speculation[%d] %+v, want %+v", i, exp.Speculation[i], sp)
 		}
 	}
 
@@ -739,6 +740,27 @@ func TestAnalyzeExperiments(t *testing.T) {
 	}
 	if n := s.Metrics().Computations(); n != 2 {
 		t.Errorf("computations after cached replay %d, want 2", n)
+	}
+
+	// ILP and speculation share one sweep; asking for either alone
+	// returns that one alone, with the same numbers.
+	for _, tc := range []struct{ query, want string }{
+		{"?experiments=ilp", "ilp"},
+		{"?experiments=speculation", "speculation"},
+	} {
+		status, one, _ := upload(t, ts, tc.query, bytes.NewReader(data))
+		if status != http.StatusOK || one.Experiments == nil {
+			t.Fatalf("%s: status %d", tc.query, status)
+		}
+		want := &experimentsPayload{}
+		if tc.want == "ilp" {
+			want.ILP = exp.ILP
+		} else {
+			want.Speculation = exp.Speculation
+		}
+		if !reflect.DeepEqual(one.Experiments, want) {
+			t.Errorf("%s: experiments %+v, want %+v", tc.query, one.Experiments, want)
+		}
 	}
 
 	// An unknown experiment is rejected before spooling.
