@@ -176,9 +176,32 @@ func BenchmarkTraceEncode(b *testing.B) {
 	reportEventRate(b, tr.Len())
 }
 
-// BenchmarkParallelDecode compares the sequential trace reader against the
-// concurrent block decoder at several worker counts on a multi-block
-// stream (Mevents/s). The 8 KiB blocks give the pool enough
+// readAllWorkers decodes a whole trace stream, event by event, through a
+// reader opened with trace.Workers(n).
+func readAllWorkers(r io.Reader, n int) (*trace.Trace, error) {
+	tr, err := trace.NewReader(r, trace.Workers(n))
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Close()
+	t := &trace.Trace{Name: tr.Name(), NumStatic: tr.NumStatic()}
+	var e trace.Event
+	for {
+		switch err := tr.Next(&e); err {
+		case nil:
+			t.Events = append(t.Events, e)
+		case io.EOF:
+			t.StaticCount = tr.StaticCounts()
+			return t, nil
+		default:
+			return nil, err
+		}
+	}
+}
+
+// BenchmarkParallelDecode compares inline block decoding (ReadAll) against
+// the decode pool at several worker counts on a multi-block stream
+// (Mevents/s). The 8 KiB blocks give the pool enough
 // frames to keep every worker busy.
 func BenchmarkParallelDecode(b *testing.B) {
 	tr := benchTrace(b)
@@ -196,7 +219,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 			if workers == 0 {
 				got, err = trace.ReadAll(bytes.NewReader(stream))
 			} else {
-				got, _, err = trace.ParallelReadAll(bytes.NewReader(stream), trace.Workers(workers))
+				got, err = readAllWorkers(bytes.NewReader(stream), workers)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -215,8 +238,8 @@ func BenchmarkParallelDecode(b *testing.B) {
 }
 
 // BenchmarkCompressedDecode measures decode throughput over per-block
-// compressed streams: each codec through the sequential reader and the
-// parallel pool (decompression runs inside the block workers). The ratio
+// compressed streams: each codec decoded inline and on a pool of four
+// (decompression runs inside the block workers). The ratio
 // metric records compressed size as a fraction of the uncompressed stream
 // — the disk-reduction number the bench JSON artifact carries.
 func BenchmarkCompressedDecode(b *testing.B) {
@@ -242,7 +265,7 @@ func BenchmarkCompressedDecode(b *testing.B) {
 				if workers == 0 {
 					got, err = trace.ReadAll(bytes.NewReader(stream))
 				} else {
-					got, _, err = trace.ParallelReadAll(bytes.NewReader(stream), trace.Workers(workers))
+					got, err = readAllWorkers(bytes.NewReader(stream), workers)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -282,7 +305,12 @@ func BenchmarkPipeline(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			full, _, err := trace.ReadFileParallel(path, trace.Workers(4))
+			f, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			full, err := readAllWorkers(f, 4)
+			f.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -349,7 +377,7 @@ func BenchmarkFusedSuite(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pr, err := trace.NewParallelReader(f, trace.Workers(2))
+				pr, err := trace.NewReader(f, trace.Workers(2))
 				if err != nil {
 					b.Fatal(err)
 				}

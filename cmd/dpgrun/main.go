@@ -66,7 +66,7 @@ func main() {
 	all := flag.Bool("all", false, "run every predictor (last-value, stride, context, tage, ldbp)")
 	graph := flag.Int("graph", 0, "print the labeled DPG fragment for the first N instructions (paper Fig. 3)")
 	strict := flag.Bool("strict", true, "reject corrupt traces; -strict=false resyncs past damage and summarises it")
-	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = sequential)")
+	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = decode inline)")
 	parallel := flag.Int("parallel", 0, "concurrent files in directory/glob mode (0 = all cores)")
 	speculate := flag.Int("speculate", 0, "run the model pass epoch-speculatively with N predictor chains (0 = off, -1 = auto); results are identical, only faster")
 	merge := flag.Bool("merge", false, "directory mode: merge every file's Result into one exact aggregate report instead of per-file summaries")

@@ -302,8 +302,8 @@ func TestCLIPipeline(t *testing.T) {
 }
 
 // TestCompressionDifferentialWorkloads is the acceptance differential for
-// per-block compression: across real workloads × every codec × sequential
-// and parallel readers at several worker counts, the decoded event stream
+// per-block compression: across real workloads × every codec × ReadAll
+// and readers at several worker counts, the decoded event stream
 // of a compressed trace must be identical to the original, and the
 // transforming codecs must actually shrink real traces.
 func TestCompressionDifferentialWorkloads(t *testing.T) {
@@ -353,7 +353,7 @@ func TestCompressionDifferentialWorkloads(t *testing.T) {
 			got, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
 			check("sequential", got, err)
 			for _, workers := range []int{1, 2, 8} {
-				pgot, _, perr := trace.ParallelReadAll(bytes.NewReader(buf.Bytes()), trace.Workers(workers))
+				pgot, perr := readAllWorkers(bytes.NewReader(buf.Bytes()), workers)
 				check(fmt.Sprintf("parallel-%d", workers), pgot, perr)
 			}
 		}

@@ -17,7 +17,7 @@ import (
 // Observer; RunObservers registers any set of them onto one shared decode
 // of a trace and runs them concurrently, one goroutine per observer, each
 // fed the decoded blocks in stream order. Memory stays at the source's own
-// ceiling — O(block · workers) for the parallel reader — plus a fixed
+// ceiling — O(block · workers) for trace.Reader — plus a fixed
 // window of in-flight blocks, no matter how many observers ride along.
 //
 // Isolation contract: a panicking observer is caught, converted to a typed
@@ -54,9 +54,9 @@ type Finisher interface {
 }
 
 // BlockSource is where RunObservers pulls decoded blocks from. The
-// contract is trace.(*ParallelReader).NextBlock's: io.EOF ends the stream
+// contract is trace.(*Reader).NextBlock's: io.EOF ends the stream
 // cleanly, any other error is a decode failure. Sources that additionally
-// implement ReleaseBlock(*trace.Block) (as the parallel reader does) get
+// implement ReleaseBlock(*trace.Block) (as trace.Reader does) get
 // each block handed back once every observer has returned from it. Only
 // the goroutine that called RunObservers calls NextBlock and ReleaseBlock,
 // so a source needs no locking of its own.

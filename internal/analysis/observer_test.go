@@ -234,9 +234,9 @@ func TestObserverSourceErrorSkipsFinish(t *testing.T) {
 	}
 }
 
-// releaseSource wraps a ParallelReader and counts block releases.
+// releaseSource wraps a trace.Reader and counts block releases.
 type releaseSource struct {
-	pr       *trace.ParallelReader
+	pr       *trace.Reader
 	released int
 }
 
@@ -255,7 +255,7 @@ func TestObserverBlockRelease(t *testing.T) {
 	if err := trace.WriteAll(&buf, tr, trace.BlockBytes(8<<10)); err != nil {
 		t.Fatal(err)
 	}
-	pr, err := trace.NewParallelReader(bytes.NewReader(buf.Bytes()), trace.Workers(2))
+	pr, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +304,8 @@ func TestObserverBlockFastPath(t *testing.T) {
 
 // FuzzObserverFanout is the differential fuzz gate for the fan-out engine:
 // for arbitrary (mutated) trace bytes and worker counts, driving a
-// simulator through RunObservers over the parallel reader must agree with
-// a plain sequential Next loop — same success/failure verdict, and
+// simulator through RunObservers over a reader with one to four decode
+// workers must agree with a plain one-worker Next loop — same success/failure verdict, and
 // identical simulator results on success.
 func FuzzObserverFanout(f *testing.F) {
 	w, ok := workloads.ByName("fig1")
@@ -345,10 +345,10 @@ func FuzzObserverFanout(f *testing.F) {
 			r.Close()
 		}
 
-		// Fused path: RunObservers over the parallel reader.
+		// Fused path: RunObservers over NextBlock.
 		fanSim := NewReuseSim("", 8)
 		var fanErr error
-		if pr, err := trace.NewParallelReader(bytes.NewReader(data), trace.Workers(int(workers%4)+1)); err != nil {
+		if pr, err := trace.NewReader(bytes.NewReader(data), trace.Workers(int(workers%4)+1)); err != nil {
 			fanErr = err
 		} else {
 			fanErr = RunObservers(pr, fanSim)

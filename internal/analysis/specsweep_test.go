@@ -302,7 +302,7 @@ func TestSpecSweepRunObservers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			pr, err := trace.NewParallelReader(f, trace.Workers(workers))
+			pr, err := trace.NewReader(f, trace.Workers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -230,7 +230,7 @@ func TestAnalyzeFileStatsParity(t *testing.T) {
 
 	for _, path := range []string{intact, damaged} {
 		// The summary dpgrun -strict=false prints comes from ReadFileLenient
-		// (via the parallel reader at any worker count — proven equivalent).
+		// (the same decoder at any worker count).
 		_, want, err := trace.ReadFileLenient(path)
 		if err != nil {
 			t.Fatalf("%s: lenient read: %v", path, err)

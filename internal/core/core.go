@@ -83,12 +83,11 @@ func WithSharedInputOutput() Option {
 	return func(c *config) { c.model.SharedInputOutput = true }
 }
 
-// WithWorkers makes AnalyzeFile decode the trace file with n concurrent
-// block-decode workers (0 = all cores) instead of the default one, the
-// block decoder's sequential fallback. Decoding is proven equivalent to
-// the sequential reader, so results are identical; only ingestion
-// throughput changes. RunTrace, which takes an already-decoded
-// trace, ignores the option.
+// WithWorkers makes AnalyzeFile decode the trace file's blocks on a pool
+// of n workers (0 = all cores) instead of inline on the calling goroutine,
+// the default. The pool runs the same frame walk and block decoder, so
+// results are identical; only ingestion throughput changes. RunTrace,
+// which takes an already-decoded trace, ignores the option.
 func WithWorkers(n int) Option {
 	return func(c *config) {
 		c.parallel = true

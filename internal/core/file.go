@@ -16,12 +16,12 @@ import (
 // openTraceReader opens path with the block decoder every file pass in
 // this package reads through (see blockReaderOpts): one worker by
 // default, WithWorkers' count otherwise, lenient under WithLenientTrace.
-func openTraceReader(path string, cfg *config) (*trace.ParallelReader, *os.File, error) {
+func openTraceReader(path string, cfg *config) (*trace.Reader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := trace.NewParallelReader(f, cfg.blockReaderOpts()...)
+	r, err := trace.NewReader(f, cfg.blockReaderOpts()...)
 	if err != nil {
 		f.Close()
 		return nil, nil, wrapTraceErr(err)
@@ -168,8 +168,8 @@ func scanCounts(path string, cfg *config) ([]uint64, string, error) {
 }
 
 // blockReaderOpts resolves the block decoder's options: Workers(1) by
-// default — the sequential decode fallback, which still chunks events
-// into synthetic blocks — or the configured count under WithWorkers.
+// default — each of the file's blocks decodes inline — or the configured
+// count under WithWorkers.
 func (c *config) blockReaderOpts() []trace.ReaderOption {
 	ropts := []trace.ReaderOption{trace.Workers(1)}
 	if c.lenient {

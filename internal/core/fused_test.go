@@ -546,7 +546,7 @@ func (c *cancelObserver) Observe(*trace.Event) { c.once.Do(c.cancel) }
 // the call returns ErrAborted (matching context.Canceled too) and leaves
 // no decode worker or observer goroutine behind.
 func TestAnalyzeFileKindsCancelNoLeak(t *testing.T) {
-	// ~38K events: several 4096-event blocks even at Workers(1).
+	// ~38K events in 16-event blocks, at every worker count.
 	path, _ := writeScaledTrace(t, t.TempDir(), "gcc", 0.2, trace.BlockEvents(16))
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {

@@ -120,7 +120,7 @@ func TestAnalyzeFileMemoryCeiling(t *testing.T) {
 		}
 	})
 	materializing := measure(func() {
-		full, _, err := trace.ReadFileParallel(path, trace.Workers(2))
+		full, err := trace.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,27 +1,21 @@
 package trace
 
-import (
-	"io"
-	"sync"
-)
+import "sync"
 
-// This file exposes the parallel reader's per-block decoded batches.
-// Block consumers (the fused experiment engine, the streaming speculative
-// pass) take whole blocks via NextBlock instead of paying for the
-// event-by-event reassembly of Next. Both views drain the same pipeline,
-// so Stats, error contracts, and StaticCounts behave identically.
+// This file exposes the reader's decoded blocks. Block consumers (the
+// fused experiment engine) take whole blocks via NextBlock instead of
+// paying for the event-by-event copy of Next. Both views drain the same
+// cursor, so Stats, error contracts, and StaticCounts behave identically.
 
 // Block is one contiguous in-order run of decoded events. Index is the
 // block's position in stream order among delivered blocks (0, 1, 2, …).
+// A v2 block is one frame of the file, or the rest of one that Next has
+// partly consumed; a v1 stream, which has no frames, comes in runs of up
+// to 4096 events.
 type Block struct {
 	Index  uint64
 	Events []Event
 }
-
-// seqBlockEvents sizes the synthetic blocks NextBlock produces in
-// sequential-fallback mode (v1 streams and Workers(1)), where the
-// underlying reader has no parallel block pipeline to drain.
-const seqBlockEvents = 4096
 
 // NextBlock decodes the next event block into b, in stream order. The
 // error contract is Next's: io.EOF ends the stream (after which
@@ -33,56 +27,16 @@ const seqBlockEvents = 4096
 // Ownership of b.Events transfers to the caller; the reader never reuses
 // the slice afterwards. NextBlock and Next may be mixed: NextBlock
 // delivers whatever remains of a block partially consumed by Next.
-func (p *ParallelReader) NextBlock(b *Block) error {
-	if p.items == nil {
-		return p.nextBlockSeq(b)
+func (tr *Reader) NextBlock(b *Block) error {
+	if err := tr.fill(); err != nil {
+		return err
 	}
-	if p.sticky != nil {
-		return p.sticky
-	}
-	if p.done {
-		return io.EOF
-	}
-	for {
-		if p.curIdx < len(p.cur.events) {
-			b.Index = p.blockSeq
-			b.Events = p.cur.events[p.curIdx:]
-			p.blockSeq++
-			p.stats.Events += uint64(len(b.Events))
-			p.curIdx = len(p.cur.events)
-			p.curHandedOff = true
-			return nil
-		}
-		if p.cur.err != nil {
-			return p.fail(p.cur.err)
-		}
-		if err := p.advance(); err != nil {
-			return err
-		}
-	}
-}
-
-// nextBlockSeq chunks the sequential fallback's event stream into
-// synthetic blocks, so block consumers work identically on v1 streams and
-// Workers(1). A decode error after a non-empty prefix delivers the prefix
-// now; the (sticky) error resurfaces on the next call.
-func (p *ParallelReader) nextBlockSeq(b *Block) error {
-	events := getEventSlice(seqBlockEvents)
-	for len(events) < seqBlockEvents {
-		var e Event
-		err := p.seq.Next(&e)
-		if err != nil {
-			if len(events) == 0 {
-				putEventSlice(events)
-				return err
-			}
-			break
-		}
-		events = append(events, e)
-	}
-	b.Index = p.blockSeq
-	b.Events = events
-	p.blockSeq++
+	b.Index = tr.blockSeq
+	b.Events = tr.cur.events[tr.curIdx:]
+	tr.blockSeq++
+	tr.stats.Events += uint64(len(b.Events))
+	tr.curIdx = len(tr.cur.events)
+	tr.curHandedOff = true
 	return nil
 }
 
@@ -95,7 +49,7 @@ func (p *ParallelReader) nextBlockSeq(b *Block) error {
 // After ReleaseBlock, b.Events must not be touched (the slice may be
 // reused for a future block at any time). Releasing a block is optional
 // and only ever a performance matter.
-func (p *ParallelReader) ReleaseBlock(b *Block) {
+func (tr *Reader) ReleaseBlock(b *Block) {
 	if b.Events != nil {
 		putEventSlice(b.Events)
 		b.Events = nil
@@ -104,10 +58,10 @@ func (p *ParallelReader) ReleaseBlock(b *Block) {
 
 // --- buffer pools ---------------------------------------------------------
 //
-// The parallel pipeline's two hot allocations — the raw block payload the
-// splitter reads and the decoded event slice a worker produces — both have
+// The decoder's two hot allocations — the raw block payload the frame walk
+// reads and the decoded event slice decodeBlockFrame produces — both have
 // bounded, well-defined lifetimes, so they recycle through sync.Pools:
-// payloads return to the pool as soon as a worker has decoded them, and
+// payloads return to the pool as soon as their block is decoded, and
 // event slices return once Next's cursor has fully handed them off, or
 // when a NextBlock caller hands them back through ReleaseBlock.
 

@@ -24,7 +24,7 @@ import (
 // Two codecs are implemented, both dependency-free:
 //
 //   - CodecLZ: a snappy-style byte-oriented LZ77 with a 64 KiB window —
-//     cheap to decode, built for the parallel reader's per-block workers.
+//     cheap to decode, built for per-block decoding on a worker pool.
 //   - CodecFlate: stdlib compress/flate (DEFLATE) — slower, tighter.
 
 // Codec identifies a per-block compression algorithm. The zero value is

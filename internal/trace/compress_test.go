@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
@@ -190,7 +189,7 @@ func TestFlateExpandStrict(t *testing.T) {
 
 // TestCompressedRoundTrip writes a large repetitive trace under every
 // codec and requires: a strictly smaller stream than uncompressed, an
-// identical decode through both readers, and BlocksCompressed visible in
+// identical decode inline and on a pool, and BlocksCompressed visible in
 // Stats from both.
 func TestCompressedRoundTrip(t *testing.T) {
 	orig := bigTrace(t, 4000)
@@ -207,11 +206,10 @@ func TestCompressedRoundTrip(t *testing.T) {
 			t.Errorf("%s: compressed stream not smaller: %d vs %d plain", codec, buf.Len(), plain.Len())
 		}
 
-		seq := captureSequential(t, buf.Bytes())
-		par := captureParallel(t, buf.Bytes(), Workers(4))
-		diffRuns(t, "roundtrip/"+codec.String(), seq, par)
-		if seq.finalErr != "" || len(seq.events) != len(orig.Events) {
-			t.Fatalf("%s: decode failed: %d events, err %q", codec, len(seq.events), seq.finalErr)
+		seq := decode(t, buf.Bytes())
+		diffRuns(t, "roundtrip/"+codec.String(), seq, decode(t, buf.Bytes(), Workers(4)))
+		if seq.err != nil || len(seq.events) != len(orig.Events) {
+			t.Fatalf("%s: decode failed: %d events, err %v", codec, len(seq.events), seq.err)
 		}
 		for i := range seq.events {
 			if seq.events[i] != orig.Events[i] {
@@ -273,7 +271,9 @@ func TestIncompressibleStoredRaw(t *testing.T) {
 		if err != nil || len(got.Events) != len(tr.Events) {
 			t.Fatalf("%s: noise round trip failed: %d events, %v", codec, len(got.Events), err)
 		}
-		diffBoth(t, "noise/"+codec.String(), buf.Bytes(), 4)
+		strict, lenient := diffBoth(t, "noise/"+codec.String(), buf.Bytes(), 4)
+		checkClean(t, "noise/"+codec.String()+"/strict", strict, tr, cleanStats(t, buf.Bytes()))
+		checkClean(t, "noise/"+codec.String()+"/lenient", lenient, tr, cleanStats(t, buf.Bytes()))
 	}
 
 	// Unit-level: the heuristic itself.
@@ -396,18 +396,15 @@ func TestCompressedTruncationMatrix(t *testing.T) {
 	}
 }
 
-// TestCompressedDifferentialFlipMatrix holds the parallel reader equal to
-// the sequential one over every single-byte flip of compressed streams —
-// decompression happens inside the parallel workers, so this pins the
-// error text, typed kinds, Stats, and recovered events across that path.
+// TestCompressedDifferentialFlipMatrix holds the pooled decoder equal to
+// the inline one over every single-byte flip of compressed streams, and
+// both to what each flip must cause — decompression runs on the pool's
+// workers, so this pins the error text, typed kinds, Stats, and recovered
+// events across that path.
 func TestCompressedDifferentialFlipMatrix(t *testing.T) {
 	for _, codec := range compressedCodecs {
-		stream, _ := smallCompressedStream(t, 64, codec)
-		for off := range stream {
-			data := append([]byte(nil), stream...)
-			data[off] ^= 0xFF
-			diffBoth(t, fmt.Sprintf("%s-flip@%d", codec, off), data, 4)
-		}
+		stream, orig := smallCompressedStream(t, 64, codec)
+		flipMatrix(t, codec.String()+"-flip", stream, orig, 0xFF)
 	}
 }
 
@@ -445,7 +442,7 @@ func TestCompressedPayloadFlipIsChecksum(t *testing.T) {
 
 // TestCompressedScrambledRegion tears a whole compressed block payload
 // (every byte corrupted, the torn-sector shape) and checks both modes and
-// both readers behave: typed strict error, single-block lenient loss.
+// both worker counts behave: typed strict error, single-block lenient loss.
 func TestCompressedScrambledRegion(t *testing.T) {
 	for _, codec := range compressedCodecs {
 		stream, orig := smallCompressedStream(t, 64, codec)
@@ -494,8 +491,8 @@ func v2HeaderOnly(t *testing.T) []byte {
 }
 
 // TestHostileCompressedFrames appends hand-crafted malicious block frames
-// to a valid header and requires both readers to reject each with a typed
-// ErrMalformed — before any allocation or inflation sized by the hostile
+// to a valid header and requires the inline and pooled decoders to reject
+// each with a typed ErrMalformed — before any allocation or inflation sized by the hostile
 // fields. The "huge-count" case is a regression test for the overflow in
 // the count bound (count*minEventLen wraps; count > len/minEventLen does
 // not).
@@ -529,21 +526,21 @@ func TestHostileCompressedFrames(t *testing.T) {
 		"huge-count-raw":     frame([]byte(blockMarker), uv(6), uv(0x5555555555555556), crcOf(payload), payload),
 		"huge-count-comp":    frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(6), uv(0x5555555555555556), uv(6), crcOf(payload), payload),
 		// CRC-clean stored bytes that are not a valid codec stream: must be
-		// ErrMalformed at the frame, in both readers, identically.
+		// ErrMalformed at the frame, at every worker count, identically.
 		"bad-lz-stream":    frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(200), uv(4), uv(3), crcOf([]byte{0xFF, 0x00, 0x00}), []byte{0xFF, 0x00, 0x00}),
 		"bad-flate-stream": frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(200), uv(4), uv(3), crcOf([]byte{0xAA, 0xBB, 0xCC}), []byte{0xAA, 0xBB, 0xCC}),
 	}
 	for name, data := range cases {
 		_, err := ReadAll(bytes.NewReader(data))
 		if !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: sequential gave %v, want ErrMalformed", name, err)
+			t.Errorf("%s: inline decode gave %v, want ErrMalformed", name, err)
 		}
-		_, _, perr := ParallelReadAll(bytes.NewReader(data), Workers(4))
+		_, _, perr := readAllWorkers(bytes.NewReader(data), 4)
 		if !errors.Is(perr, ErrMalformed) {
-			t.Errorf("%s: parallel gave %v, want ErrMalformed", name, perr)
+			t.Errorf("%s: pooled decode gave %v, want ErrMalformed", name, perr)
 		}
 		// Lenient mode must survive (no panic, typed or clean) and the two
-		// readers must agree observably.
+		// worker counts must agree observably.
 		diffBoth(t, "hostile/"+name, data, 4)
 	}
 }

@@ -10,26 +10,17 @@ import (
 	"time"
 )
 
-// TestReaderContextCancel verifies both decoders fail sticky with an error
+// TestReaderContextCancel verifies a reader fails sticky with an error
 // matching context.Canceled once the bound context is cancelled, instead
-// of decoding to EOF.
+// of decoding to EOF — inline ("sequential") and on a pool ("parallel").
 func TestReaderContextCancel(t *testing.T) {
 	stream, _ := smallV2Stream(t, 64)
-	readers := map[string]func(ctx context.Context) (interface {
-		Next(*Event) error
-		Close() error
-	}, error){
-		"sequential": func(ctx context.Context) (interface {
-			Next(*Event) error
-			Close() error
-		}, error) {
+	readers := map[string]func(ctx context.Context) (*Reader, error){
+		"sequential": func(ctx context.Context) (*Reader, error) {
 			return NewReader(bytes.NewReader(stream), WithContext(ctx))
 		},
-		"parallel": func(ctx context.Context) (interface {
-			Next(*Event) error
-			Close() error
-		}, error) {
-			return NewParallelReader(bytes.NewReader(stream), WithContext(ctx), Workers(4))
+		"parallel": func(ctx context.Context) (*Reader, error) {
+			return NewReader(bytes.NewReader(stream), WithContext(ctx), Workers(4))
 		},
 	}
 	for name, open := range readers {
@@ -61,7 +52,7 @@ func TestReaderContextCancel(t *testing.T) {
 }
 
 // TestReaderContextPreCancelled verifies a context cancelled before any
-// decoding yields no events at all from either decoder.
+// decoding yields no events at all, inline or on a pool.
 func TestReaderContextPreCancelled(t *testing.T) {
 	stream, _ := smallV2Stream(t, 64)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +67,7 @@ func TestReaderContextPreCancelled(t *testing.T) {
 			return r.Next(&e)
 		}(),
 		"parallel": func() error {
-			r, err := NewParallelReader(bytes.NewReader(stream), WithContext(ctx), Workers(2))
+			r, err := NewReader(bytes.NewReader(stream), WithContext(ctx), Workers(2))
 			if err != nil {
 				return err
 			}
@@ -91,7 +82,7 @@ func TestReaderContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestParallelContextCancelStalledSource cancels a parallel reader whose
+// TestParallelContextCancelStalledSource cancels a pooled reader whose
 // source has stalled mid-stream (an io.Pipe with no writer activity): Next
 // must return promptly with the context error rather than blocking behind
 // the stalled splitter, and the pipeline must drain once the source
@@ -105,7 +96,7 @@ func TestParallelContextCancelStalledSource(t *testing.T) {
 	go pw.Write(stream[:len(stream)-8])
 
 	ctx, cancel := context.WithCancel(context.Background())
-	r, err := NewParallelReader(pr, WithContext(ctx), Workers(2))
+	r, err := NewReader(pr, WithContext(ctx), Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

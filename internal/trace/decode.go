@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -61,17 +63,19 @@ func Lenient() ReaderOption {
 	return func(c *readerConfig) { c.lenient = true }
 }
 
-// Workers sets the number of concurrent block decoders used by
-// NewParallelReader: 0 (the default) means runtime.GOMAXPROCS(0), and 1
-// falls back to plain sequential decoding. NewReader ignores the option.
+// Workers sets where v2 blocks decode: 1 decodes each block inline on the
+// caller's goroutine, n > 1 runs a pool of n block decoders (see
+// parallel.go), and 0 means runtime.GOMAXPROCS(0). NewReader defaults to
+// 1 and NewParallelReader to 0. v1 streams have no block framing and
+// always decode inline.
 func Workers(n int) ReaderOption {
 	return func(c *readerConfig) { c.workers = n }
 }
 
 // WithContext binds the reader to ctx: once ctx is cancelled (or its
 // deadline passes), Next stops decoding promptly — within the current
-// block — and fails sticky with an error matching ctx.Err(). The parallel
-// decoder additionally interrupts its wait on in-flight workers, so a
+// block — and fails sticky with an error matching ctx.Err(). A decode
+// pool additionally interrupts the wait on in-flight workers, so a
 // consumer blocked behind a slow source regains control as soon as the
 // context ends. A nil ctx (the default) disables the checks entirely.
 func WithContext(ctx context.Context) ReaderOption {
@@ -107,61 +111,79 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Reader decodes a trace stream of either format version. Events stream
-// via Next; the static-count footer becomes available after Next returns
-// io.EOF.
+// via Next, or a decoded block at a time via NextBlock (block.go); the
+// static-count footer becomes available after either returns io.EOF.
+//
+// Every stream goes through one frame walk (frameWalk) and every v2 block
+// through one decoder (decodeBlockFrame). The worker count only chooses
+// where blocks decode: inline on the caller's goroutine at Workers(1), or
+// on a pool behind a splitter goroutine otherwise. Either way the events,
+// Stats and errors — types, offsets and messages — are the same.
+//
+// A Reader is not safe for concurrent use; one goroutine should own it. A
+// consumer that stops before io.EOF must call Close to release a decode
+// pool.
 type Reader struct {
-	cr        *countingReader
-	version   int
-	name      string
-	numStatic int
-	counts    []uint64
-	lenient   bool
-	ctx       context.Context // nil unless WithContext
-	stats     Stats
-	done      bool
-	sticky    error
+	// walk reads the stream past the header. With a pool running, only the
+	// splitter goroutine touches it, and the consumer reads items instead.
+	walk frameWalk
+	name string
+	ctx  context.Context // nil unless WithContext
 
-	// v2 block cursor. block holds decoded-payload bytes (decompressed
-	// when the frame was compressed); blockBase is the stream offset
-	// event-decode errors are reported against — the first stored payload
-	// byte, so offsets into compressed payloads stay monotone in stream
-	// order even though they index the inflated bytes.
-	block     []byte
-	blockOff  int
-	blockLeft uint64
-	blockBase int64
+	// items carries the splitter's in-order walk; nil when blocks decode
+	// inline. quit tells the splitter and workers to drain and exit.
+	items chan walkItem
+	quit  chan struct{}
+	stop  sync.Once
+
+	stats  Stats
+	counts []uint64
+	// cur is the block being delivered, cur.events[curIdx:] its undelivered
+	// events.
+	cur    blockResult
+	curIdx int
+	// curHandedOff marks cur.events as escaped to a NextBlock caller, so
+	// advance must not recycle the slice into the event pool.
+	curHandedOff bool
+	// blockSeq numbers delivered blocks in stream order (Block.Index).
+	blockSeq uint64
+	done     bool
+	sticky   error
 }
 
 // NewReader parses the stream header and negotiates the format version.
+// Blocks decode inline unless Workers says otherwise.
 func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
-	var cfg readerConfig
+	return newReader(r, 1, opts)
+}
+
+// NewParallelReader is NewReader with a decode pool of
+// runtime.GOMAXPROCS(0) workers by default.
+func NewParallelReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
+	return newReader(r, 0, opts)
+}
+
+func newReader(r io.Reader, workers int, opts []ReaderOption) (*Reader, error) {
+	cfg := readerConfig{workers: workers}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	tr := &Reader{cr: &countingReader{br: bufio.NewReaderSize(r, 1<<16)}, lenient: cfg.lenient, ctx: cfg.ctx}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(tr.cr, magic); err != nil {
-		return nil, ioErr(tr.cr.n, err, "reading magic")
-	}
-	if string(magic) != headerMagic {
-		return nil, formatErr(0, ErrMalformed, "bad magic %q", magic)
-	}
-	ver, err := tr.cr.ReadByte()
-	if err != nil {
-		return nil, ioErr(tr.cr.n, err, "reading version")
-	}
-	tr.version = int(ver)
-	tr.stats.Version = tr.version
-	switch tr.version {
-	case Version1:
-		err = tr.readHeaderV1()
-	case Version2:
-		err = tr.readHeaderV2()
-	default:
-		return nil, formatErr(4, ErrMalformed, "unsupported version %d", ver)
-	}
+	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
+	h, err := readHeader(cr)
 	if err != nil {
 		return nil, err
+	}
+	tr := &Reader{
+		walk: frameWalk{cr: cr, version: h.version, numStatic: h.numStatic, lenient: cfg.lenient},
+		name: h.name,
+		ctx:  cfg.ctx,
+	}
+	tr.stats.Version = h.version
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
+	if h.version == Version2 && cfg.workers > 1 {
+		tr.startPool(cfg.workers)
 	}
 	return tr, nil
 }
@@ -171,54 +193,95 @@ func readUvarint(cr *countingReader, what string) (uint64, error) {
 	off := cr.n
 	v, err := binary.ReadUvarint(cr)
 	if err != nil {
+		if oerr := overflowErr(cr, off, what); oerr != nil {
+			return 0, oerr
+		}
 		return 0, ioErr(off, err, "reading %s", what)
 	}
 	return v, nil
 }
 
-// readUvarint is the method form of the standalone helper.
-func (tr *Reader) readUvarint(what string) (uint64, error) {
-	return readUvarint(tr.cr, what)
+// overflowErr reports a binary.ReadUvarint failure that started at off
+// and read ten bytes without a terminator: an overlong varint, which is
+// malformed input rather than a failed read. It returns nil otherwise.
+func overflowErr(cr *countingReader, off int64, what string) error {
+	if cr.n-off < binary.MaxVarintLen64 {
+		return nil
+	}
+	return formatErr(off, ErrMalformed, "%s varint overflows 64 bits", what)
 }
 
-func (tr *Reader) readHeaderV1() error {
-	nameLen, err := tr.readUvarint("name length")
+// header is what the stream header declares.
+type header struct {
+	version   int
+	name      string
+	numStatic int
+}
+
+// readHeader parses the stream header: magic, version byte, and the
+// version's name and program-length fields.
+func readHeader(cr *countingReader) (header, error) {
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(cr, magic); err != nil {
+		return header{}, ioErr(cr.n, err, "reading magic")
+	}
+	if string(magic) != headerMagic {
+		return header{}, formatErr(0, ErrMalformed, "bad magic %q", magic)
+	}
+	ver, err := cr.ReadByte()
+	if err != nil {
+		return header{}, ioErr(cr.n, err, "reading version")
+	}
+	h := header{version: int(ver)}
+	switch h.version {
+	case Version1:
+		err = readHeaderV1(cr, &h)
+	case Version2:
+		err = readHeaderV2(cr, &h)
+	default:
+		return header{}, formatErr(4, ErrMalformed, "unsupported version %d", ver)
+	}
+	return h, err
+}
+
+func readHeaderV1(cr *countingReader, h *header) error {
+	nameLen, err := readUvarint(cr, "name length")
 	if err != nil {
 		return err
 	}
 	if nameLen > maxNameLen {
-		return formatErr(tr.cr.n, ErrMalformed, "unreasonable name length %d", nameLen)
+		return formatErr(cr.n, ErrMalformed, "unreasonable name length %d", nameLen)
 	}
 	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(tr.cr, nameBuf); err != nil {
-		return ioErr(tr.cr.n, err, "reading name")
+	if _, err := io.ReadFull(cr, nameBuf); err != nil {
+		return ioErr(cr.n, err, "reading name")
 	}
-	numStatic, err := tr.readUvarint("program length")
+	numStatic, err := readUvarint(cr, "program length")
 	if err != nil {
 		return err
 	}
 	if numStatic > maxNumStatic {
-		return formatErr(tr.cr.n, ErrMalformed, "unreasonable program length %d", numStatic)
+		return formatErr(cr.n, ErrMalformed, "unreasonable program length %d", numStatic)
 	}
-	tr.name = string(nameBuf)
-	tr.numStatic = int(numStatic)
+	h.name = string(nameBuf)
+	h.numStatic = int(numStatic)
 	return nil
 }
 
-func (tr *Reader) readHeaderV2() error {
-	hdrOff := tr.cr.n
-	hdrLen, err := tr.readUvarint("header length")
+func readHeaderV2(cr *countingReader, h *header) error {
+	hdrOff := cr.n
+	hdrLen, err := readUvarint(cr, "header length")
 	if err != nil {
 		return err
 	}
 	if hdrLen > maxNameLen+2*binary.MaxVarintLen64 {
-		return formatErr(tr.cr.n, ErrMalformed, "unreasonable header length %d", hdrLen)
+		return formatErr(cr.n, ErrMalformed, "unreasonable header length %d", hdrLen)
 	}
-	want, err := tr.readCRC("header")
+	want, err := readCRC(cr, "header")
 	if err != nil {
 		return err
 	}
-	payload, err := tr.readPayload(int(hdrLen), "header")
+	payload, err := readPayload(cr, int(hdrLen), "header")
 	if err != nil {
 		return err
 	}
@@ -239,8 +302,8 @@ func (tr *Reader) readHeaderV2() error {
 	if off != len(payload) {
 		return formatErr(hdrOff, ErrMalformed, "%d trailing header bytes", len(payload)-off)
 	}
-	tr.name = name
-	tr.numStatic = int(numStatic)
+	h.name = name
+	h.numStatic = int(numStatic)
 	return nil
 }
 
@@ -251,11 +314,6 @@ func readCRC(cr *countingReader, what string) (uint32, error) {
 		return 0, ioErr(cr.n, err, "reading %s checksum", what)
 	}
 	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-// readCRC is the method form of the standalone helper.
-func (tr *Reader) readCRC(what string) (uint32, error) {
-	return readCRC(tr.cr, what)
 }
 
 // readPayload reads n declared bytes in bounded chunks, so a hostile
@@ -275,9 +333,9 @@ func readPayload(cr *countingReader, n int, what string) ([]byte, error) {
 }
 
 // readPayloadPooled is readPayload for block payloads, drawing the buffer
-// from payloadPool (decode workers return it once the block is decoded).
-// The first chunk stays bounded so a hostile length field still costs at
-// most the bytes actually present in the stream.
+// from payloadPool (decodeBlockFrame returns it once the block is
+// decoded). The first chunk stays bounded so a hostile length field still
+// costs at most the bytes actually present in the stream.
 func readPayloadPooled(cr *countingReader, n int) ([]byte, error) {
 	const chunk = 1 << 16
 	buf := getPayloadBuf(min(n, chunk))
@@ -296,11 +354,6 @@ func readPayloadPooled(cr *countingReader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readPayload is the method form of the standalone helper.
-func (tr *Reader) readPayload(n int, what string) ([]byte, error) {
-	return readPayload(tr.cr, n, what)
-}
-
 // bufUvarint decodes a varint from buf at *off, advancing it.
 func bufUvarint(buf []byte, off *int) (uint64, error) {
 	v, n := binary.Uvarint(buf[*off:])
@@ -315,25 +368,43 @@ func bufUvarint(buf []byte, off *int) (uint64, error) {
 func (tr *Reader) Name() string { return tr.name }
 
 // NumStatic returns the static program length from the header.
-func (tr *Reader) NumStatic() int { return tr.numStatic }
+func (tr *Reader) NumStatic() int { return tr.walk.numStatic }
 
 // Version returns the negotiated format version.
-func (tr *Reader) Version() int { return tr.version }
+func (tr *Reader) Version() int { return tr.walk.version }
 
 // Stats returns a snapshot of the reader's progress and damage summary.
 func (tr *Reader) Stats() Stats { return tr.stats }
-
-// Close exists for symmetry with ParallelReader, so the two readers can be
-// used interchangeably; the sequential reader holds no resources.
-func (tr *Reader) Close() error { return nil }
 
 // StaticCounts returns the per-PC execution counts; valid only after Next
 // has returned io.EOF, and nil if the footer was lost in lenient mode.
 func (tr *Reader) StaticCounts() []uint64 { return tr.counts }
 
-// fail records a terminal error; every subsequent Next repeats it.
+// Close releases the decode pool without reading to io.EOF: the splitter
+// and workers drain and exit. Later Next calls fail. It is safe to call at
+// any point (including after EOF or an error, where it only releases) and
+// is idempotent. Close does not interrupt a Read already in flight on the
+// underlying reader.
+func (tr *Reader) Close() error {
+	tr.shutdown()
+	if tr.sticky == nil && !tr.done {
+		tr.sticky = errors.New("trace: reader closed")
+	}
+	return nil
+}
+
+// shutdown signals a running splitter and its workers to drain and exit.
+func (tr *Reader) shutdown() {
+	if tr.quit != nil {
+		tr.stop.Do(func() { close(tr.quit) })
+	}
+}
+
+// fail records a terminal error and releases any pool; every subsequent
+// Next repeats it.
 func (tr *Reader) fail(err error) error {
 	tr.sticky = err
+	tr.shutdown()
 	return err
 }
 
@@ -343,27 +414,26 @@ func recoverableKind(err error) bool {
 	return errors.Is(err, ErrMalformed) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum)
 }
 
-// frameEnd converts a frame-scan failure: in lenient mode running out of
-// bytes ends the stream cleanly (with the damage recorded in Stats); any
-// other failure is terminal.
-func (tr *Reader) frameEnd(err error) error {
-	if tr.lenient && errors.Is(err, ErrTruncated) {
-		tr.stats.Truncated = true
-		if tr.counts == nil {
-			tr.stats.FooterLost = true
-		}
-		tr.done = true
-		return io.EOF
-	}
-	return tr.fail(err)
-}
-
 // Next decodes the next event into e. It returns io.EOF at the end of the
 // event stream, after which StaticCounts is available. In strict mode
-// (the default) the first structural problem is a terminal typed error;
-// in lenient mode the reader skips damaged regions and truncation ends
-// the stream cleanly with the damage recorded in Stats.
+// (the default) the first structural problem in stream order is a
+// terminal typed error, reported after every event before it; in lenient
+// mode the reader skips damaged regions and truncation ends the stream
+// cleanly with the damage recorded in Stats.
 func (tr *Reader) Next(e *Event) error {
+	if err := tr.fill(); err != nil {
+		return err
+	}
+	*e = tr.cur.events[tr.curIdx]
+	tr.curIdx++
+	tr.stats.Events++
+	return nil
+}
+
+// fill makes the cursor hold an undelivered event, pulling blocks as
+// needed, or returns the reader's terminal error or io.EOF. It is the
+// shared pump behind Next and NextBlock.
+func (tr *Reader) fill() error {
 	if tr.sticky != nil {
 		return tr.sticky
 	}
@@ -371,61 +441,261 @@ func (tr *Reader) Next(e *Event) error {
 		return io.EOF
 	}
 	// The cancellation probe runs at most once per 1024 events so the
-	// per-event fast path stays branch-cheap; a cancelled context is still
-	// observed within one block (v2) or one probe window (v1).
+	// per-event fast path stays branch-cheap; advance checks again before
+	// every block, so a cancelled context is observed within one block.
 	if tr.ctx != nil && tr.stats.Events&1023 == 0 && tr.ctx.Err() != nil {
 		return tr.fail(canceledErr(tr.ctx))
 	}
-	var err error
-	if tr.version == Version1 {
-		err = tr.next1(e)
-	} else {
-		err = tr.next2(e)
+	for tr.curIdx == len(tr.cur.events) {
+		if tr.cur.err != nil {
+			return tr.fail(tr.cur.err)
+		}
+		if err := tr.advance(); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		tr.stats.Events++
-	}
-	return err
+	return nil
 }
 
-// --- v1 decode path ------------------------------------------------------
-
-func (tr *Reader) next1(e *Event) error {
-	err := tr.decodeEventStream(e)
-	if err == nil {
-		return nil
+// advance replaces the exhausted block cursor with the walk's next item:
+// a decoded block (possibly empty, when lenient mode skipped its damage),
+// or the end of the stream — the footer or a lenient truncation (io.EOF,
+// with done set) or a terminal error (already recorded via fail).
+func (tr *Reader) advance() error {
+	if tr.cur.events != nil && !tr.curHandedOff {
+		putEventSlice(tr.cur.events)
 	}
-	if err == errEndOfEvents {
-		if ferr := tr.readFooterV1(); ferr != nil {
-			if tr.lenient && recoverableKind(ferr) {
-				tr.stats.Truncated = true
-				tr.stats.FooterLost = true
-				tr.counts = nil
-				tr.done = true
-				return io.EOF
-			}
-			return tr.fail(ferr)
+	tr.cur, tr.curIdx, tr.curHandedOff = blockResult{}, 0, false
+	it, err := tr.pull()
+	if err != nil {
+		return err
+	}
+	tr.stats.BlocksSkipped += it.skipBlocks
+	tr.stats.BytesSkipped += it.skipBytes
+	switch {
+	case it.frame != nil:
+		tr.setBlock(decodeBlockFrame(it.frame, tr.walk.numStatic, tr.walk.lenient))
+	case it.res != nil:
+		tr.setBlock(<-it.res)
+	case it.events != nil:
+		tr.cur.events = it.events
+	case it.footer != nil:
+		return tr.endAtFooter(it.footer, it.trailerErr)
+	case it.err != nil:
+		return tr.fail(it.err)
+	default: // eof
+		if it.truncated {
+			// A footer always ends the walk, so one that never came is lost.
+			tr.stats.Truncated, tr.stats.FooterLost = true, true
 		}
-		tr.done = true
-		return io.EOF
+		return tr.end()
 	}
-	if tr.lenient && recoverableKind(err) {
-		// v1 has no sync markers: recovery keeps the clean prefix.
-		tr.stats.Truncated = true
-		tr.stats.FooterLost = true
-		tr.done = true
-		return io.EOF
+	return nil
+}
+
+// pull returns the walk's next item: read inline, or received from the
+// splitter. A context that ends first fails the reader.
+func (tr *Reader) pull() (walkItem, error) {
+	if tr.ctx != nil && tr.ctx.Err() != nil {
+		// Checking before the select keeps cancellation deterministic: a
+		// ready item never races a done context.
+		return walkItem{}, tr.fail(canceledErr(tr.ctx))
 	}
-	return tr.fail(err)
+	switch {
+	case tr.items == nil:
+		return tr.walk.next(), nil
+	case tr.ctx == nil:
+		return <-tr.items, nil
+	}
+	// The select interrupts the wait on the pipeline, so a consumer stuck
+	// behind a stalled source regains control the moment its deadline
+	// fires.
+	select {
+	case it := <-tr.items:
+		return it, nil
+	case <-tr.ctx.Done():
+		return walkItem{}, tr.fail(canceledErr(tr.ctx))
+	}
+}
+
+// setBlock makes a decoded v2 block current and folds its accounting into
+// Stats.
+func (tr *Reader) setBlock(r blockResult) {
+	tr.stats.Blocks += r.blocks
+	tr.stats.BlocksCompressed += r.compressed
+	tr.stats.BlocksSkipped += r.blocksSkipped
+	tr.stats.BytesSkipped += r.bytesSkipped
+	tr.cur = r
+}
+
+// endAtFooter ends the stream at its count footer. A v2 footer also
+// declares the event total, which strict mode holds against what was
+// delivered, and is followed by the trailer magic.
+func (tr *Reader) endAtFooter(ff *footerFrame, trailerErr error) error {
+	if tr.walk.version == Version2 {
+		tr.stats.EventsDeclared = ff.total
+		if !tr.walk.lenient && ff.total != tr.stats.Events {
+			return tr.fail(formatErr(ff.frameOff, ErrMalformed,
+				"footer declares %d events, stream has %d", ff.total, tr.stats.Events))
+		}
+		if trailerErr != nil {
+			if !tr.walk.lenient {
+				return tr.fail(trailerErr)
+			}
+			// The counts themselves were CRC-clean; keep them but note the
+			// missing trailer.
+			tr.stats.Truncated = true
+		}
+	}
+	tr.counts = ff.counts
+	return tr.end()
+}
+
+// end marks the stream finished and releases any pool.
+func (tr *Reader) end() error {
+	tr.done = true
+	tr.shutdown()
+	return io.EOF
+}
+
+// --- the frame walk --------------------------------------------------------
+
+// frameWalk reads a stream past its header, one item per call, in stream
+// order. It is the only code that does: at Workers(1) the consumer calls
+// it inline, and with a pool the splitter goroutine does.
+type frameWalk struct {
+	cr        *countingReader
+	version   int
+	numStatic int
+	lenient   bool
+	// pending is the item that ends a v1 stream, read while filling the
+	// run of events before it; once set, every call returns it.
+	pending *walkItem
+}
+
+// walkItem is one step of the frame walk. Exactly one of frame, res,
+// events, footer, err and eof is set; skipBlocks and skipBytes carry the
+// damage a lenient walk skipped on the way to it. footer, err and eof end
+// the stream.
+type walkItem struct {
+	frame      *blockFrame      // a v2 block frame, not yet checked or decoded
+	res        chan blockResult // a frame on the pool: the worker fills it
+	events     []Event          // a run of decoded v1 events
+	footer     *footerFrame
+	trailerErr error // with footer: problem reading the trailing magic
+	skipBlocks uint64
+	skipBytes  int64
+	err        error
+	eof        bool
+	truncated  bool // with eof: the stream ended before its footer
+}
+
+// last reports whether it ends the walk.
+func (it *walkItem) last() bool { return it.footer != nil || it.err != nil || it.eof }
+
+// v1BlockEvents sizes the runs a v1 stream is decoded in, since v1 has no
+// block framing of its own.
+const v1BlockEvents = 4096
+
+// next returns the walk's next item. In lenient mode it skips damaged
+// frames, accounting for them on the item it returns; a stream that runs
+// out ends with a truncated eof.
+func (w *frameWalk) next() walkItem {
+	if w.version == Version1 {
+		return w.nextEvents()
+	}
+	var it walkItem
+	for {
+		marker, skipped, err := scanMarker(w.cr, w.lenient)
+		if err != nil {
+			if w.lenient && errors.Is(err, ErrTruncated) {
+				it.eof, it.truncated = true, true
+			} else {
+				it.err = err
+			}
+			return it
+		}
+		if skipped > 0 {
+			it.skipBlocks++
+			it.skipBytes += skipped
+		}
+		frameStart := w.cr.n - 4 // marker already consumed
+		if marker == countMarker {
+			ff, ferr := readFooterFrame(w.cr, w.numStatic)
+			if ferr == nil {
+				it.footer = &ff
+				it.trailerErr = readTrailerMagic(w.cr)
+				return it
+			}
+			err = ferr
+		} else {
+			bf, berr := readBlockFrame(w.cr, marker == blockMarkerC)
+			if berr == nil {
+				it.frame = &bf
+				return it
+			}
+			err = berr
+		}
+		if !w.lenient || !recoverableKind(err) {
+			it.err = err
+			return it
+		}
+		it.skipBlocks++
+		it.skipBytes += w.cr.n - frameStart
+	}
+}
+
+// nextEvents decodes up to v1BlockEvents v1 events. What stops a run
+// early — the footer, a truncation or an error — comes from the next call.
+func (w *frameWalk) nextEvents() walkItem {
+	if it := w.pending; it != nil {
+		return *it
+	}
+	events := getEventSlice(v1BlockEvents)
+	for len(events) < v1BlockEvents {
+		var e Event
+		err := w.decodeEventStream(&e)
+		if err == nil {
+			events = append(events, e)
+			continue
+		}
+		end := w.endEvents(err)
+		if len(events) == 0 {
+			putEventSlice(events)
+			return end
+		}
+		w.pending = &end
+		break
+	}
+	return walkItem{events: events}
+}
+
+// endEvents turns what stopped a v1 event run into the item that ends the
+// stream: the count footer after the in-band terminator, a truncated eof
+// when lenient (v1 has no sync markers: recovery keeps the clean prefix),
+// or a terminal error.
+func (w *frameWalk) endEvents(err error) walkItem {
+	if err == errEndOfEvents {
+		counts, ferr := w.readFooterV1()
+		if ferr == nil {
+			return walkItem{footer: &footerFrame{counts: counts}}
+		}
+		err = ferr
+	}
+	if w.lenient && recoverableKind(err) {
+		return walkItem{eof: true, truncated: true}
+	}
+	return walkItem{err: err}
 }
 
 // errEndOfEvents marks the v1 in-band event terminator.
 var errEndOfEvents = errors.New("end of events")
 
 // decodeEventStream reads one v1 event record directly from the stream.
-func (tr *Reader) decodeEventStream(e *Event) error {
-	opOff := tr.cr.n
-	opByte, err := tr.cr.ReadByte()
+func (w *frameWalk) decodeEventStream(e *Event) error {
+	cr := w.cr
+	opOff := cr.n
+	opByte, err := cr.ReadByte()
 	if err != nil {
 		return ioErr(opOff, err, "reading opcode")
 	}
@@ -433,13 +703,13 @@ func (tr *Reader) decodeEventStream(e *Event) error {
 		return errEndOfEvents
 	}
 	op := isa.Op(opByte)
-	pc, err := tr.readUvarint("pc")
+	pc, err := readUvarint(cr, "pc")
 	if err != nil {
 		return err
 	}
-	flags, err := tr.cr.ReadByte()
+	flags, err := cr.ReadByte()
 	if err != nil {
-		return ioErr(tr.cr.n, err, "reading flags")
+		return ioErr(cr.n, err, "reading flags")
 	}
 	*e = Event{PC: uint32(pc), Op: op, NSrc: flags & flagNSrcMask, DstReg: isa.NoReg,
 		Taken: flags&flagTaken != 0, HasImm: flags&flagImm != 0}
@@ -447,11 +717,11 @@ func (tr *Reader) decodeEventStream(e *Event) error {
 		return formatErr(opOff, ErrMalformed, "corrupt flags: %d source operands", e.NSrc)
 	}
 	for i := uint8(0); i < e.NSrc; i++ {
-		reg, err := tr.cr.ReadByte()
+		reg, err := cr.ReadByte()
 		if err != nil {
-			return ioErr(tr.cr.n, err, "reading src reg")
+			return ioErr(cr.n, err, "reading src reg")
 		}
-		val, err := tr.readUvarint("src val")
+		val, err := readUvarint(cr, "src val")
 		if err != nil {
 			return err
 		}
@@ -459,11 +729,11 @@ func (tr *Reader) decodeEventStream(e *Event) error {
 		e.SrcVal[i] = uint32(val)
 	}
 	if flags&flagDst != 0 {
-		reg, err := tr.cr.ReadByte()
+		reg, err := cr.ReadByte()
 		if err != nil {
-			return ioErr(tr.cr.n, err, "reading dst reg")
+			return ioErr(cr.n, err, "reading dst reg")
 		}
-		val, err := tr.readUvarint("dst val")
+		val, err := readUvarint(cr, "dst val")
 		if err != nil {
 			return err
 		}
@@ -471,18 +741,18 @@ func (tr *Reader) decodeEventStream(e *Event) error {
 		e.DstVal = uint32(val)
 	}
 	if flags&flagMem != 0 {
-		addr, err := tr.readUvarint("mem addr")
+		addr, err := readUvarint(cr, "mem addr")
 		if err != nil {
 			return err
 		}
-		val, err := tr.readUvarint("mem val")
+		val, err := readUvarint(cr, "mem val")
 		if err != nil {
 			return err
 		}
 		e.Addr = uint32(addr)
 		e.MemVal = uint32(val)
 	}
-	if verr := checkEvent(e, tr.numStatic); verr != nil {
+	if verr := checkEvent(e, w.numStatic); verr != nil {
 		return formatErr(opOff, ErrMalformed, "%v", verr)
 	}
 	return nil
@@ -491,106 +761,23 @@ func (tr *Reader) decodeEventStream(e *Event) error {
 // readFooterV1 parses the unframed v1 count footer. The count slice grows
 // incrementally, so a hostile header cannot force a giant allocation from
 // a short file.
-func (tr *Reader) readFooterV1() error {
-	counts := make([]uint64, 0, min(tr.numStatic, 4096))
-	for i := 0; i < tr.numStatic; i++ {
-		c, err := binary.ReadUvarint(tr.cr)
+func (w *frameWalk) readFooterV1() ([]uint64, error) {
+	counts := make([]uint64, 0, min(w.numStatic, 4096))
+	for i := 0; i < w.numStatic; i++ {
+		off := w.cr.n
+		c, err := binary.ReadUvarint(w.cr)
 		if err != nil {
-			return ioErr(tr.cr.n, err, "reading static counts")
+			if oerr := overflowErr(w.cr, off, "static count"); oerr != nil {
+				return nil, oerr
+			}
+			return nil, ioErr(w.cr.n, err, "reading static counts")
 		}
 		counts = append(counts, c)
 	}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(tr.cr, magic); err != nil {
-		return ioErr(tr.cr.n, err, "reading trailer magic")
+	if err := readTrailerMagic(w.cr); err != nil {
+		return nil, err
 	}
-	if string(magic) != footerMagic {
-		return formatErr(tr.cr.n-4, ErrMalformed, "bad trailer magic %q", magic)
-	}
-	tr.counts = counts
-	return nil
-}
-
-// --- v2 decode path ------------------------------------------------------
-
-func (tr *Reader) next2(e *Event) error {
-	for {
-		if tr.blockLeft > 0 {
-			blockBase := tr.blockBase
-			err := decodeEventBuf(tr.block, &tr.blockOff, e, tr.numStatic)
-			if err == nil {
-				tr.blockLeft--
-				if tr.blockLeft == 0 && tr.blockOff != len(tr.block) {
-					// Count and payload disagree; the delivered events were
-					// CRC-clean, but the block is damaged.
-					junk := formatErr(blockBase+int64(tr.blockOff), ErrMalformed,
-						"%d trailing bytes in block", len(tr.block)-tr.blockOff)
-					if !tr.lenient {
-						return tr.fail(junk)
-					}
-					tr.skipRestOfBlock()
-				}
-				return nil
-			}
-			werr := formatErr(blockBase+int64(tr.blockOff), ErrMalformed, "%v", err)
-			if !tr.lenient {
-				return tr.fail(werr)
-			}
-			tr.skipRestOfBlock()
-			continue
-		}
-		if err := tr.readFrame(); err != nil {
-			return err
-		}
-	}
-}
-
-// skipRestOfBlock abandons the current block in lenient mode.
-func (tr *Reader) skipRestOfBlock() {
-	tr.stats.BlocksSkipped++
-	tr.stats.BytesSkipped += int64(len(tr.block) - tr.blockOff)
-	tr.block = tr.block[:0]
-	tr.blockOff = 0
-	tr.blockLeft = 0
-}
-
-// readFrame advances to the next event block (filling the block cursor)
-// or, at the footer, parses the counts and returns io.EOF with done set.
-func (tr *Reader) readFrame() error {
-	for {
-		if tr.ctx != nil && tr.ctx.Err() != nil {
-			return tr.fail(canceledErr(tr.ctx))
-		}
-		marker, skipped, err := tr.nextMarker()
-		if err != nil {
-			return err
-		}
-		if skipped > 0 {
-			tr.stats.BlocksSkipped++
-			tr.stats.BytesSkipped += skipped
-		}
-		frameStart := tr.cr.n - 4 // marker already consumed
-		var ferr error
-		isFooter := marker == countMarker
-		if isFooter {
-			ferr = tr.readFooterV2()
-		} else {
-			ferr = tr.readBlockV2(marker == blockMarkerC)
-		}
-		if ferr == nil {
-			if isFooter {
-				tr.done = true
-				return io.EOF
-			}
-			return nil
-		}
-		if tr.lenient && recoverableKind(ferr) {
-			tr.stats.BlocksSkipped++
-			tr.stats.BytesSkipped += tr.cr.n - frameStart
-			continue // rescan for the next marker
-		}
-		return tr.fail(ferr)
-	}
+	return counts, nil
 }
 
 // scanMarker reads the next 4-byte frame marker. In strict mode anything
@@ -622,16 +809,6 @@ func scanMarker(cr *countingReader, lenient bool) (string, int64, error) {
 	}
 }
 
-// nextMarker is scanMarker bound to the Reader's stream and failure
-// bookkeeping (sticky errors, lenient end-of-stream).
-func (tr *Reader) nextMarker() (string, int64, error) {
-	m, skipped, err := scanMarker(tr.cr, tr.lenient)
-	if err != nil {
-		return "", 0, tr.frameEnd(err)
-	}
-	return m, skipped, nil
-}
-
 // blockFrame is one framed v2 event block as read off the stream, before
 // CRC verification, decompression, or event decoding.
 type blockFrame struct {
@@ -652,8 +829,8 @@ func (bf *blockFrame) frameLen() int64 {
 // readBlockFrame reads a block frame's codec flag, lengths, checksum
 // field, and stored payload; the marker is already consumed (compressed
 // reports which of the two block markers it was). The CRC is not verified
-// and the payload not decompressed here, so a parallel decoder can farm
-// that (and event decoding) out to workers.
+// and the payload not decompressed here: that is decodeBlockFrame's job,
+// which a decode pool runs on its workers.
 //
 // Every length is validated against maxBlockLen before any allocation —
 // critically the declared *uncompressed* length, so a hostile frame
@@ -712,37 +889,95 @@ func readBlockFrame(cr *countingReader, compressed bool) (blockFrame, error) {
 	return bf, nil
 }
 
-// readBlockV2 parses one framed event block into the block cursor,
-// CRC-checking the stored bytes and inflating compressed payloads.
-func (tr *Reader) readBlockV2(compressed bool) error {
-	bf, err := readBlockFrame(tr.cr, compressed)
-	if err != nil {
-		return err
-	}
+// blockResult is one decoded v2 block.
+type blockResult struct {
+	events []Event
+	// err is the terminal error a strict reader reports after delivering
+	// events; always nil in lenient mode, where in-block damage becomes
+	// skip accounting instead.
+	err error
+	// blocks is 1 when the payload was CRC-clean (Stats.Blocks).
+	blocks uint64
+	// compressed is 1 when the payload was stored compressed
+	// (Stats.BlocksCompressed).
+	compressed uint64
+	// blocksSkipped/bytesSkipped carry lenient damage accounting.
+	blocksSkipped uint64
+	bytesSkipped  int64
+}
+
+// decodeBlockFrame CRC-checks, decompresses, and decodes one block, and
+// returns its stored payload to the pool. It is the one v2 block decoder,
+// whichever goroutine runs it. In strict mode the first damage is an
+// error after the cleanly decoded prefix, and a block whose payload
+// outlasts its declared count withholds its final event too; in lenient
+// mode damage becomes skip accounting and every clean event is delivered.
+func decodeBlockFrame(bf *blockFrame, numStatic int, lenient bool) blockResult {
+	defer putPayloadBuf(bf.payload)
+	var r blockResult
 	if crc32.Checksum(bf.payload, castagnoli) != bf.crc {
-		return formatErr(bf.frameOff, ErrChecksum, "block checksum")
+		if lenient {
+			r.blocksSkipped = 1
+			r.bytesSkipped = bf.frameLen()
+		} else {
+			r.err = formatErr(bf.frameOff, ErrChecksum, "block checksum")
+		}
+		return r
 	}
 	payload := bf.payload
 	if bf.codec != CodecNone {
-		payload, err = expandBlock(&bf)
+		inflated, err := expandBlock(bf)
 		if err != nil {
-			return err
+			if lenient {
+				r.blocksSkipped = 1
+				r.bytesSkipped = bf.frameLen()
+			} else {
+				r.err = err
+			}
+			return r
 		}
-		putPayloadBuf(bf.payload)
-		tr.stats.BlocksCompressed++
+		payload = inflated
+		defer putPayloadBuf(inflated)
+		r.compressed = 1
 	}
-	tr.block = payload
-	tr.blockOff = 0
-	tr.blockLeft = bf.count
-	tr.blockBase = bf.payloadOff
-	tr.stats.Blocks++
-	return nil
+	r.blocks = 1
+	r.events = getEventSlice(int(bf.count))
+	off := 0
+	for left := bf.count; left > 0; left-- {
+		var e Event
+		if err := decodeEventBuf(payload, &off, &e, numStatic); err != nil {
+			werr := formatErr(bf.payloadOff+int64(off), ErrMalformed, "%v", err)
+			if lenient {
+				r.blocksSkipped = 1
+				r.bytesSkipped = int64(len(payload) - off)
+			} else {
+				r.err = werr
+			}
+			return r
+		}
+		if left == 1 && off != len(payload) {
+			// Count and payload disagree; the delivered events were
+			// CRC-clean, but the block is damaged.
+			junk := formatErr(bf.payloadOff+int64(off), ErrMalformed,
+				"%d trailing bytes in block", len(payload)-off)
+			if lenient {
+				r.events = append(r.events, e)
+				r.blocksSkipped = 1
+				r.bytesSkipped = int64(len(payload) - off)
+			} else {
+				r.err = junk
+			}
+			return r
+		}
+		r.events = append(r.events, e)
+	}
+	return r
 }
 
-// footerFrame is the parsed v2 static-count footer.
+// footerFrame is the parsed static-count footer.
 type footerFrame struct {
-	frameOff int64    // stream offset of the frame marker
-	total    uint64   // declared total event count
+	frameOff int64    // stream offset of the frame marker (v2)
+	total    uint64   // declared total event count (v2)
 	counts   []uint64 // per-PC execution counts
 }
 
@@ -793,7 +1028,7 @@ func readFooterFrame(cr *countingReader, numStatic int) (footerFrame, error) {
 }
 
 // readTrailerMagic consumes the end-of-stream magic that follows the
-// footer frame.
+// footer.
 func readTrailerMagic(cr *countingReader) error {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(cr, magic); err != nil {
@@ -802,28 +1037,6 @@ func readTrailerMagic(cr *countingReader) error {
 	if string(magic) != footerMagic {
 		return formatErr(cr.n-4, ErrMalformed, "bad trailer magic %q", magic)
 	}
-	return nil
-}
-
-// readFooterV2 parses the framed count footer and the trailing magic.
-func (tr *Reader) readFooterV2() error {
-	ff, err := readFooterFrame(tr.cr, tr.numStatic)
-	if err != nil {
-		return err
-	}
-	tr.stats.EventsDeclared = ff.total
-	if !tr.lenient && ff.total != tr.stats.Events {
-		return formatErr(ff.frameOff, ErrMalformed, "footer declares %d events, stream has %d", ff.total, tr.stats.Events)
-	}
-	if merr := readTrailerMagic(tr.cr); merr != nil {
-		if !tr.lenient {
-			return merr
-		}
-		// The counts themselves were CRC-clean; keep them but note the
-		// missing trailer.
-		tr.stats.Truncated = true
-	}
-	tr.counts = ff.counts
 	return nil
 }
 

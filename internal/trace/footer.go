@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"io"
 	"os"
 )
@@ -20,7 +21,7 @@ import (
 // events — that is the decode pass's job, and duplicating it here would
 // defeat the point. A stream whose frame structure is intact but whose
 // payload bytes are damaged therefore passes the probe and fails in the
-// decode pass, with the same typed error a sequential reader reports.
+// decode pass, with the typed error the reader reports.
 
 // FooterInfo is what ScanFooter recovers from a stream: the header fields
 // plus the footer's declared totals.
@@ -42,22 +43,22 @@ type FooterInfo struct {
 // and a corrupt header or footer reports ErrChecksum. Block payload
 // damage is invisible to the probe by design; see the file comment.
 func ScanFooter(r io.Reader) (FooterInfo, error) {
-	tr, err := NewReader(r)
+	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
+	h, err := readHeader(cr)
 	if err != nil {
 		return FooterInfo{}, err
 	}
-	if tr.version != Version2 {
-		return FooterInfo{}, formatErr(4, ErrMalformed, "version %d stream has no framed footer", tr.version)
+	if h.version != Version2 {
+		return FooterInfo{}, formatErr(4, ErrMalformed, "version %d stream has no framed footer", h.version)
 	}
-	info := FooterInfo{Name: tr.name, NumStatic: tr.numStatic}
-	cr := tr.cr
+	info := FooterInfo{Name: h.name, NumStatic: h.numStatic}
 	for {
 		marker, _, err := scanMarker(cr, false)
 		if err != nil {
 			return info, err
 		}
 		if marker == countMarker {
-			ff, err := readFooterFrame(cr, tr.numStatic)
+			ff, err := readFooterFrame(cr, h.numStatic)
 			if err != nil {
 				return info, err
 			}

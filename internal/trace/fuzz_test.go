@@ -84,8 +84,8 @@ func drainChecked(t *testing.T, data []byte, lenient bool) {
 // input: the LZ codec must round-trip arbitrary bytes exactly; the LZ
 // decoder must survive the same bytes *as* a compressed stream (bounded
 // output, error or success, never a panic); and a whole trace written with
-// a fuzzer-chosen codec and block size must decode identically through
-// both readers.
+// a fuzzer-chosen codec and block size must decode identically inline and
+// on a pool.
 func FuzzCompressedBlock(f *testing.F) {
 	stream, _ := smallV2Stream(f, 64)
 	f.Add([]byte{}, byte(1), uint16(64))
@@ -110,7 +110,7 @@ func FuzzCompressedBlock(f *testing.F) {
 		}
 
 		// 3. Full-stack: a valid trace under a fuzzer-chosen shape must
-		// round-trip through both readers, observably identically.
+		// round-trip inline and on a pool, observably identically.
 		codec := Codec(uint(codecByte) % uint(numCodecs))
 		tr := New("fz", 4)
 		for i := 0; i < 50; i++ {
@@ -125,10 +125,10 @@ func FuzzCompressedBlock(f *testing.F) {
 		if err := WriteAll(&buf, tr, BlockBytes(int(blockSize)), Compression(codec)); err != nil {
 			t.Fatalf("write with codec %s: %v", codec, err)
 		}
-		seq := captureSequential(t, buf.Bytes())
-		diffRuns(t, "fuzz-compressed", seq, captureParallel(t, buf.Bytes(), Workers(4)))
-		if seq.finalErr != "" || len(seq.events) != len(tr.Events) {
-			t.Fatalf("codec %s: decode failed: %d events, err %q", codec, len(seq.events), seq.finalErr)
+		seq := decode(t, buf.Bytes())
+		diffRuns(t, "fuzz-compressed", seq, decode(t, buf.Bytes(), Workers(4)))
+		if seq.err != nil || len(seq.events) != len(tr.Events) {
+			t.Fatalf("codec %s: decode failed: %d events, err %v", codec, len(seq.events), seq.err)
 		}
 		for i := range seq.events {
 			if seq.events[i] != tr.Events[i] {

@@ -1,144 +1,46 @@
 package trace
 
-import (
-	"context"
-	"errors"
-	"hash/crc32"
-	"io"
-	"os"
-	"runtime"
-	"sync"
-)
-
-// This file implements the concurrent v2 block decoder. The framed trace
-// format was designed for exactly this: blocks are self-delimited and
-// independently checksummed, so their expensive work (CRC verification and
-// event decoding) can run in parallel while a single splitter goroutine
-// walks the frame structure in stream order.
+// This file runs the decode pool behind Workers(n) for n > 1. The framed
+// format was designed for it: blocks are self-delimited and independently
+// checksummed, so their expensive work (CRC verification, inflation and
+// event decoding) can run in parallel while one splitter goroutine walks
+// the frame structure in stream order.
 //
 //	splitter ──jobs──▶ worker pool ──(per-block result chans)──▶ consumer
 //	    └───────────── in-order item stream ──────────────────────┘
 //
-// The splitter reads frames sequentially (reusing the same primitives as
-// the sequential Reader, so framing errors and lenient resynchronisation
-// are byte-identical), hands each block to a bounded worker pool, and
-// forwards an in-order item stream to the consumer. Each block item
-// carries a one-buffered result channel its worker fills; the consumer
-// receives items in stream order and waits on each block's channel, which
-// re-establishes the original event order no matter how workers finish.
-// Because result channels are buffered, workers never block on a slow or
-// departed consumer; backpressure comes from the bounded jobs and item
-// channels, which also bounds memory to O(workers) blocks.
+// The splitter runs the same frame walk the inline reader runs, hands each
+// block frame to a bounded worker pool, and forwards the walk's items in
+// order. Each block item carries a one-buffered result channel its worker
+// fills with decodeBlockFrame's verdict; the consumer receives items in
+// stream order and waits on each block's channel, which re-establishes
+// the original event order no matter how workers finish. Because result
+// channels are buffered, workers never block on a slow or departed
+// consumer; backpressure comes from the bounded jobs and item channels,
+// which also bounds memory to O(workers) blocks.
 //
-// The error contract is the sequential Reader's, exactly: the first
-// failure in *stream order* (not discovery order) is reported in strict
-// mode, lenient mode skips damage with identical Stats accounting, and
-// all errors carry the same types, offsets, and messages. The
-// differential tests in parallel_test.go hold the two decoders equal
-// across the full corruption matrix.
+// Since the walk and the block decoder are the inline reader's own, the
+// first failure in *stream order* (not discovery order) is the one
+// reported, with the same types, offsets, messages and Stats.
 
 // pjob is one block frame handed to the worker pool.
 type pjob struct {
-	bf  blockFrame
+	bf  *blockFrame
 	res chan blockResult // buffered(1): the worker's send never blocks
 }
 
-// blockResult is a worker's verdict on one block.
-type blockResult struct {
-	events []Event
-	// err is the terminal error a strict reader reports after delivering
-	// events; always nil in lenient mode, where in-block damage becomes
-	// skip accounting instead.
-	err error
-	// blocks is 1 when the payload was CRC-clean (Stats.Blocks).
-	blocks uint64
-	// compressed is 1 when the payload was stored compressed
-	// (Stats.BlocksCompressed).
-	compressed uint64
-	// blocksSkipped/bytesSkipped carry lenient damage accounting.
-	blocksSkipped uint64
-	bytesSkipped  int64
-}
-
-// pitem is one entry of the in-order reassembly stream. Exactly one group
-// of fields is set: res (a decoded block pending at a worker), footer, a
-// skip record, a terminal error, or a terminal eof.
-type pitem struct {
-	res        chan blockResult
-	footer     *footerFrame
-	trailerErr error // with footer: problem reading the trailing magic
-	skipBlocks uint64
-	skipBytes  int64
-	err        error
-	eof        bool
-	truncated  bool // with eof: the stream ended before its footer
-}
-
-// ParallelReader decodes a v2 trace stream with a pool of concurrent
-// block decoders behind the same streaming interface as Reader. It is
-// proven equivalent to the sequential reader — same events, same Stats,
-// same typed errors at the same offsets — by the differential tests.
-//
-// Version-1 streams have no block framing, so they fall back to plain
-// sequential decoding, as does Workers(1).
-//
-// A ParallelReader is not safe for concurrent use; one goroutine should
-// own it. A consumer that stops before io.EOF must call Close to release
-// the decode pipeline.
-type ParallelReader struct {
-	seq *Reader // header owner; the whole decoder when fallback is active
-
-	// ctx is non-nil under WithContext: cancellation interrupts the
-	// consumer's wait on the pipeline and fails the reader sticky.
-	ctx context.Context
-
-	// items is nil in sequential-fallback mode.
-	items chan pitem
-	quit  chan struct{}
-	stop  sync.Once
-
-	stats  Stats
-	counts []uint64
-	cur    blockResult
-	curIdx int
-	// curHandedOff marks cur.events as escaped to a NextBlock caller, so
-	// advance must not recycle the slice into the event pool.
-	curHandedOff bool
-	// blockSeq numbers delivered blocks in stream order (Block.Index).
-	blockSeq uint64
-	done     bool
-	sticky   error
-}
-
-// NewParallelReader parses the stream header and, for v2 streams, starts
-// the decode pipeline. Workers(n) bounds the pool; Workers(0) — the
-// default — uses runtime.GOMAXPROCS(0).
-func NewParallelReader(r io.Reader, opts ...ReaderOption) (*ParallelReader, error) {
-	var cfg readerConfig
-	for _, o := range opts {
-		o(&cfg)
+// startPool moves the frame walk onto a splitter goroutine feeding n block
+// decoders; the consumer then reads the walk from tr.items.
+func (tr *Reader) startPool(n int) {
+	// The items buffer lets the walk run 2n frames ahead of the consumer,
+	// enough to keep n workers busy while it waits on the oldest block.
+	tr.items = make(chan walkItem, 2*n)
+	tr.quit = make(chan struct{})
+	jobs := make(chan pjob, n)
+	for i := 0; i < n; i++ {
+		go decodeWorker(jobs, tr.walk.numStatic, tr.walk.lenient)
 	}
-	seq, err := NewReader(r, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p := &ParallelReader{seq: seq, ctx: cfg.ctx}
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if seq.version == Version1 || workers == 1 {
-		return p, nil // sequential fallback
-	}
-	p.stats = seq.stats // carries the negotiated Version
-	p.items = make(chan pitem, 2*workers)
-	p.quit = make(chan struct{})
-	jobs := make(chan pjob, workers)
-	for i := 0; i < workers; i++ {
-		go decodeWorker(jobs, seq.numStatic, seq.lenient)
-	}
-	go p.split(jobs)
-	return p, nil
+	go tr.split(jobs)
 }
 
 // decodeWorker drains the job channel until it closes. Sends never block
@@ -147,142 +49,26 @@ func NewParallelReader(r io.Reader, opts ...ReaderOption) (*ParallelReader, erro
 func decodeWorker(jobs <-chan pjob, numStatic int, lenient bool) {
 	for j := range jobs {
 		j.res <- decodeBlockFrame(j.bf, numStatic, lenient)
-		// The result carries decoded events only; the raw payload is dead
-		// and can be recycled for a future block frame.
-		putPayloadBuf(j.bf.payload)
 	}
 }
 
-// decodeBlockFrame CRC-checks, decompresses, and decodes one block,
-// reproducing the sequential reader's per-block semantics: in strict mode
-// the first damage is an error after the cleanly decoded prefix (and a
-// trailing-junk block withholds its final event, as the sequential reader
-// does); in lenient mode damage becomes skip accounting and every clean
-// event is delivered. Compressed payloads inflate here, inside the worker
-// pool, so decompression parallelises with CRC verification and event
-// decoding.
-func decodeBlockFrame(bf blockFrame, numStatic int, lenient bool) blockResult {
-	var r blockResult
-	if crc32.Checksum(bf.payload, castagnoli) != bf.crc {
-		if lenient {
-			r.blocksSkipped = 1
-			r.bytesSkipped = bf.frameLen()
-		} else {
-			r.err = formatErr(bf.frameOff, ErrChecksum, "block checksum")
-		}
-		return r
-	}
-	payload := bf.payload
-	if bf.codec != CodecNone {
-		inflated, err := expandBlock(&bf)
-		if err != nil {
-			if lenient {
-				r.blocksSkipped = 1
-				r.bytesSkipped = bf.frameLen()
-			} else {
-				r.err = err
-			}
-			return r
-		}
-		payload = inflated
-		defer putPayloadBuf(inflated)
-		r.compressed = 1
-	}
-	r.blocks = 1
-	r.events = getEventSlice(int(bf.count))
-	off := 0
-	for left := bf.count; left > 0; left-- {
-		var e Event
-		if err := decodeEventBuf(payload, &off, &e, numStatic); err != nil {
-			werr := formatErr(bf.payloadOff+int64(off), ErrMalformed, "%v", err)
-			if lenient {
-				r.blocksSkipped = 1
-				r.bytesSkipped = int64(len(payload) - off)
-			} else {
-				r.err = werr
-			}
-			return r
-		}
-		if left == 1 && off != len(payload) {
-			// Count and payload disagree; the delivered events were
-			// CRC-clean, but the block is damaged.
-			junk := formatErr(bf.payloadOff+int64(off), ErrMalformed,
-				"%d trailing bytes in block", len(payload)-off)
-			if lenient {
-				r.events = append(r.events, e)
-				r.blocksSkipped = 1
-				r.bytesSkipped = int64(len(payload) - off)
-			} else {
-				r.err = junk
-			}
-			return r
-		}
-		r.events = append(r.events, e)
-	}
-	return r
-}
-
-// split is the frame splitter: it walks the stream's frame structure in
-// order, dispatches block payloads to the worker pool, and forwards the
-// in-order item stream. It always ends with a terminal item (err or eof)
-// unless the consumer has already quit.
-func (p *ParallelReader) split(jobs chan<- pjob) {
+// split walks the stream, dispatches block frames to the worker pool, and
+// forwards the in-order item stream. It always ends with the walk's last
+// item unless the consumer has already quit.
+func (tr *Reader) split(jobs chan<- pjob) {
 	defer close(jobs)
-	sc := p.seq
 	for {
-		marker, skipped, err := scanMarker(sc.cr, sc.lenient)
-		if err != nil {
-			if sc.lenient && errors.Is(err, ErrTruncated) {
-				p.emit(pitem{eof: true, truncated: true})
-			} else {
-				p.emit(pitem{err: err})
-			}
-			return
-		}
-		if skipped > 0 {
-			if !p.emit(pitem{skipBlocks: 1, skipBytes: skipped}) {
+		it := tr.walk.next()
+		if it.frame != nil {
+			res := make(chan blockResult, 1)
+			select {
+			case jobs <- pjob{bf: it.frame, res: res}:
+			case <-tr.quit:
 				return
 			}
+			it.frame, it.res = nil, res
 		}
-		frameStart := sc.cr.n - 4
-		if marker == countMarker {
-			ff, ferr := readFooterFrame(sc.cr, sc.numStatic)
-			if ferr != nil {
-				if sc.lenient && recoverableKind(ferr) {
-					if !p.emit(pitem{skipBlocks: 1, skipBytes: sc.cr.n - frameStart}) {
-						return
-					}
-					continue // rescan for the next marker
-				}
-				p.emit(pitem{err: ferr})
-				return
-			}
-			item := pitem{footer: &ff}
-			item.trailerErr = readTrailerMagic(sc.cr)
-			if !p.emit(item) {
-				return
-			}
-			p.emit(pitem{eof: true})
-			return
-		}
-		bf, berr := readBlockFrame(sc.cr, marker == blockMarkerC)
-		if berr != nil {
-			if sc.lenient && recoverableKind(berr) {
-				if !p.emit(pitem{skipBlocks: 1, skipBytes: sc.cr.n - frameStart}) {
-					return
-				}
-				continue
-			}
-			p.emit(pitem{err: berr})
-			return
-		}
-		res := make(chan blockResult, 1)
-		select {
-		case jobs <- pjob{bf: bf, res: res}:
-		case <-p.quit:
-			return
-		}
-		if !p.emit(pitem{res: res}) {
+		if !tr.emit(it) || it.last() {
 			return
 		}
 	}
@@ -290,224 +76,11 @@ func (p *ParallelReader) split(jobs chan<- pjob) {
 
 // emit forwards one in-order item, reporting false once the consumer has
 // abandoned the stream.
-func (p *ParallelReader) emit(it pitem) bool {
+func (tr *Reader) emit(it walkItem) bool {
 	select {
-	case p.items <- it:
+	case tr.items <- it:
 		return true
-	case <-p.quit:
+	case <-tr.quit:
 		return false
 	}
-}
-
-// Next decodes the next event into e, in original stream order. The
-// contract is Reader.Next's: io.EOF ends the stream (after which
-// StaticCounts is available), strict mode fails sticky on the first
-// structural problem in stream order, and lenient mode records skipped
-// damage in Stats.
-func (p *ParallelReader) Next(e *Event) error {
-	if p.items == nil {
-		return p.seq.Next(e)
-	}
-	if p.sticky != nil {
-		return p.sticky
-	}
-	if p.done {
-		return io.EOF
-	}
-	// Same probe cadence as the sequential reader: cancellation is
-	// observed within the current block even when every event is already
-	// decoded and waiting in the cursor.
-	if p.ctx != nil && p.stats.Events&1023 == 0 && p.ctx.Err() != nil {
-		return p.fail(canceledErr(p.ctx))
-	}
-	for {
-		if p.curIdx < len(p.cur.events) {
-			*e = p.cur.events[p.curIdx]
-			p.curIdx++
-			p.stats.Events++
-			return nil
-		}
-		if p.cur.err != nil {
-			return p.fail(p.cur.err)
-		}
-		if err := p.advance(); err != nil {
-			return err
-		}
-	}
-}
-
-// advance refills the block cursor from the in-order item stream: it pumps
-// items — folding footer, skip, and damage accounting into Stats — until a
-// decoded block is current, the stream ends (io.EOF, with done set), or a
-// terminal error occurs (already recorded via fail). It is the shared pump
-// behind Next and NextBlock; callers invoke it only with the current block
-// exhausted and error-free.
-func (p *ParallelReader) advance() error {
-	if p.cur.events != nil && !p.curHandedOff {
-		putEventSlice(p.cur.events)
-	}
-	p.cur = blockResult{}
-	p.curIdx = 0
-	p.curHandedOff = false
-	for {
-		var it pitem
-		if p.ctx != nil {
-			// Checking the context before the select keeps cancellation
-			// deterministic (a ready item never races a done context), and
-			// the select interrupts the wait on the pipeline, so a consumer
-			// stuck behind a stalled source regains control the moment its
-			// deadline fires.
-			if p.ctx.Err() != nil {
-				return p.fail(canceledErr(p.ctx))
-			}
-			select {
-			case it = <-p.items:
-			case <-p.ctx.Done():
-				return p.fail(canceledErr(p.ctx))
-			}
-		} else {
-			it = <-p.items
-		}
-		switch {
-		case it.res != nil:
-			r := <-it.res
-			p.stats.Blocks += r.blocks
-			p.stats.BlocksCompressed += r.compressed
-			p.stats.BlocksSkipped += r.blocksSkipped
-			p.stats.BytesSkipped += r.bytesSkipped
-			p.cur = r
-			return nil
-		case it.footer != nil:
-			p.stats.EventsDeclared = it.footer.total
-			if !p.seq.lenient && it.footer.total != p.stats.Events {
-				return p.fail(formatErr(it.footer.frameOff, ErrMalformed,
-					"footer declares %d events, stream has %d", it.footer.total, p.stats.Events))
-			}
-			if it.trailerErr != nil {
-				if !p.seq.lenient {
-					return p.fail(it.trailerErr)
-				}
-				p.stats.Truncated = true
-			}
-			p.counts = it.footer.counts
-		case it.err != nil:
-			return p.fail(it.err)
-		case it.eof:
-			if it.truncated {
-				p.stats.Truncated = true
-				if p.counts == nil {
-					p.stats.FooterLost = true
-				}
-			}
-			p.done = true
-			p.shutdown()
-			return io.EOF
-		default: // lenient frame-level skip
-			p.stats.BlocksSkipped += it.skipBlocks
-			p.stats.BytesSkipped += it.skipBytes
-		}
-	}
-}
-
-// fail records a terminal error and releases the pipeline; every
-// subsequent Next repeats it.
-func (p *ParallelReader) fail(err error) error {
-	p.sticky = err
-	p.shutdown()
-	return err
-}
-
-// shutdown signals the splitter and workers to drain and exit.
-func (p *ParallelReader) shutdown() {
-	if p.quit != nil {
-		p.stop.Do(func() { close(p.quit) })
-	}
-}
-
-// Close releases the decode pipeline without reading to io.EOF: the
-// splitter and workers drain and exit. It is safe to call at any point
-// (including after EOF or an error, where it is a no-op) and is
-// idempotent. Close does not interrupt a Read already in flight on the
-// underlying reader.
-func (p *ParallelReader) Close() error {
-	p.shutdown()
-	if p.items != nil && p.sticky == nil && !p.done {
-		p.sticky = errors.New("trace: parallel reader closed")
-	}
-	return nil
-}
-
-// Name returns the workload name from the header.
-func (p *ParallelReader) Name() string { return p.seq.name }
-
-// NumStatic returns the static program length from the header.
-func (p *ParallelReader) NumStatic() int { return p.seq.numStatic }
-
-// Version returns the negotiated format version.
-func (p *ParallelReader) Version() int { return p.seq.version }
-
-// Stats returns the progress and damage summary; the final snapshot
-// (after Next has returned io.EOF or an error) matches the sequential
-// reader's exactly.
-func (p *ParallelReader) Stats() Stats {
-	if p.items == nil {
-		return p.seq.Stats()
-	}
-	return p.stats
-}
-
-// StaticCounts returns the per-PC execution counts; valid only after Next
-// has returned io.EOF, and nil if the footer was lost in lenient mode.
-func (p *ParallelReader) StaticCounts() []uint64 {
-	if p.items == nil {
-		return p.seq.StaticCounts()
-	}
-	return p.counts
-}
-
-// ParallelReadAll decodes an entire stream through the parallel decoder.
-// Strict mode mirrors ReadAll (a truncated stream returns the recovered
-// prefix together with an error matching ErrTruncated); with Lenient()
-// it mirrors ReadAllLenient (damage is skipped and summarised in Stats).
-func ParallelReadAll(r io.Reader, opts ...ReaderOption) (*Trace, Stats, error) {
-	pr, err := NewParallelReader(r, opts...)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer pr.Close()
-	t := &Trace{Name: pr.Name(), NumStatic: pr.NumStatic()}
-	var e Event
-	var nerr error
-	for {
-		nerr = pr.Next(&e)
-		if nerr != nil {
-			break
-		}
-		t.Events = append(t.Events, e)
-	}
-	stats := pr.Stats()
-	if nerr != io.EOF {
-		if errors.Is(nerr, ErrTruncated) {
-			t.StaticCount = rebuildCounts(t)
-			return t, stats, nerr
-		}
-		return nil, stats, nerr
-	}
-	if counts := pr.StaticCounts(); counts != nil {
-		t.StaticCount = counts
-	} else {
-		t.StaticCount = rebuildCounts(t)
-	}
-	return t, stats, nil
-}
-
-// ReadFileParallel loads a trace file through the parallel decoder; see
-// ParallelReadAll for the error contract.
-func ReadFileParallel(path string, opts ...ReaderOption) (*Trace, Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer f.Close()
-	return ParallelReadAll(f, opts...)
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -14,39 +15,23 @@ import (
 )
 
 // decodeRun captures everything observable about one decode of a byte
-// stream — the material the differential tests hold equal between the
-// sequential and parallel readers.
+// stream.
 type decodeRun struct {
-	ctorErr   string // constructor failure ("" = header parsed)
+	ctorErr   error // constructor failure (nil = header parsed)
 	name      string
 	numStatic int
 	version   int
 	events    []Event
 	stats     Stats
-	finalErr  string // terminal Next error ("" = clean io.EOF)
-	truncated bool   // errors.Is(finalErr, ErrTruncated)
-	malformed bool
-	checksum  bool
+	err       error // terminal Next error (nil = clean io.EOF)
 	counts    []uint64
 }
 
-// eventReader is the surface shared by Reader and ParallelReader that the
-// differential harness drives.
-type eventReader interface {
-	Next(*Event) error
-	Name() string
-	NumStatic() int
-	Version() int
-	Stats() Stats
-	StaticCounts() []uint64
-	Close() error
-}
-
 // capture drains r to exhaustion and records the full observable outcome.
-func capture(t *testing.T, r eventReader, ctorErr error) decodeRun {
+func capture(t *testing.T, r *Reader, ctorErr error) decodeRun {
 	t.Helper()
 	if ctorErr != nil {
-		return decodeRun{ctorErr: ctorErr.Error()}
+		return decodeRun{ctorErr: ctorErr}
 	}
 	defer r.Close()
 	run := decodeRun{name: r.Name(), numStatic: r.NumStatic(), version: r.Version()}
@@ -60,10 +45,7 @@ func capture(t *testing.T, r eventReader, ctorErr error) decodeRun {
 			break
 		}
 		if err != nil {
-			run.finalErr = err.Error()
-			run.truncated = errors.Is(err, ErrTruncated)
-			run.malformed = errors.Is(err, ErrMalformed)
-			run.checksum = errors.Is(err, ErrChecksum)
+			run.err = err
 			break
 		}
 		run.events = append(run.events, e)
@@ -73,85 +55,85 @@ func capture(t *testing.T, r eventReader, ctorErr error) decodeRun {
 	return run
 }
 
-func captureSequential(t *testing.T, data []byte, opts ...ReaderOption) decodeRun {
+// decode captures a decode of data by a reader opened with opts (one
+// worker unless opts say otherwise).
+func decode(t *testing.T, data []byte, opts ...ReaderOption) decodeRun {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(data), opts...)
-	if err != nil {
-		return capture(t, nil, err)
-	}
-	return capture(t, r, nil)
+	return capture(t, r, err)
 }
 
-func captureParallel(t *testing.T, data []byte, opts ...ReaderOption) decodeRun {
-	t.Helper()
-	r, err := NewParallelReader(bytes.NewReader(data), opts...)
-	if err != nil {
-		return capture(t, nil, err)
+// errText renders a possibly nil error for comparison.
+func errText(err error) string {
+	if err == nil {
+		return ""
 	}
-	return capture(t, r, nil)
+	return err.Error()
 }
 
 // diffRuns asserts two decode runs are observably identical: same header,
 // same event sequence, same Stats, same terminal error (string and typed
 // kinds), same static counts.
-func diffRuns(t *testing.T, label string, seq, par decodeRun) {
+func diffRuns(t *testing.T, label string, a, b decodeRun) {
 	t.Helper()
-	if seq.ctorErr != par.ctorErr {
-		t.Fatalf("%s: constructor error mismatch:\n  seq: %q\n  par: %q", label, seq.ctorErr, par.ctorErr)
+	if errText(a.ctorErr) != errText(b.ctorErr) {
+		t.Fatalf("%s: constructor error mismatch:\n  a: %v\n  b: %v", label, a.ctorErr, b.ctorErr)
 	}
-	if seq.ctorErr != "" {
+	if a.ctorErr != nil {
 		return
 	}
-	if seq.name != par.name || seq.numStatic != par.numStatic || seq.version != par.version {
-		t.Fatalf("%s: header mismatch: seq (%q,%d,v%d) vs par (%q,%d,v%d)", label,
-			seq.name, seq.numStatic, seq.version, par.name, par.numStatic, par.version)
+	if a.name != b.name || a.numStatic != b.numStatic || a.version != b.version {
+		t.Fatalf("%s: header mismatch: a (%q,%d,v%d) vs b (%q,%d,v%d)", label,
+			a.name, a.numStatic, a.version, b.name, b.numStatic, b.version)
 	}
-	if len(seq.events) != len(par.events) {
-		t.Fatalf("%s: event count mismatch: seq %d vs par %d", label, len(seq.events), len(par.events))
+	if len(a.events) != len(b.events) {
+		t.Fatalf("%s: event count mismatch: a %d vs b %d", label, len(a.events), len(b.events))
 	}
-	for i := range seq.events {
-		if seq.events[i] != par.events[i] {
-			t.Fatalf("%s: event %d differs:\n  seq: %+v\n  par: %+v", label, i, seq.events[i], par.events[i])
+	for i := range a.events {
+		if a.events[i] != b.events[i] {
+			t.Fatalf("%s: event %d differs:\n  a: %+v\n  b: %+v", label, i, a.events[i], b.events[i])
 		}
 	}
-	if seq.stats != par.stats {
-		t.Fatalf("%s: stats mismatch:\n  seq: %+v\n  par: %+v", label, seq.stats, par.stats)
+	if a.stats != b.stats {
+		t.Fatalf("%s: stats mismatch:\n  a: %+v\n  b: %+v", label, a.stats, b.stats)
 	}
-	if seq.finalErr != par.finalErr {
-		t.Fatalf("%s: terminal error mismatch:\n  seq: %q\n  par: %q", label, seq.finalErr, par.finalErr)
+	if errText(a.err) != errText(b.err) {
+		t.Fatalf("%s: terminal error mismatch:\n  a: %v\n  b: %v", label, a.err, b.err)
 	}
-	if seq.truncated != par.truncated || seq.malformed != par.malformed || seq.checksum != par.checksum {
-		t.Fatalf("%s: error kind mismatch: seq (trunc=%v mal=%v crc=%v) vs par (trunc=%v mal=%v crc=%v)",
-			label, seq.truncated, seq.malformed, seq.checksum, par.truncated, par.malformed, par.checksum)
-	}
-	if (seq.counts == nil) != (par.counts == nil) || len(seq.counts) != len(par.counts) {
-		t.Fatalf("%s: counts presence mismatch: seq %d (nil=%v) vs par %d (nil=%v)", label,
-			len(seq.counts), seq.counts == nil, len(par.counts), par.counts == nil)
-	}
-	for i := range seq.counts {
-		if seq.counts[i] != par.counts[i] {
-			t.Fatalf("%s: static count %d differs: seq %d vs par %d", label, i, seq.counts[i], par.counts[i])
+	for _, kind := range []error{ErrTruncated, ErrMalformed, ErrChecksum} {
+		if errors.Is(a.err, kind) != errors.Is(b.err, kind) {
+			t.Fatalf("%s: error kind mismatch on %v: a %v vs b %v", label, kind, a.err, b.err)
 		}
+	}
+	if (a.counts == nil) != (b.counts == nil) || !equalCounts(a.counts, b.counts) {
+		t.Fatalf("%s: static counts mismatch: a %v vs b %v", label, a.counts, b.counts)
 	}
 }
 
-// diffBoth runs the strict and lenient differential for data under a given
-// worker count.
-func diffBoth(t *testing.T, label string, data []byte, workers int) {
+// diffBoth decodes data inline (Workers(1)) and on a pool of the given
+// size, strict and lenient, holds each pair equal, and returns the inline
+// runs for the caller's expectations.
+func diffBoth(t *testing.T, label string, data []byte, workers int) (strict, lenient decodeRun) {
 	t.Helper()
-	diffRuns(t, label+"/strict",
-		captureSequential(t, data),
-		captureParallel(t, data, Workers(workers)))
-	diffRuns(t, label+"/lenient",
-		captureSequential(t, data, Lenient()),
-		captureParallel(t, data, Lenient(), Workers(workers)))
+	strict = decode(t, data)
+	diffRuns(t, label+"/strict", strict, decode(t, data, Workers(workers)))
+	lenient = decode(t, data, Lenient())
+	diffRuns(t, label+"/lenient", lenient, decode(t, data, Lenient(), Workers(workers)))
+	return strict, lenient
+}
+
+// corpusCase is one clean framing shape and the trace it encodes (nil
+// when the bytes hold no parsable header).
+type corpusCase struct {
+	data []byte
+	orig *Trace
 }
 
 // encodeCorpus builds the differential corpus: every framing shape the
 // format can produce.
-func encodeCorpus(t *testing.T) map[string][]byte {
+func encodeCorpus(t *testing.T) map[string]corpusCase {
 	t.Helper()
-	corpus := map[string][]byte{}
+	corpus := map[string]corpusCase{}
 
 	encode := func(tr *Trace, shape func(*Writer)) []byte {
 		var buf bytes.Buffer
@@ -173,80 +155,116 @@ func encodeCorpus(t *testing.T) map[string][]byte {
 		return buf.Bytes()
 	}
 
-	_, small := smallV2Stream(t, 64)
-	corpus["one-block"] = encode(small, nil) // default 64 KiB threshold: single block
-	corpus["many-block"], _ = smallV2Stream(t, 64)
-	corpus["tiny-blocks"] = encode(small, func(w *Writer) { w.SetBlockEvents(1) })
-	corpus["empty"] = encode(New("empty", 4), nil)
-	corpus["lz"] = encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecLZ) })
-	corpus["flate"] = encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecFlate) })
+	many, small := smallV2Stream(t, 64)
+	add := func(name string, data []byte, tr *Trace) { corpus[name] = corpusCase{data, tr} }
+	add("one-block", encode(small, nil), small) // default 64 KiB threshold: single block
+	add("many-block", many, small)
+	add("tiny-blocks", encode(small, func(w *Writer) { w.SetBlockEvents(1) }), small)
+	empty := New("empty", 4)
+	add("empty", encode(empty, nil), empty)
+	add("lz", encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecLZ) }), small)
+	add("flate", encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecFlate) }), small)
 	// Tiny per-event blocks sit below the compression threshold, so these
 	// frames are "BLKC" with codec none — the stored-raw fallback shape.
-	corpus["lz-stored"] = encode(small, func(w *Writer) { w.SetBlockEvents(1); w.SetCompression(CodecLZ) })
+	add("lz-stored", encode(small, func(w *Writer) { w.SetBlockEvents(1); w.SetCompression(CodecLZ) }), small)
 
 	var v1 bytes.Buffer
 	if err := WriteAllV1(&v1, small); err != nil {
 		t.Fatal(err)
 	}
-	corpus["v1"] = v1.Bytes()
-	corpus["no-bytes"] = nil
-	corpus["magic-only"] = []byte(headerMagic)
+	add("v1", v1.Bytes(), small)
+	add("no-bytes", nil, nil)
+	add("magic-only", []byte(headerMagic), nil)
 	return corpus
 }
 
-// TestParallelDifferentialCorpus holds the parallel reader equal to the
-// sequential one over every corpus shape, across worker counts (including
-// the Workers(1) sequential fallback and Workers(0) = GOMAXPROCS).
+// checkCorpusCase holds a decode of a corpus shape to its trace: a
+// truncated header for the headerless shapes, every event and count with
+// undamaged Stats otherwise.
+func checkCorpusCase(t *testing.T, label string, c corpusCase, run decodeRun) {
+	t.Helper()
+	if c.orig == nil {
+		if !errors.Is(run.ctorErr, ErrTruncated) {
+			t.Fatalf("%s: constructor error %v, want ErrTruncated", label, run.ctorErr)
+		}
+		return
+	}
+	want := Stats{Version: Version1, Events: uint64(len(c.orig.Events))}
+	if run.version != Version1 {
+		want = cleanStats(t, c.data)
+	}
+	checkClean(t, label, run, c.orig, want)
+}
+
+// TestParallelDifferentialCorpus decodes every corpus shape in both modes
+// across worker counts (Workers(0) = GOMAXPROCS), holding each pool run
+// equal to the inline one and the inline one to the encoded trace.
 func TestParallelDifferentialCorpus(t *testing.T) {
-	corpus := encodeCorpus(t)
-	for name, data := range corpus {
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			diffBoth(t, name, data, workers)
+	for name, c := range encodeCorpus(t) {
+		for _, workers := range []int{0, 2, 4, 8} {
+			strict, lenient := diffBoth(t, name, c.data, workers)
+			checkCorpusCase(t, name+"/strict", c, strict)
+			checkCorpusCase(t, name+"/lenient", c, lenient)
 		}
 	}
 }
 
-// TestParallelDifferentialFlipMatrix replays the full corruption matrix
-// (every single-byte flip of a multi-block stream) through the parallel
-// path and requires byte-identical observable behavior to the sequential
-// reader in both modes.
-func TestParallelDifferentialFlipMatrix(t *testing.T) {
-	stream, _ := smallV2Stream(t, 64)
+// flipMatrix flips every byte of stream in turn (XOR x), holding the pool
+// decode equal to the inline one and both to what the flip must cause.
+func flipMatrix(t *testing.T, label string, stream []byte, orig *Trace, x byte) {
+	t.Helper()
+	l := layoutOf(t, stream)
 	for off := range stream {
 		data := append([]byte(nil), stream...)
-		data[off] ^= 0xFF
-		diffBoth(t, "flip", data, 4)
+		data[off] ^= x
+		at := fmt.Sprintf("%s@%d", label, off)
+		strict, lenient := diffBoth(t, at, data, 4)
+		sw, lw := expectFlip(l, off)
+		checkStrict(t, at+"/strict", strict, orig, sw)
+		checkLenient(t, at+"/lenient", lenient, orig, lw)
 	}
 }
 
-// TestParallelDifferentialTruncationMatrix replays every truncation point
-// through the parallel path, same equality contract.
+// TestParallelDifferentialFlipMatrix replays every single-byte flip of a
+// multi-block stream through the inline and pooled decoders in both modes.
+func TestParallelDifferentialFlipMatrix(t *testing.T) {
+	stream, orig := smallV2Stream(t, 64)
+	flipMatrix(t, "flip", stream, orig, 0xFF)
+}
+
+// TestParallelDifferentialTruncationMatrix replays every truncation point,
+// same contract: the pool equals the inline decoder, and both deliver the
+// events before the cut with the truncation accounted exactly.
 func TestParallelDifferentialTruncationMatrix(t *testing.T) {
-	stream, _ := smallV2Stream(t, 64)
+	stream, orig := smallV2Stream(t, 64)
+	l := layoutOf(t, stream)
 	for n := 0; n <= len(stream); n++ {
-		diffBoth(t, "cut", stream[:n], 4)
+		at := fmt.Sprintf("cut@%d", n)
+		strict, lenient := diffBoth(t, at, stream[:n], 4)
+		if n == len(stream) {
+			checkClean(t, at+"/strict", strict, orig, cleanStats(t, stream))
+			checkClean(t, at+"/lenient", lenient, orig, cleanStats(t, stream))
+			continue
+		}
+		sw, lw := expectCut(l, n)
+		checkStrict(t, at+"/strict", strict, orig, sw)
+		checkLenient(t, at+"/lenient", lenient, orig, lw)
 	}
 }
 
 // TestParallelDifferentialTinyBlockDamage runs the flip matrix over a
 // per-event-block stream, the shape with the densest framing (worst case
-// for resync equivalence).
+// for resynchronisation).
 func TestParallelDifferentialTinyBlockDamage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix test")
 	}
-	corpus := encodeCorpus(t)
-	stream := corpus["tiny-blocks"]
-	for off := range stream {
-		data := append([]byte(nil), stream...)
-		data[off] ^= 0x55
-		diffBoth(t, "tinyflip", data, 4)
-	}
+	c := encodeCorpus(t)["tiny-blocks"]
+	flipMatrix(t, "tinyflip", c.data, c.orig, 0x55)
 }
 
 // TestParallelInjectedIOError asserts a mid-stream I/O failure surfaces
-// through the parallel pipeline untyped and unconverted, like the
-// sequential reader's.
+// through the decode pool untyped and unconverted, as it does inline.
 func TestParallelInjectedIOError(t *testing.T) {
 	stream, _ := smallV2Stream(t, 64)
 	boom := errors.New("io boom")
@@ -254,7 +272,7 @@ func TestParallelInjectedIOError(t *testing.T) {
 		{Workers(4)},
 		{Workers(4), Lenient()},
 	} {
-		r, err := NewParallelReader(faultinject.ErrAfter(bytes.NewReader(stream), int64(len(stream)/2), boom), opts...)
+		r, err := NewReader(faultinject.ErrAfter(bytes.NewReader(stream), int64(len(stream)/2), boom), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +281,7 @@ func TestParallelInjectedIOError(t *testing.T) {
 			err = r.Next(&e)
 		}
 		if !errors.Is(err, boom) {
-			t.Errorf("injected I/O error lost through parallel pipeline: %v", err)
+			t.Errorf("injected I/O error lost through the decode pool: %v", err)
 		}
 		r.Close()
 	}
@@ -305,7 +323,7 @@ func TestParallelNoGoroutineLeaks(t *testing.T) {
 
 	scenarios := map[string]func(t *testing.T){
 		"normal-eof": func(t *testing.T) {
-			r, err := NewParallelReader(bytes.NewReader(clean), Workers(4))
+			r, err := NewReader(bytes.NewReader(clean), Workers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +337,7 @@ func TestParallelNoGoroutineLeaks(t *testing.T) {
 			r.Close()
 		},
 		"crc-error": func(t *testing.T) {
-			r, err := NewParallelReader(bytes.NewReader(corrupt), Workers(4))
+			r, err := NewReader(bytes.NewReader(corrupt), Workers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +351,7 @@ func TestParallelNoGoroutineLeaks(t *testing.T) {
 			r.Close()
 		},
 		"abandoned": func(t *testing.T) {
-			r, err := NewParallelReader(bytes.NewReader(clean), Workers(4))
+			r, err := NewReader(bytes.NewReader(clean), Workers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,66 +378,87 @@ func TestParallelNoGoroutineLeaks(t *testing.T) {
 	}
 }
 
-// TestParallelConcurrentConsumers runs many parallel readers at once over
+// readAllWorkers is ReadAll through a reader opened with Workers(n): a
+// truncated stream returns the recovered prefix, with counts rebuilt from
+// it, together with an error matching ErrTruncated.
+func readAllWorkers(r io.Reader, n int) (*Trace, Stats, error) {
+	tr, err := NewReader(r, Workers(n))
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer tr.Close()
+	t, err := drain(tr)
+	switch {
+	case errors.Is(err, ErrTruncated):
+		t.StaticCount = rebuildCounts(t)
+		return t, tr.Stats(), err
+	case err != nil:
+		return nil, tr.Stats(), err
+	}
+	t.StaticCount = tr.StaticCounts()
+	return t, tr.Stats(), nil
+}
+
+// TestParallelConcurrentConsumers runs many pooled readers at once over
 // the same stream; with -race this shakes out sharing bugs in the
 // pipeline (the race CI step runs this package).
 func TestParallelConcurrentConsumers(t *testing.T) {
 	stream, orig := smallV2Stream(t, 64)
+	want := cleanStats(t, stream)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, stats, err := ParallelReadAll(bytes.NewReader(stream), Workers(4))
+			got, stats, err := readAllWorkers(bytes.NewReader(stream), 4)
 			if err != nil {
-				t.Errorf("ParallelReadAll: %v", err)
+				t.Errorf("readAllWorkers: %v", err)
 				return
 			}
-			if len(got.Events) != len(orig.Events) {
-				t.Errorf("decoded %d events, want %d", len(got.Events), len(orig.Events))
+			if !equalEvents(got.Events, orig.Events) || !equalCounts(got.StaticCount, orig.StaticCount) {
+				t.Errorf("decoded %d events, not the trace's %d", len(got.Events), len(orig.Events))
 			}
-			if stats.Events != uint64(len(orig.Events)) || stats.Blocks == 0 {
-				t.Errorf("implausible stats %+v", stats)
+			if stats != want {
+				t.Errorf("stats %+v, want %+v", stats, want)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestParallelReadAllMatchesReadAll checks the whole-stream helpers agree,
-// including the truncated-prefix contract.
+// TestParallelReadAllMatchesReadAll checks a pooled whole-stream drain
+// matches ReadAll and the encoded trace, including the truncated-prefix
+// contract.
 func TestParallelReadAllMatchesReadAll(t *testing.T) {
 	stream, orig := smallV2Stream(t, 64)
 
-	got, stats, err := ParallelReadAll(bytes.NewReader(stream), Workers(4))
+	got, stats, err := readAllWorkers(bytes.NewReader(stream), 4)
 	if err != nil {
 		t.Fatalf("clean stream: %v", err)
 	}
-	if len(got.Events) != len(orig.Events) || stats.Truncated {
+	if !equalEvents(got.Events, orig.Events) || !equalCounts(got.StaticCount, orig.StaticCount) || stats.Truncated {
 		t.Fatalf("clean stream: %d events (want %d), stats %+v", len(got.Events), len(orig.Events), stats)
-	}
-	for i, c := range got.StaticCount {
-		if c != orig.StaticCount[i] {
-			t.Fatalf("static count %d: got %d want %d", i, c, orig.StaticCount[i])
-		}
 	}
 
 	cut := stream[:len(stream)-10] // inside the footer: truncated prefix case
 	seqT, seqErr := ReadAll(bytes.NewReader(cut))
-	parT, _, parErr := ParallelReadAll(bytes.NewReader(cut), Workers(4))
-	if (seqErr == nil) != (parErr == nil) || (seqErr != nil && seqErr.Error() != parErr.Error()) {
+	parT, _, parErr := readAllWorkers(bytes.NewReader(cut), 4)
+	if errText(seqErr) != errText(parErr) {
 		t.Fatalf("truncated error mismatch: seq %v vs par %v", seqErr, parErr)
 	}
 	if !errors.Is(parErr, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", parErr)
 	}
-	if seqT == nil || parT == nil || len(seqT.Events) != len(parT.Events) {
-		t.Fatalf("truncated prefix mismatch: seq %v vs par %v", seqT, parT)
+	// Every block preceded the footer, so the prefix is the whole trace.
+	for _, tr := range []*Trace{seqT, parT} {
+		if tr == nil || !equalEvents(tr.Events, orig.Events) || !equalCounts(tr.StaticCount, orig.StaticCount) {
+			t.Fatalf("truncated prefix is not the whole trace: %v", tr)
+		}
 	}
 }
 
-// TestTinyBlockRoundTrip round-trips a per-event-block stream through both
-// decoders (the shape cmd/tracegen -blocklen=1 produces).
+// TestTinyBlockRoundTrip round-trips a per-event-block stream inline and
+// on a pool (the shape cmd/tracegen -blocklen=1 produces).
 func TestTinyBlockRoundTrip(t *testing.T) {
 	tr := New("tiny", 3)
 	tr.Append(Event{PC: 0, Op: isa.OpLi, DstReg: 8, DstVal: 7, HasImm: true})
@@ -427,49 +466,27 @@ func TestTinyBlockRoundTrip(t *testing.T) {
 	tr.Append(Event{PC: 2, Op: isa.OpBne, NSrc: 2, DstReg: isa.NoReg, Taken: true})
 
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, tr.Name, tr.NumStatic)
-	if err != nil {
+	if err := WriteAll(&buf, tr, BlockEvents(1)); err != nil {
 		t.Fatal(err)
 	}
-	w.SetBlockEvents(1)
-	for i := range tr.Events {
-		if err := w.Write(&tr.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	// One block per event on the wire.
 	if n := bytes.Count(buf.Bytes(), []byte(blockMarker)); n != len(tr.Events) {
 		t.Fatalf("wrote %d blocks for %d events", n, len(tr.Events))
 	}
-	for name, decode := range map[string]func() (*Trace, error){
-		"sequential": func() (*Trace, error) { return ReadAll(bytes.NewReader(buf.Bytes())) },
-		"parallel": func() (*Trace, error) {
-			tr, _, err := ParallelReadAll(bytes.NewReader(buf.Bytes()), Workers(4))
-			return tr, err
-		},
-	} {
-		got, err := decode()
+	for _, workers := range []int{1, 4} {
+		got, stats, err := readAllWorkers(bytes.NewReader(buf.Bytes()), workers)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.Events) != len(tr.Events) {
-			t.Fatalf("%s: %d events, want %d", name, len(got.Events), len(tr.Events))
-		}
-		for i := range got.Events {
-			if got.Events[i] != tr.Events[i] {
-				t.Fatalf("%s: event %d differs", name, i)
-			}
+		if !equalEvents(got.Events, tr.Events) || stats.Blocks != uint64(len(tr.Events)) {
+			t.Fatalf("workers=%d: %d events in %d blocks, want %d in %d", workers,
+				len(got.Events), stats.Blocks, len(tr.Events), len(tr.Events))
 		}
 	}
 }
 
-// FuzzParallelReader mirrors FuzzReader for the parallel pipeline and
-// additionally holds it differentially equal to the sequential reader on
-// every fuzzer-generated input.
+// FuzzParallelReader mirrors FuzzReader for the decode pool and holds it
+// equal to the inline decoder on every fuzzer-generated input.
 func FuzzParallelReader(f *testing.F) {
 	stream, _ := smallV2Stream(f, 64)
 	f.Add(stream)
@@ -483,11 +500,6 @@ func FuzzParallelReader(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		diffRuns(t, "fuzz/strict",
-			captureSequential(t, data),
-			captureParallel(t, data, Workers(4)))
-		diffRuns(t, "fuzz/lenient",
-			captureSequential(t, data, Lenient()),
-			captureParallel(t, data, Lenient(), Workers(4)))
+		diffBoth(t, "fuzz", data, 4)
 	})
 }

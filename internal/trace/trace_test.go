@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -350,5 +351,26 @@ func TestReaderRejectsHugeProgramLength(t *testing.T) {
 	buf.Write([]byte{0xe1, 0xe1, 0xe1, 0xe1, 0xe1, 0xe1, 0x01})
 	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("huge program length accepted")
+	}
+}
+
+// TestReaderRejectsOverlongVarint feeds varints that run past 64 bits, in
+// a v2 block frame's length and in a v1 footer count: strict mode must
+// report ErrMalformed, and lenient mode must recover instead of leaking
+// the varint decoder's untyped overflow error (regression for a fuzzer
+// finding).
+func TestReaderRejectsOverlongVarint(t *testing.T) {
+	overlong := bytes.Repeat([]byte{0xee}, 10)
+	v2 := append(append(v2HeaderOnly(t), blockMarker...), overlong...)
+	v1 := append([]byte(headerMagic), 1, 1, 'x', 1, 0) // one static PC, no events
+	v1 = append(v1, overlong...)
+	for name, data := range map[string][]byte{"v2-block-length": v2, "v1-footer-count": v1} {
+		if run := decode(t, data); !errors.Is(run.err, ErrMalformed) {
+			t.Errorf("%s: strict error %v, want ErrMalformed", name, run.err)
+		}
+		run := decode(t, data, Lenient())
+		if run.err != nil || len(run.events) != 0 || !run.stats.Truncated {
+			t.Errorf("%s: lenient run: err %v, %d events, stats %+v", name, run.err, len(run.events), run.stats)
+		}
 	}
 }
