@@ -4,7 +4,7 @@
 // buffered whole in memory), runs through a bounded job queue with
 // explicit backpressure (429 + Retry-After when full), and is analysed
 // under a per-job deadline with cancellation plumbed down to the decode
-// workers. Identical uploads are de-duplicated by a result cache keyed on
+// loop. Identical uploads are de-duplicated by a result cache keyed on
 // (trace digest × predictor × model version × requested experiments), with
 // in-flight duplicates coalesced onto one computation. /analyze is the
 // only upload endpoint; a directory of traces is aggregated in one process
@@ -15,19 +15,18 @@
 //	dpgd -addr :8080 -store /var/lib/dpgd
 //	curl -sf --data-binary @gcc.dpg 'localhost:8080/analyze?predictor=context'
 //
-// Normal-mode jobs run the epoch-speculative model pass with -speculate
-// predictor chains (at most four, one per predictor category).
+// Every admitted job runs the same way: one inline decode of the spooled
+// trace feeds the in-order model pass (and any requested experiments).
+// Under overload the only response is backpressure: a full queue answers
+// 429.
 //
 // Operational endpoints: /healthz (liveness), /readyz (unready while
 // draining), /metrics (queue depth, in-flight jobs, cache hit rate,
-// per-stage latency histograms, dpgd_spec_* speculation counters, plain
-// text).
+// per-stage latency histograms, plain text).
 //
 // On SIGINT/SIGTERM the server stops admitting work, drains queued and
 // running jobs for -drain-timeout, then cancels whatever remains through
-// its context and exits. Under overload it degrades before it sheds:
-// past -degraded-at queue fill, jobs run without speculation and with
-// sequential decode; only a full queue rejects outright.
+// its context and exits.
 package main
 
 import (
@@ -63,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	jobTimeout := fs.Duration("job-timeout", 60*time.Second, "per-job deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before jobs are cancelled")
 	maxUpload := fs.Int64("max-upload", 1<<30, "maximum upload size in bytes")
-	speculate := fs.Int("speculate", 2, "epoch-speculation degree for normal-mode jobs (<=1 disables)")
-	degradedAt := fs.Float64("degraded-at", 0.5, "queue-fill fraction past which jobs run degraded")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -79,18 +76,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		*storeDir = dir
 	}
 
-	spec := *speculate
-	if spec <= 1 {
-		spec = -1 // Config treats negative as "off" and zero as "default"
-	}
 	srv, err := server.New(server.Config{
 		StoreDir:       filepath.Clean(*storeDir),
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		JobTimeout:     *jobTimeout,
 		MaxUploadBytes: *maxUpload,
-		Speculation:    spec,
-		DegradedAt:     *degradedAt,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "dpgd: %v\n", err)

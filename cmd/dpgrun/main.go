@@ -20,9 +20,8 @@
 // pre-pass runs only when the probe cannot answer), then one decode feeds
 // every predictor's model pass at once, each on its own goroutine, so
 // -all costs one decode and peak memory stays O(block·workers) plus the
-// models' tables regardless of trace size. Under -speculate the
-// predictors run one after another, one decode each; -speculate, like
-// -graph, needs a single trace file or -workload.
+// models' tables regardless of trace size. -graph needs a single trace
+// file or -workload.
 // When -trace names a directory or matches several files, the files fan
 // out across a bounded worker pool (-parallel), each decoded once for all
 // the predictors, with a per-file summary line per predictor; the exit
@@ -68,7 +67,6 @@ func main() {
 	strict := flag.Bool("strict", true, "reject corrupt traces; -strict=false resyncs past damage and summarises it")
 	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = decode inline)")
 	parallel := flag.Int("parallel", 0, "concurrent files in directory/glob mode (0 = all cores)")
-	speculate := flag.Int("speculate", 0, "run the model pass epoch-speculatively with N predictor chains (0 = off, -1 = auto); results are identical, only faster")
 	merge := flag.Bool("merge", false, "directory mode: merge every file's Result into one exact aggregate report instead of per-file summaries")
 	flag.Parse()
 
@@ -95,33 +93,28 @@ func main() {
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
 	case *merge:
-		oneTraceFlags(*graph, *speculate)
+		oneTraceFlags(*graph)
 		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel)
 	case *tracePat != "":
 		paths := expandTraces(*tracePat)
 		if len(paths) == 1 {
-			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
+			runFile(ctx, paths[0], kinds, *graph, *strict, *workers)
 			return
 		}
-		oneTraceFlags(*graph, *speculate)
+		oneTraceFlags(*graph)
 		runFiles(ctx, paths, kinds, *strict, *workers, *parallel)
 	case *workload != "":
-		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
+		runWorkload(ctx, *workload, *rounds, kinds, *graph)
 	default:
 		fail("missing -trace or -workload")
 	}
 }
 
-// oneTraceFlags rejects the flags only single-trace modes honour: -graph
-// (there is no single trace to draw) and -speculate (only the single-file
-// and -workload passes run speculatively).
-func oneTraceFlags(graph, speculate int) {
-	const why = " needs a single trace file or -workload, not several files or -merge"
+// oneTraceFlags rejects the flag only single-trace modes honour: -graph
+// (there is no single trace to draw).
+func oneTraceFlags(graph int) {
 	if graph > 0 {
-		fail("-graph" + why)
-	}
-	if speculate != 0 {
-		fail("-speculate" + why)
+		fail("-graph needs a single trace file or -workload, not several files or -merge")
 	}
 }
 
@@ -155,36 +148,11 @@ func fileOpts(ctx context.Context, strict bool, workers int) []core.Option {
 	return opts
 }
 
-// specOpts translates -speculate: 0 is off, negative is automatic chain
-// count, positive is an explicit one.
-func specOpts(speculate int) []core.Option {
-	if speculate == 0 {
-		return nil
-	}
-	n := speculate
-	if n < 0 {
-		n = 0 // auto
-	}
-	return []core.Option{core.WithSpeculation(n)}
-}
-
-// printSpecStats summarises a speculative run on stderr, out of band of
-// the report (whose content is identical either way).
-func printSpecStats(st dpg.SpecStats) {
-	if st.Fallback {
-		fmt.Fprintf(os.Stderr, "dpgrun: speculation: predictor has no checkpoint support, ran sequentially\n")
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
-		st.Epochs, st.Chains, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
-}
-
 // runFile streams one trace file through the model for every predictor,
 // printing the same header and per-predictor report as the workload mode.
 // One decode feeds every predictor's model pass at once
-// (core.AnalyzeFileKinds); only -speculate runs the predictors one after
-// another, one decode each.
-func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate int) {
+// (core.AnalyzeFileKinds).
+func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers int) {
 	// The header needs the event and static counts. In strict mode the
 	// footer probe answers them without decoding an event; for a v1 stream,
 	// a damaged file or lenient input, where the analysis runs its
@@ -202,47 +170,25 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 	if static < 0 {
 		opts = append(opts, core.WithPreStats(&ps))
 	}
-	show := func(i int, r *dpg.Result) {
-		if i == 0 {
-			if static < 0 {
-				events, static = ps.Events, len(ps.StaticCount)
-			}
-			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, events, static)
-			if !strict {
-				printCorruption("dpgrun: ", st)
-			}
-		}
+	rs, err := core.AnalyzeFileKinds(path, kinds, opts...)
+	if errors.Is(err, core.ErrAborted) {
+		failInterrupted(0, len(kinds))
+	}
+	if err != nil {
+		fail(err.Error())
+	}
+	if static < 0 {
+		events, static = ps.Events, len(ps.StaticCount)
+	}
+	fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", rs[0].Name, events, static)
+	if !strict {
+		printCorruption("dpgrun: ", st)
+	}
+	for _, r := range rs {
 		printResult(r)
 		if graph > 0 {
 			report.WriteFragment(os.Stdout, r.Graph, nil)
 		}
-	}
-
-	if speculate == 0 {
-		rs, err := core.AnalyzeFileKinds(path, kinds, opts...)
-		if errors.Is(err, core.ErrAborted) {
-			failInterrupted(0, len(kinds))
-		}
-		if err != nil {
-			fail(err.Error())
-		}
-		for i, r := range rs {
-			show(i, r)
-		}
-		return
-	}
-	opts = append(opts, specOpts(speculate)...)
-	for i, k := range kinds {
-		var ss dpg.SpecStats
-		r, err := core.AnalyzeFile(path, append(opts, core.WithKind(k), core.WithSpecStats(&ss))...)
-		if errors.Is(err, core.ErrAborted) {
-			failInterrupted(i, len(kinds))
-		}
-		if err != nil {
-			fail(err.Error())
-		}
-		printSpecStats(ss)
-		show(i, r)
 	}
 }
 
@@ -326,7 +272,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 // runWorkload traces a built-in workload in memory and runs the model —
 // the only dpgrun mode that materializes a trace (the generator produces
 // one directly).
-func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate int) {
+func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph int) {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		fail(fmt.Sprintf("unknown workload %q; known: %v", name, workloads.Names()))
@@ -346,18 +292,9 @@ func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor
 		if ctx.Err() != nil {
 			failInterrupted(i, len(kinds))
 		}
-		var ss dpg.SpecStats
-		opts := []core.Option{core.WithKind(k), core.WithGraphLimit(graph)}
-		opts = append(opts, specOpts(speculate)...)
-		if speculate != 0 {
-			opts = append(opts, core.WithSpecStats(&ss))
-		}
-		res, err := core.RunTrace(t, opts...)
+		res, err := core.RunTrace(t, core.WithKind(k), core.WithGraphLimit(graph))
 		if err != nil {
 			fail(err.Error())
-		}
-		if speculate != 0 {
-			printSpecStats(ss)
 		}
 		printResult(res)
 		if graph > 0 {

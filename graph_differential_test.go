@@ -77,14 +77,12 @@ func TestGraphDifferentialBattery(t *testing.T) {
 				}
 			}
 
-			// Epoch-speculative pass, with and without explicit epochs.
+			// Epoch-speculative pass on four chains, at the default
+			// epoch count and at an explicit one.
+			mcfg := dpg.Config{Predictor: kind.Factory(), PredictorName: kind.String()}
 			for _, epochs := range []int{0, 7} {
-				opts := []core.Option{core.WithKind(kind), core.WithSpeculation(4)}
-				if epochs > 0 {
-					opts = append(opts, core.WithSpeculationEpochs(epochs))
-				}
 				var st dpg.SpecStats
-				got, err := core.RunTrace(tr, append(opts, core.WithSpecStats(&st))...)
+				got, err := dpg.RunSpeculative(tr, mcfg, dpg.SpecConfig{Workers: 4, Epochs: epochs, Stats: &st})
 				if err != nil {
 					t.Fatalf("%s/%s epochs=%d: %v", name, kind, epochs, err)
 				}

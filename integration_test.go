@@ -104,17 +104,6 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
-	// dpgrun -speculate produces byte-identical stdout (the stats line
-	// goes to stderr).
-	seqOut, _ := dpgrun("-trace", tracePath, "-predictor", "stride")
-	specOut, specErr := dpgrun("-trace", tracePath, "-predictor", "stride", "-speculate", "2")
-	if !bytes.Equal(seqOut, specOut) {
-		t.Errorf("dpgrun -speculate stdout differs from sequential run")
-	}
-	if !strings.Contains(specErr, "speculation:") {
-		t.Errorf("dpgrun -speculate stderr missing stats line: %q", specErr)
-	}
-
 	// tracegen -compress: the compressed file is smaller, reports its codec,
 	// and dpgrun consumes it with no special flags (readers auto-detect).
 	plainInfo, err := os.Stat(tracePath)
@@ -191,16 +180,13 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// Flags the chosen mode would ignore are rejected with exit status 1:
-	// -graph needs one trace to draw, -speculate one trace to run
-	// speculatively, and -rounds only shapes -workload.
+	// -graph needs one trace to draw, and -rounds only shapes -workload.
 	for _, c := range []struct {
 		flag string
 		args []string
 	}{
 		{"-graph", []string{"-trace", work, "-graph", "8"}},
 		{"-graph", []string{"-trace", work, "-merge", "-graph", "8"}},
-		{"-speculate", []string{"-trace", work, "-speculate", "2"}},
-		{"-speculate", []string{"-trace", work, "-merge", "-speculate", "2"}},
 		{"-rounds", []string{"-trace", tracePath, "-rounds", "2"}},
 	} {
 		cmd := exec.Command(filepath.Join(bin, "dpgrun"), c.args...)
@@ -221,11 +207,6 @@ func TestCLIPipeline(t *testing.T) {
 	memOut, _ := dpgrun("-workload", "gcc", "-rounds", "2", "-all")
 	if !bytes.Equal(fileOut, memOut) {
 		t.Errorf("dpgrun -trace stdout differs from -workload for gcc -rounds 2 -all:\n%s\n----\n%s", fileOut, memOut)
-	}
-	// -all models every predictor on one decode; -speculate runs them one
-	// at a time, and prints the same stdout.
-	if specOut, _ := dpgrun("-trace", gccPath, "-all", "-speculate", "2"); !bytes.Equal(specOut, fileOut) {
-		t.Errorf("dpgrun -trace -all -speculate 2 stdout differs from -all:\n%s\n----\n%s", specOut, fileOut)
 	}
 
 	// On a damaged trace, -strict=false -all prints the header once and
@@ -248,22 +229,6 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if want := perKind("-trace", flippedPath, "-strict=false"); !bytes.Equal(allOut, want) {
 		t.Errorf("dpgrun -strict=false -all stdout is not the header plus each -predictor section:\n%s\n----\n%s", allOut, want)
-	}
-
-	// Graph workloads (data-dependent branches) under tage, one plain and
-	// one compressed trace: -speculate 2 prints the sequential stdout.
-	graphDir := t.TempDir()
-	for _, g := range [][]string{
-		{"-workload", "bfs", "-rounds", "6"},
-		{"-workload", "ccp", "-rounds", "2", "-compress", "lz"},
-	} {
-		path := filepath.Join(graphDir, g[1]+".dpg")
-		run("tracegen", append(g, "-o", path)...)
-		seqOut, _ := dpgrun("-trace", path, "-predictor", "tage")
-		specOut, _ := dpgrun("-trace", path, "-predictor", "tage", "-speculate", "2")
-		if !bytes.Equal(seqOut, specOut) {
-			t.Errorf("%s: dpgrun -predictor tage -speculate 2 stdout differs from sequential run", g[1])
-		}
 	}
 
 	// dpgrun -graph prints the Fig. 3 fragment.
@@ -361,16 +326,16 @@ func TestCompressionDifferentialWorkloads(t *testing.T) {
 }
 
 // TestSpeculationIntegrationSweep is the acceptance differential for the
-// epoch-speculative pass at the file level: across real workloads × codecs
-// × decode worker counts × speculation chain counts × epoch shapes, the
-// full AnalyzeFile result under WithSpeculation must equal the sequential
-// analysis of the same file exactly — compression, parallel decode and
-// speculative execution composing freely.
+// epoch-speculative pass on real workloads: the in-memory sequential
+// Result is the reference, and the speculative pass at every chain count
+// and epoch shape must reproduce it exactly, as must the file analysis of
+// the same trace over both codecs at inline and pooled decode.
 func TestSpeculationIntegrationSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speculation sweep in -short mode")
 	}
 	dir := t.TempDir()
+	mcfg := dpg.Config{Predictor: predictor.KindContext.Factory(), PredictorName: predictor.KindContext.String()}
 	for _, name := range []string{"fig1", "com", "gcc"} {
 		w, ok := workloads.ByName(name)
 		if !ok {
@@ -380,39 +345,38 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := dpg.RunWith(orig, mcfg)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", name, err)
+		}
+		for _, chains := range []int{0, 1, 2, 4} {
+			for _, epochs := range []int{0, 7} {
+				label := fmt.Sprintf("%s/chains%d/epochs%d", name, chains, epochs)
+				var st dpg.SpecStats
+				got, err := dpg.RunSpeculative(orig, mcfg, dpg.SpecConfig{Workers: chains, Epochs: epochs, Stats: &st})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: speculative result differs from sequential", label)
+				}
+				if st.Fallback || st.Diverged != 0 || st.Epochs == 0 {
+					t.Fatalf("%s: implausible stats %+v", label, st)
+				}
+			}
+		}
 		for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ} {
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.dpg", name, codec))
 			if err := trace.WriteFile(path, orig, trace.Compression(codec), trace.BlockBytes(8<<10)); err != nil {
 				t.Fatalf("%s/%s: %v", name, codec, err)
 			}
-			want, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext))
-			if err != nil {
-				t.Fatalf("%s/%s baseline: %v", name, codec, err)
-			}
-			for _, decode := range []int{0, 2} {
-				for _, chains := range []int{0, 1, 2, 4} {
-					for _, epochs := range []int{0, 7} {
-						label := fmt.Sprintf("%s/%s/decode%d/chains%d/epochs%d",
-							name, codec, decode, chains, epochs)
-						opts := []core.Option{core.WithKind(predictor.KindContext), core.WithSpeculation(chains)}
-						if decode > 0 {
-							opts = append(opts, core.WithWorkers(decode))
-						}
-						if epochs > 0 {
-							opts = append(opts, core.WithSpeculationEpochs(epochs))
-						}
-						var st dpg.SpecStats
-						got, err := core.AnalyzeFile(path, append(opts, core.WithSpecStats(&st))...)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: speculative result differs from sequential", label)
-						}
-						if st.Fallback || st.Diverged != 0 || st.Epochs == 0 {
-							t.Fatalf("%s: implausible stats %+v", label, st)
-						}
-					}
+			for _, decode := range []int{1, 2} {
+				got, err := core.AnalyzeFile(path, core.WithKind(predictor.KindContext), core.WithWorkers(decode))
+				if err != nil {
+					t.Fatalf("%s/%s/decode%d: %v", name, codec, decode, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s/decode%d: file analysis differs from the in-memory pass", name, codec, decode)
 				}
 			}
 		}

@@ -10,6 +10,15 @@ import (
 	"repro/internal/dpg"
 )
 
+// The reuse and confidence experiments' parameters. The figures suite
+// and dpgd's ?experiments= both read them, so the two can never diverge.
+const (
+	// ReuseBits sizes the reuse buffer: 2^16 = 64K entries.
+	ReuseBits = 16
+	// ConfMaxLevel is the confidence sweep's top threshold: levels 0..7.
+	ConfMaxLevel = 7
+)
+
 // Table1Row is one benchmark row of Table 1 (benchmark characteristics).
 type Table1Row struct {
 	Name       string

@@ -151,34 +151,6 @@ func TestAnalyzeFileCancelMidDecode(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFileCancelMidSpeculation cancels near the end of a
-// speculative streaming run, when the predictor chains are live, and
-// checks the pass aborts with the typed error and reclaims every chain
-// goroutine.
-func TestAnalyzeFileCancelMidSpeculation(t *testing.T) {
-	path := writeWorkloadTrace(t, "fig1", 20)
-	base := runtime.NumGoroutine()
-	opts := []Option{WithKind(predictor.KindLast), WithSpeculation(2), WithSpeculationEpochs(8)}
-	const budget = 1 << 30
-	probe := newTripCtx(budget)
-	if _, err := AnalyzeFile(path, append(opts[:len(opts):len(opts)], WithContext(probe))...); err != nil {
-		t.Fatalf("probe run: %v", err)
-	}
-	total := probe.used(budget)
-	if total < 4 {
-		t.Skipf("only %d cancellation probes in a full run; trace too small to cancel mid-stream", total)
-	}
-	// Trip near the end of the stream: past the pre-pass, inside the
-	// speculative model pass with chains running.
-	ctx := newTripCtx(total - 2)
-	res, err := AnalyzeFile(path, append(opts[:len(opts):len(opts)], WithContext(ctx))...)
-	if res != nil {
-		t.Error("got a result from a cancelled speculative analysis")
-	}
-	wantAborted(t, err)
-	waitNoExtraGoroutines(t, base)
-}
-
 // TestAnalyzeFilesContextCancel checks a dead context marks every file
 // aborted without analysing any of them.
 func TestAnalyzeFilesContextCancel(t *testing.T) {

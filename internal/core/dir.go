@@ -38,7 +38,7 @@ func TraceFiles(dir string) ([]string, error) {
 // equals what a single Result over the concatenated populations would
 // hold — and the merge folds in sorted path order, so the aggregates are
 // independent of the parallel configuration. Like AnalyzeFileKinds it
-// ignores WithKind, WithPredictor and WithSpeculation.
+// ignores WithKind and WithPredictor.
 //
 // The per-file outcomes are always returned (in sorted path order) for
 // inspection alongside the aggregates. Any per-file failure fails the

@@ -43,8 +43,7 @@ func openTraceReader(path string, cfg *config) (*trace.Reader, *os.File, error) 
 // WithWorkers decodes both passes with that many block-decode workers
 // (one by default); WithLenientTrace analyses whatever survives a damaged
 // file instead of failing; WithTraceStats surfaces the decode summary;
-// WithPreStats surfaces the pre-pass summary. WithSpeculation without
-// observers runs the epoch-speculative model pass instead.
+// WithPreStats surfaces the pre-pass summary.
 func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -62,91 +61,12 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		return nil, err
 	}
 
-	// Pass 2: under WithSpeculation (and no observers), the
-	// epoch-speculative pass, which overlaps the predictor chains with the
-	// classification sweep while producing byte-identical results;
-	// otherwise the one model fan-out.
-	if cfg.speculate && len(cfg.observers) == 0 {
-		return analyzeSpeculative(path, name, counts, &cfg)
-	}
+	// Pass 2: the one model fan-out.
 	res, err := analyzeModels(path, name, counts, &cfg, []dpg.Config{cfg.model})
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
-}
-
-// analyzeSpeculative is AnalyzeFile's second pass under WithSpeculation:
-// it batches the file's events into blocks and feeds them to the
-// epoch-speculative model pass. The error contract matches analyzeModels
-// exactly: read errors and model errors both surface as
-// "core: streaming <path>: ..." with the same underlying taxonomy.
-func analyzeSpeculative(path, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
-	r, f, err := openTraceReader(path, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	defer r.Close()
-	defer noteDecode(path)()
-	spec := cfg.specConfig()
-	if spec.Epochs > 0 {
-		// The pre-pass already counted the trace, so a requested epoch
-		// count translates into an epoch length up front.
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		if n := total / uint64(spec.Epochs); n > 0 && n < uint64(1<<31) {
-			spec.EpochEvents = int(n) + 1
-		}
-	}
-	s, err := dpg.NewSpecRun(name, counts, cfg.model, spec)
-	if err != nil {
-		return nil, err
-	}
-	const batch = 4096
-	buf := make([]trace.Event, 0, batch)
-	idx := uint64(0)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := s.ObserveBlock(idx, buf)
-		idx++
-		buf = buf[:0] // SpecRun copies; the batch buffer is reusable
-		return err
-	}
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		buf = append(buf, e)
-		if len(buf) == batch {
-			if err := flush(); err != nil {
-				s.Close()
-				return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-	}
-	if cfg.statsOut != nil {
-		*cfg.statsOut = r.Stats()
-	}
-	res, err := s.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-	}
-	return res, nil
 }
 
 // scanCounts obtains the static execution counts and workload name the
@@ -240,7 +160,7 @@ type FileResult struct {
 // failures land in FileResult.Err without stopping the other files. Under
 // WithContext, cancellation both aborts in-flight analyses and marks the
 // files not yet started with ErrAborted. Like AnalyzeFileKinds it ignores
-// WithKind, WithPredictor and WithSpeculation.
+// WithKind and WithPredictor.
 func AnalyzeFiles(paths []string, kinds []predictor.Kind, parallel int, opts ...Option) []FileResult {
 	out := make([]FileResult, len(paths))
 	parallel = min(max(parallel, 1), len(paths))

@@ -21,15 +21,6 @@ import (
 // no events), at O(block·workers) peak memory regardless of how many
 // experiments run.
 
-// The suite's experiment parameters, shared between the fused engine and
-// the renderers so the two can never diverge.
-const (
-	// suiteConfMaxLevel is the confidence sweep's top threshold (0..7).
-	suiteConfMaxLevel = 7
-	// suiteReuseBits sizes the reuse buffer (2^16 = 64K entries).
-	suiteReuseBits = 16
-)
-
 // suiteSweepConfig is the sweep the suite runs under predictor kind k on
 // one workload: every kind's sweep yields its ILP entry, and the context
 // sweep on integer workloads (the only ones the speculation experiment
@@ -128,8 +119,8 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 	)
 	if isInt {
 		models = append(models, suiteCorrConfig())
-		reuse = analysis.NewReuseSim(tname, suiteReuseBits)
-		conf = analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
+		reuse = analysis.NewReuseSim(tname, analysis.ReuseBits)
+		conf = analysis.NewConfidenceSim(predictor.KindContext, analysis.ConfMaxLevel)
 		cfg.observers = append(cfg.observers, reuse, conf)
 	}
 

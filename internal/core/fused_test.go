@@ -217,8 +217,7 @@ func TestAnalyzeFileDecodeCounts(t *testing.T) {
 }
 
 // TestAnalyzeFileObserversParity checks WithObservers changes nothing
-// about the model result, the observers see exactly the event stream, and
-// WithSpeculation is ignored while observers are registered.
+// about the model result and the observers see exactly the event stream.
 func TestAnalyzeFileObserversParity(t *testing.T) {
 	dir := t.TempDir()
 	path, tr := writeScaledTrace(t, dir, "gcc", 0.05)
@@ -229,8 +228,8 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 	}
 
 	// Reference sims over the in-memory events.
-	refReuse := analysis.NewReuseSim("gcc", suiteReuseBits)
-	refConf := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
+	refReuse := analysis.NewReuseSim("gcc", analysis.ReuseBits)
+	refConf := analysis.NewConfidenceSim(predictor.KindContext, analysis.ConfMaxLevel)
 	refSweep := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SpeculationSweep())
 	refILP := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{})
 	for i := range tr.Events {
@@ -242,13 +241,12 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		reuse := analysis.NewReuseSim("gcc", suiteReuseBits)
-		conf := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
+		reuse := analysis.NewReuseSim("gcc", analysis.ReuseBits)
+		conf := analysis.NewConfidenceSim(predictor.KindContext, analysis.ConfMaxLevel)
 		sweep := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SpeculationSweep())
 		ilp := analysis.NewSpecSweep("gcc", predictor.KindContext, analysis.SweepConfig{})
 		got, err := AnalyzeFile(path,
 			WithKind(predictor.KindContext), WithWorkers(workers),
-			WithSpeculation(4), // must be a no-op under observers
 			WithObservers(reuse, ilp, conf, sweep))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

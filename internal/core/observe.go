@@ -65,7 +65,7 @@ func noteDecode(path string) (end func()) {
 // goroutine, next to any WithObservers observers. The model options
 // (WithGraphLimit, WithoutPaths, WithSharedInputOutput) apply to every
 // kind; WithKind and WithPredictor are overridden. The error contract is
-// AnalyzeFile's, and the pass ignores WithSpeculation.
+// AnalyzeFile's.
 func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -88,11 +88,11 @@ func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*d
 }
 
 // analyzeModels is the one fused decode behind AnalyzeFileKinds (and so
-// AnalyzeFiles and AnalyzeDir), AnalyzeFile without WithSpeculation and
-// the suite's fused engine: it opens path and streams its blocks once
-// through analysis.RunObservers into one model pass per configuration in
-// models plus every cfg.observers observer, and returns the model
-// results in models order. Decode failures surface as "core: streaming
+// AnalyzeFiles and AnalyzeDir), AnalyzeFile and the suite's fused
+// engine: it opens path and streams its blocks once through
+// analysis.RunObservers into one model pass per configuration in models
+// plus every cfg.observers observer, and returns the model results in
+// models order. Decode failures surface as "core: streaming
 // <path>: ..." with the trace taxonomy folded into the core sentinels;
 // model failures (a malformed event) additionally arrive wrapped in
 // typed *analysis.ObserverError values, joined when several fire.

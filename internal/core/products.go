@@ -181,7 +181,7 @@ func corrJob(name string) productJob {
 
 func reuseJob(name string) productJob {
 	return productJob{key: name + "/reuse", run: func(t *trace.Trace) (any, error) {
-		sim := analysis.NewReuseSim(name, suiteReuseBits)
+		sim := analysis.NewReuseSim(name, analysis.ReuseBits)
 		observeAll(t, sim.Observe)
 		return sim.Stats(), nil
 	}}
@@ -189,7 +189,7 @@ func reuseJob(name string) productJob {
 
 func confidenceJob(name string) productJob {
 	return productJob{key: name + "/confidence", run: func(t *trace.Trace) (any, error) {
-		sim := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
+		sim := analysis.NewConfidenceSim(predictor.KindContext, analysis.ConfMaxLevel)
 		observeAll(t, sim.Observe)
 		return sim.Points(), nil
 	}}

@@ -1,7 +1,6 @@
 package dpg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -34,8 +33,9 @@ import (
 // state it has committed. On a mismatch (a diverged epoch — in practice
 // only inducible via the test-only corruption hook, since the chains
 // compute exact state) the committer rebuilds the unit from its last
-// trusted checkpoint snapshot, replays at most Checkpoint-1 epochs (the
-// replay bound), serves the epoch live, and resyncs the chain from a fresh
+// trusted checkpoint snapshot (or the initial state), replays the
+// committed epochs since — at most Checkpoint-1 of them, the replay
+// bound — serves the epoch live, and resyncs the chain from a fresh
 // snapshot. A unit that keeps diverging is abandoned: the committer runs
 // it live for the rest of the trace, degrading gracefully to sequential
 // cost instead of thrashing on replays.
@@ -46,13 +46,6 @@ const (
 	// maxSpecMisses is the number of consecutive diverged epochs after
 	// which the committer abandons speculation for a unit.
 	maxSpecMisses = 3
-	// DefaultSpecCheckpoint is the default checkpoint interval: chains
-	// materialize a full state snapshot every this many epochs, bounding
-	// divergence replay to Checkpoint-1 epochs.
-	DefaultSpecCheckpoint = 8
-	// DefaultSpecEpochEvents is the default epoch length, in events, for
-	// the streaming SpecRun.
-	DefaultSpecEpochEvents = 1 << 16
 )
 
 // SpecConfig parameterises a speculative run.
@@ -62,20 +55,16 @@ type SpecConfig struct {
 	// values above the number of units (4, or 3 under SharedInputOutput)
 	// are clamped.
 	Workers int
-	// Epochs is the number of epochs the in-memory RunSpeculative splits
-	// the trace into. <= 0 picks 4 per chain. Epoch boundaries never
-	// change any model figure (the test battery proves this); they only
-	// trade pipelining granularity against snapshot overhead.
+	// Epochs is the number of epochs RunSpeculative splits the trace
+	// into. <= 0 picks 4 per chain. Epoch boundaries never change any
+	// model figure (the test battery proves this); they only trade
+	// pipelining granularity against snapshot overhead.
 	Epochs int
-	// EpochEvents is the epoch length, in events, used by the streaming
-	// SpecRun. <= 0 uses DefaultSpecEpochEvents.
-	EpochEvents int
 	// Checkpoint is the snapshot interval in epochs — the divergence
-	// replay bound. <= 0 uses DefaultSpecCheckpoint for streaming runs
-	// (SpecRun), where the interval also bounds the retained event
-	// window; in-memory runs (RunSpeculative) default to no periodic
-	// snapshots, since every epoch stays resident and a divergence can
-	// always replay from the start of the trace.
+	// replay bound. <= 0 takes no periodic snapshots: every epoch of the
+	// in-memory trace stays resident, so a divergence can always replay
+	// from the start of the trace, and a snapshot (a full predictor state
+	// copy — megabytes for the context predictor) would be pure overhead.
 	Checkpoint int
 	// Stats, when non-nil, receives run statistics on success.
 	Stats *SpecStats
@@ -359,110 +348,6 @@ func (c *chain) apply(m resyncMsg) {
 	}
 }
 
-// epoch store -------------------------------------------------------------
-
-type epochStatus int
-
-const (
-	epochReady epochStatus = iota
-	epochEOF
-	epochGone
-	epochAborted
-)
-
-// epochStore hands epochs of the event stream to the chains and the
-// committer. The in-memory runner prefills it with subslices of the trace
-// (window 0: unbounded, nothing is copied); the streaming runner feeds it
-// under a bounded retention window, which both backpressures the producer
-// and keeps every epoch a divergence replay could need resident.
-type epochStore struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	epochs  [][]trace.Event // epochs[i-base]
-	base    int
-	next    int
-	window  int // 0 = unbounded
-	eof     bool
-	aborted bool
-}
-
-func newEpochStore(window int) *epochStore {
-	s := &epochStore{window: window}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// put appends one epoch, blocking while the retention window is full. It
-// reports false when the store was aborted.
-func (s *epochStore) put(events []trace.Event) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.window > 0 && s.next-s.base >= s.window && !s.aborted {
-		s.cond.Wait()
-	}
-	if s.aborted {
-		return false
-	}
-	s.epochs = append(s.epochs, events)
-	s.next++
-	s.cond.Broadcast()
-	return true
-}
-
-// finish marks the end of the stream.
-func (s *epochStore) finish() {
-	s.mu.Lock()
-	s.eof = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// get returns epoch i, blocking until it is available.
-func (s *epochStore) get(i int) ([]trace.Event, epochStatus) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch {
-		case s.aborted:
-			return nil, epochAborted
-		case i < s.base:
-			return nil, epochGone
-		case i < s.next:
-			return s.epochs[i-s.base], epochReady
-		case s.eof:
-			return nil, epochEOF
-		}
-		s.cond.Wait()
-	}
-}
-
-// release drops every epoch below newBase from the retention window.
-func (s *epochStore) release(newBase int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if newBase > s.next {
-		newBase = s.next
-	}
-	if newBase <= s.base {
-		return
-	}
-	drop := newBase - s.base
-	n := copy(s.epochs, s.epochs[drop:])
-	for k := n; k < len(s.epochs); k++ {
-		s.epochs[k] = nil
-	}
-	s.epochs = s.epochs[:n]
-	s.base = newBase
-	s.cond.Broadcast()
-}
-
-func (s *epochStore) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // committer ---------------------------------------------------------------
 
 // unitCommit is the committer's view of one unit: the trusted state digest
@@ -559,18 +444,8 @@ func (o *specOracle) predictAddr(pc uint32, addr uint32) bool {
 	return ok && av == addr
 }
 
-// specEventError carries the global index of the event the committed pass
-// rejected, so each façade can format it per its own error contract.
-type specEventError struct {
-	idx uint64
-	err error
-}
-
-func (e *specEventError) Error() string { return e.err.Error() }
-func (e *specEventError) Unwrap() error { return e.err }
-
-// specRun is one speculative execution: the epoch store, the chains, and
-// the sequential committer.
+// specRun is one speculative execution: the trace's epochs, the chains,
+// and the sequential committer.
 type specRun struct {
 	cfg         Config
 	spec        SpecConfig
@@ -580,7 +455,7 @@ type specRun struct {
 
 	m      *modelPass
 	oracle *specOracle
-	store  *epochStore
+	epochs [][]trace.Event // subslices of the trace, read-only once chains start
 	chains []*chain
 
 	commitUnits []*unitCommit
@@ -590,8 +465,7 @@ type specRun struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	stats     SpecStats
-	globalIdx uint64
+	stats SpecStats
 }
 
 // buildUnit constructs the execution state of one unit. Factory panics are
@@ -631,10 +505,11 @@ func (r *specRun) buildUnit(kind unitKind, reuse predictor.Predictor) (u *chainU
 	return u, nil
 }
 
-// newSpecRun prepares a speculative execution and starts its chains.
-// fallback is true (with a nil run) when the configured predictor does not
-// support checkpointing; the caller then runs the plain sequential pass.
-func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, streaming bool) (run *specRun, fallback bool, err error) {
+// newSpecRun prepares a speculative execution over t, splits its events
+// into epochs and starts the chains. fallback is true (with a nil run)
+// when the configured predictor does not support checkpointing; the caller
+// then runs the plain sequential pass.
+func newSpecRun(t *trace.Trace, cfg Config, spec SpecConfig) (run *specRun, fallback bool, err error) {
 	if cfg.Predictor == nil {
 		return nil, false, fmt.Errorf("%w: Config.Predictor is required", ErrConfig)
 	}
@@ -658,23 +533,14 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 	r := &specRun{
 		cfg:         cfg,
 		spec:        spec,
-		staticCount: staticCount,
+		checkpoint:  spec.Checkpoint,
+		staticCount: t.StaticCount,
 		shared:      cfg.SharedInputOutput,
 		oracle:      &specOracle{},
 		done:        make(chan struct{}),
 	}
-	r.checkpoint = spec.Checkpoint
 	if r.checkpoint <= 0 {
-		if streaming {
-			r.checkpoint = DefaultSpecCheckpoint
-		} else {
-			// In-memory runs retain every epoch's events for the whole
-			// pass, so replay-from-start is always available and periodic
-			// snapshots (a full predictor state copy each — megabytes for
-			// the context predictor) are pure overhead. Streaming runs
-			// need them: the snapshot interval bounds the retained window.
-			r.checkpoint = math.MaxInt
-		}
+		r.checkpoint = math.MaxInt
 	}
 
 	kinds := []unitKind{unitInput}
@@ -711,14 +577,17 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 	}
 	r.stats.Chains = workers
 
-	window := 0
-	if streaming {
-		// Retain enough epochs for the deepest replay (checkpoint-1 back)
-		// plus the chains' run-ahead.
-		window = r.checkpoint + specLookahead + 4
+	n := len(t.Events)
+	epochs := spec.Epochs
+	if epochs <= 0 {
+		epochs = 4 * workers
 	}
-	r.store = newEpochStore(window)
-	r.m = newModelPassOracle(name, staticCount, cfg, predName, r.oracle)
+	epochs = max(1, min(epochs, max(n, 1)))
+	per := (n + epochs - 1) / epochs
+	for lo := 0; lo < n; lo += per {
+		r.epochs = append(r.epochs, t.Events[lo:min(lo+per, n)])
+	}
+	r.m = newModelPassOracle(t.Name, t.StaticCount, cfg, predName, r.oracle)
 
 	for _, c := range r.chains {
 		r.wg.Add(1)
@@ -728,7 +597,7 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 }
 
 // runChain is one worker goroutine: round-robin its units through the
-// epoch stream, always advancing the unit that is furthest behind, staying
+// epochs, always advancing the unit that is furthest behind, staying
 // responsive to committer resyncs.
 func (r *specRun) runChain(c *chain) {
 	defer r.wg.Done()
@@ -747,11 +616,7 @@ func (r *specRun) runChain(c *chain) {
 		if u == nil {
 			return // every unit abandoned
 		}
-		events, st := r.store.get(u.next)
-		switch st {
-		case epochAborted, epochGone:
-			return
-		case epochEOF:
+		if u.next >= len(r.epochs) {
 			// Out of work unless the committer rewinds a unit.
 			select {
 			case m := <-c.resync:
@@ -761,7 +626,7 @@ func (r *specRun) runChain(c *chain) {
 			}
 			continue
 		}
-		rec := u.processEpoch(r, u.next, events)
+		rec := u.processEpoch(r, u.next, r.epochs[u.next])
 		u.next++
 		for rec != nil {
 			select {
@@ -782,13 +647,12 @@ func (r *specRun) runChain(c *chain) {
 // shutdown stops the chains and reclaims them. Idempotent.
 func (r *specRun) shutdown() {
 	r.closeOnce.Do(func() { close(r.done) })
-	r.store.abort()
 	r.wg.Wait()
 }
 
 // ensureLiveAt brings the unit's live replica to the state at the entry of
-// epoch e: restore the last trusted checkpoint, then replay the committed
-// epochs in between (at most checkpoint-1 of them — the replay bound).
+// epoch e: restore the last trusted checkpoint (or reset to the initial
+// state), then replay the committed epochs in between.
 func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	if uc.live == nil {
 		u, err := r.buildUnit(uc.kind, nil)
@@ -808,11 +672,7 @@ func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	} else {
 		uc.live.reset()
 	}
-	for k := uc.snapEpoch; k < e; k++ {
-		ev, st := r.store.get(k)
-		if st != epochReady {
-			return fmt.Errorf("%w: replay epoch %d for unit %s unavailable", ErrSpeculation, k, uc.kind)
-		}
+	for _, ev := range r.epochs[uc.snapEpoch:e] {
 		// These epochs were already committed, so their events passed
 		// validation; replay them for their state effect only.
 		for i := range ev {
@@ -888,10 +748,9 @@ func (r *specRun) armOracle() {
 }
 
 // settle closes epoch e: validate that adopted records were consumed
-// exactly, adopt exit digests and checkpoints, resync or abandon diverged
-// units, and release epochs no replay can need anymore.
+// exactly, adopt exit digests and checkpoints, and resync or abandon
+// diverged units.
 func (r *specRun) settle(e int) error {
-	minKeep := e + 1
 	for _, uc := range r.commitUnits {
 		switch {
 		case uc.liveMode:
@@ -925,29 +784,16 @@ func (r *specRun) settle(e int) error {
 				uc.ch.resync <- resyncMsg{unit: uc.kind, gen: uc.gen, epoch: e + 1, snap: snap}
 			}
 		}
-		keep := uc.snapEpoch
-		if uc.liveMode {
-			keep = e + 1
-		}
-		if keep < minKeep {
-			minKeep = keep
-		}
 	}
-	r.store.release(minKeep)
 	return nil
 }
 
-// commit runs the sequential classification sweep over the epoch stream,
-// consuming the chains' recorded verdicts.
+// commit runs the sequential classification sweep over the epochs,
+// consuming the chains' recorded verdicts. A rejected event is reported
+// with its index in the trace, as RunWith reports it.
 func (r *specRun) commit() (*Result, error) {
-	for e := 0; ; e++ {
-		events, st := r.store.get(e)
-		if st == epochEOF {
-			break
-		}
-		if st != epochReady {
-			return nil, fmt.Errorf("%w: epoch %d unavailable to committer", ErrSpeculation, e)
-		}
+	idx := 0
+	for e, events := range r.epochs {
 		r.stats.Epochs++
 		for _, uc := range r.commitUnits {
 			if err := r.acquire(uc, e); err != nil {
@@ -957,10 +803,10 @@ func (r *specRun) commit() (*Result, error) {
 		r.armOracle()
 		for i := range events {
 			if err := r.m.Observe(&events[i]); err != nil {
-				return nil, &specEventError{idx: r.globalIdx + uint64(i), err: err}
+				return nil, fmt.Errorf("event %d: %w", idx+i, err)
 			}
 		}
-		r.globalIdx += uint64(len(events))
+		idx += len(events)
 		if err := r.settle(e); err != nil {
 			return nil, err
 		}
@@ -978,7 +824,7 @@ func RunSpeculative(t *trace.Trace, cfg Config, spec SpecConfig) (*Result, error
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil trace", ErrConfig)
 	}
-	r, fallback, err := newSpecRun(t.Name, t.StaticCount, cfg, spec, false)
+	r, fallback, err := newSpecRun(t, cfg, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -990,25 +836,8 @@ func RunSpeculative(t *trace.Trace, cfg Config, spec SpecConfig) (*Result, error
 		return res, err
 	}
 	defer r.shutdown()
-
-	n := len(t.Events)
-	epochs := spec.Epochs
-	if epochs <= 0 {
-		epochs = 4 * len(r.chains)
-	}
-	epochs = max(1, min(epochs, max(n, 1)))
-	per := (n + epochs - 1) / epochs
-	for lo := 0; lo < n; lo += per {
-		r.store.put(t.Events[lo:min(lo+per, n)])
-	}
-	r.store.finish()
-
 	res, err := r.commit()
 	if err != nil {
-		var ee *specEventError
-		if errors.As(err, &ee) {
-			err = fmt.Errorf("event %d: %w", ee.idx, ee.err)
-		}
 		return nil, err
 	}
 	if spec.Stats != nil {

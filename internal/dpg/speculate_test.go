@@ -101,6 +101,32 @@ func TestSpeculativeDifferential(t *testing.T) {
 	}
 }
 
+// TestSpeculativeDefaultEpochs runs the pass at its default epoch count
+// (Epochs <= 0: four per chain), which the differential batteries, all at
+// explicit counts, never reach: gcc under last-value and context at one
+// and four chains.
+func TestSpeculativeDefaultEpochs(t *testing.T) {
+	tr := specTraces(t)["gcc"]
+	for _, kind := range []predictor.Kind{predictor.KindLast, predictor.KindContext} {
+		cfg := Config{Predictor: kind.Factory(), PredictorName: kind.String()}
+		want, err := RunWith(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			var st SpecStats
+			got, err := RunSpeculative(tr, cfg, SpecConfig{Workers: workers, Stats: &st})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", kind, workers, err)
+			}
+			mustEqualResults(t, kind.String(), got, want)
+			if st.Fallback || st.Diverged != 0 || st.Epochs != 4*st.Chains {
+				t.Fatalf("%s w=%d: implausible stats %+v", kind, workers, st)
+			}
+		}
+	}
+}
+
 // TestSpeculativeShardedDifferential holds the pass to the contract it
 // had when predictor categories could be split into key shards, at the one
 // shard that remains: every predictor kind, global-state ones (context,
@@ -319,9 +345,6 @@ func TestSpeculativeConfigErrors(t *testing.T) {
 	if _, err := RunSpeculative(tr, bad, SpecConfig{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("panicking factory: err = %v, want ErrConfig", err)
 	}
-	if _, err := NewSpecRun("x", nil, Config{}, SpecConfig{}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("NewSpecRun nil factory: err = %v, want ErrConfig", err)
-	}
 }
 
 // TestSpeculativeEmptyTrace runs the degenerate cases: zero events, and
@@ -355,126 +378,8 @@ func TestSpeculativeEmptyTrace(t *testing.T) {
 	mustEqualResults(t, "tiny", got, want)
 }
 
-// feedSpecRun streams a trace into a SpecRun in blocks of the given size.
-func feedSpecRun(t *testing.T, s *SpecRun, tr *trace.Trace, blockSize int) {
-	t.Helper()
-	idx := uint64(0)
-	for lo := 0; lo < len(tr.Events); lo += blockSize {
-		hi := min(lo+blockSize, len(tr.Events))
-		if err := s.ObserveBlock(idx, tr.Events[lo:hi]); err != nil {
-			t.Fatalf("ObserveBlock %d: %v", idx, err)
-		}
-		idx++
-	}
-}
-
-// TestSpecRunStreamingDifferential checks the streaming façade: blocks in,
-// identical Result out, across epoch sizes that divide blocks unevenly.
-func TestSpecRunStreamingDifferential(t *testing.T) {
-	for name, tr := range specTraces(t) {
-		cfg := Config{Predictor: predictor.KindStride.Factory()}
-		want, err := RunWith(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, epochEvents := range []int{97, 1024, 1 << 20} {
-			var st SpecStats
-			s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg,
-				SpecConfig{Workers: 4, EpochEvents: epochEvents, Checkpoint: 2, Stats: &st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedSpecRun(t, s, tr, 333)
-			got, err := s.Finish()
-			if err != nil {
-				t.Fatalf("%s epoch=%d: %v", name, epochEvents, err)
-			}
-			mustEqualResults(t, name, got, want)
-			if st.Diverged != 0 || st.Fallback {
-				t.Fatalf("%s: unexpected stats %+v", name, st)
-			}
-		}
-	}
-}
-
-// TestSpecRunStreamingChaos drives the chaos hook through the streaming
-// façade, with the bounded retention window in play.
-func TestSpecRunStreamingChaos(t *testing.T) {
-	tr := specTraces(t)["gcc"]
-	cfg := Config{Predictor: predictor.KindContext.Factory()}
-	want, err := RunWith(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st SpecStats
-	spec := SpecConfig{Workers: 4, EpochEvents: len(tr.Events)/9 + 1, Checkpoint: 2, Stats: &st}
-	spec.corrupt = func(_ unitKind, e int) bool { return e%2 == 1 }
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedSpecRun(t, s, tr, 1000)
-	got, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "streaming-chaos", got, want)
-	if st.Diverged == 0 {
-		t.Fatalf("chaos hook induced no divergence: %+v", st)
-	}
-}
-
-// TestSpecRunStreamingErrors checks the streaming error contract: a
-// malformed event surfaces the bare model error (no event index — the
-// caller owns stream position), block reordering is rejected, and Close
-// abandons a half-fed run cleanly.
-func TestSpecRunStreamingErrors(t *testing.T) {
-	tr := specTraces(t)["fig1"]
-	cfg := Config{Predictor: predictor.KindLast.Factory()}
-
-	bad := append([]trace.Event(nil), tr.Events...)
-	bad[len(bad)/2].NSrc = 3
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{EpochEvents: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feedErr error
-	for lo, idx := 0, uint64(0); lo < len(bad); lo, idx = lo+100, idx+1 {
-		if feedErr = s.ObserveBlock(idx, bad[lo:min(lo+100, len(bad))]); feedErr != nil {
-			break
-		}
-	}
-	if feedErr == nil {
-		_, feedErr = s.Finish()
-	} else {
-		s.Close()
-	}
-	if !errors.Is(feedErr, ErrMalformedEvent) {
-		t.Fatalf("streaming malformed event: err = %v, want ErrMalformedEvent", feedErr)
-	}
-
-	s2, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.ObserveBlock(0, tr.Events[:10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.ObserveBlock(5, tr.Events[10:20]); !errors.Is(err, ErrConfig) {
-		t.Fatalf("out-of-order block: err = %v, want ErrConfig", err)
-	}
-	s2.Close()
-
-	// Close with no feed at all.
-	s3, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3.Close()
-}
-
-// TestSpeculativeNoGoroutineLeak verifies every path — success, fallback,
-// error, and abandoned stream — reclaims its chain goroutines.
+// TestSpeculativeNoGoroutineLeak verifies every path — success and
+// error — reclaims its chain goroutines.
 func TestSpeculativeNoGoroutineLeak(t *testing.T) {
 	tr := specTraces(t)["fig1"]
 	cfg := Config{Predictor: predictor.KindLast.Factory()}
@@ -491,14 +396,6 @@ func TestSpeculativeNoGoroutineLeak(t *testing.T) {
 	if _, err := RunSpeculative(bad, cfg, SpecConfig{Workers: 4}); err == nil {
 		t.Fatal("expected error")
 	}
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{EpochEvents: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ObserveBlock(0, tr.Events[:200]); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {

@@ -3,12 +3,10 @@ package server
 import "sync"
 
 // jobOutcome is what one analysis job produces: either the /analyze
-// report payload or a typed job error. Degraded records whether the job
-// ran with shed work (no speculation, sequential decode).
+// report payload or a typed job error.
 type jobOutcome struct {
-	payload  *analysisPayload
-	jerr     *JobError
-	degraded bool
+	payload *analysisPayload
+	jerr    *JobError
 }
 
 // flight is one in-progress computation shared by every request that asked

@@ -183,8 +183,6 @@ func TestChaosShutdownMidJobLeakFree(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, ts := testServer(t, func(c *Config) {
 		c.Workers = 1
-		c.DecodeWorkers = 4
-		c.Speculation = 2
 	})
 	gate := make(chan struct{})
 	s.beforeJob = func(ctx context.Context) {

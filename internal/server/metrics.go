@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/dpg"
 )
 
 // histogram is a fixed-bucket latency histogram (cumulative counts, like
@@ -66,11 +64,9 @@ type Metrics struct {
 	queueCap   int
 
 	// Outcomes.
-	jobsOK       atomic.Uint64
-	jobsFailed   [5]atomic.Uint64 // indexed by kindIndex
-	degradedJobs atomic.Uint64    // jobs run with degraded (shed) work
-	mode         atomic.Int64     // current overload mode (0 normal, 1 degraded)
-	draining     atomic.Int64     // 1 while shutting down
+	jobsOK     atomic.Uint64
+	jobsFailed [5]atomic.Uint64 // indexed by kindIndex
+	draining   atomic.Int64     // 1 while shutting down
 
 	// Cache.
 	cacheHits    atomic.Uint64
@@ -81,15 +77,6 @@ type Metrics struct {
 	// Store.
 	storeRetries atomic.Uint64 // transient trace-store I/O retries
 	spooledBytes atomic.Uint64
-
-	// Speculation (summed across speculative normal-mode jobs).
-	specJobs      atomic.Uint64 // jobs that ran the epoch-speculative pass
-	specChains    atomic.Uint64 // run-ahead chains launched
-	specCommits   atomic.Uint64 // epochs committed
-	specDiverged  atomic.Uint64 // epoch validations that diverged
-	specReplays   atomic.Uint64 // divergence recoveries replayed
-	specAbandoned atomic.Uint64 // units abandoned to live mode
-	specFallback  atomic.Uint64 // jobs that fell back to the sequential pass
 
 	// Per-stage latency.
 	spoolHist   *histogram
@@ -146,26 +133,11 @@ func (m *Metrics) StoreRetries() uint64 { return m.storeRetries.Load() }
 // Inflight returns the number of jobs currently executing.
 func (m *Metrics) Inflight() int64 { return m.inflight.Load() }
 
-// observeSpec folds one speculative job's pass statistics into the
-// cumulative speculation counters.
-func (m *Metrics) observeSpec(st *dpg.SpecStats) {
-	m.specJobs.Add(1)
-	m.specChains.Add(uint64(st.Chains))
-	m.specCommits.Add(uint64(st.Epochs))
-	m.specDiverged.Add(uint64(st.Diverged))
-	m.specReplays.Add(uint64(st.Replayed))
-	m.specAbandoned.Add(uint64(st.Abandoned))
-	if st.Fallback {
-		m.specFallback.Add(1)
-	}
-}
-
 // write renders the metrics dump.
 func (m *Metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "dpgd_queue_depth %d\n", m.queueDepth())
 	fmt.Fprintf(w, "dpgd_queue_capacity %d\n", m.queueCap)
 	fmt.Fprintf(w, "dpgd_inflight_jobs %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "dpgd_overload_mode %d\n", m.mode.Load())
 	fmt.Fprintf(w, "dpgd_draining %d\n", m.draining.Load())
 	fmt.Fprintf(w, "dpgd_uploads_total %d\n", m.uploads.Load())
 	fmt.Fprintf(w, "dpgd_requests_rejected_total %d\n", m.rejected.Load())
@@ -175,20 +147,12 @@ func (m *Metrics) write(w io.Writer) {
 	for i, name := range kindNames {
 		fmt.Fprintf(w, "dpgd_jobs_failed_total{kind=%q} %d\n", name, m.jobsFailed[i].Load())
 	}
-	fmt.Fprintf(w, "dpgd_jobs_degraded_total %d\n", m.degradedJobs.Load())
 	fmt.Fprintf(w, "dpgd_cache_hits_total %d\n", m.cacheHits.Load())
 	fmt.Fprintf(w, "dpgd_cache_misses_total %d\n", m.cacheMisses.Load())
 	fmt.Fprintf(w, "dpgd_requests_coalesced_total %d\n", m.coalesced.Load())
 	fmt.Fprintf(w, "dpgd_computations_total %d\n", m.computations.Load())
 	fmt.Fprintf(w, "dpgd_store_retries_total %d\n", m.storeRetries.Load())
 	fmt.Fprintf(w, "dpgd_spooled_bytes_total %d\n", m.spooledBytes.Load())
-	fmt.Fprintf(w, "dpgd_spec_jobs_total %d\n", m.specJobs.Load())
-	fmt.Fprintf(w, "dpgd_spec_chains_total %d\n", m.specChains.Load())
-	fmt.Fprintf(w, "dpgd_spec_commits_total %d\n", m.specCommits.Load())
-	fmt.Fprintf(w, "dpgd_spec_diverged_total %d\n", m.specDiverged.Load())
-	fmt.Fprintf(w, "dpgd_spec_replays_total %d\n", m.specReplays.Load())
-	fmt.Fprintf(w, "dpgd_spec_abandoned_units_total %d\n", m.specAbandoned.Load())
-	fmt.Fprintf(w, "dpgd_spec_fallback_jobs_total %d\n", m.specFallback.Load())
 	m.spoolHist.write(w, "dpgd_stage_spool_seconds")
 	m.queueHist.write(w, "dpgd_stage_queue_wait_seconds")
 	m.analyzeHist.write(w, "dpgd_stage_analyze_seconds")

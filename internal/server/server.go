@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/dpg"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 )
@@ -43,17 +42,6 @@ type Config struct {
 	MaxUploadBytes int64
 	// CacheEntries bounds the result cache. Default 256.
 	CacheEntries int
-	// Speculation is the epoch-speculation degree for normal-mode jobs
-	// (0 disables). Degraded mode always runs without speculation.
-	// Default 2.
-	Speculation int
-	// DecodeWorkers is the parallel-decode width for normal-mode jobs.
-	// Default GOMAXPROCS. Degraded mode always decodes sequentially.
-	DecodeWorkers int
-	// DegradedAt is the queue-fill fraction at which jobs start running in
-	// degraded mode (speculation and parallel decode shed before jobs
-	// are). Default 0.5.
-	DegradedAt float64
 	// StoreAttempts is the total tries per transient store operation.
 	// Default 4.
 	StoreAttempts int
@@ -78,17 +66,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.Speculation < 0 {
-		c.Speculation = 0
-	} else if c.Speculation == 0 {
-		c.Speculation = 2
-	}
-	if c.DecodeWorkers <= 0 {
-		c.DecodeWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.DegradedAt <= 0 || c.DegradedAt > 1 {
-		c.DegradedAt = 0.5
-	}
 	if c.StoreAttempts <= 0 {
 		c.StoreAttempts = 4
 	}
@@ -105,7 +82,6 @@ type job struct {
 	size        int64
 	kind        predictor.Kind
 	experiments []string // canonical (sorted, deduped) experiment list
-	degraded    bool     // admission-time overload decision
 	ctx         context.Context
 	cancel      context.CancelFunc
 	queued      time.Time
@@ -232,7 +208,6 @@ type analyzeResponse struct {
 	analysisPayload
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
-	Degraded  bool `json:"degraded"`
 }
 
 // errorResponse is the JSON body of a failed request.
@@ -397,7 +372,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, analyzeResponse{
 		analysisPayload: *out.payload,
 		Coalesced:       !leader,
-		Degraded:        out.degraded,
 	})
 }
 
@@ -406,10 +380,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 const statusClientClosedRequest = 499
 
 // admit enqueues a job with explicit backpressure: a full queue fails with
-// ErrQueueFull (never blocks), a draining server with ErrDraining. The
-// degradation decision is taken here, from queue pressure at admission.
+// ErrQueueFull (never blocks), a draining server with ErrDraining.
 func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind predictor.Kind, exps []string, f *flight) error {
-	degraded := float64(len(s.jobs)+1) >= s.cfg.DegradedAt*float64(s.cfg.QueueDepth)
 	jctx, jcancel := context.WithTimeout(reqCtx, s.cfg.JobTimeout)
 	stop := context.AfterFunc(s.baseCtx, jcancel)
 	j := &job{
@@ -419,7 +391,6 @@ func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind 
 		size:        sp.Size,
 		kind:        kind,
 		experiments: exps,
-		degraded:    degraded,
 		ctx:         jctx,
 		cancel:      func() { stop(); jcancel() },
 		queued:      time.Now(),
@@ -460,14 +431,7 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *job) {
 	s.metrics.queueHist.observe(time.Since(j.queued))
 	s.metrics.inflight.Add(1)
-	if j.degraded {
-		s.metrics.mode.Store(1)
-		s.metrics.degradedJobs.Add(1)
-	} else {
-		s.metrics.mode.Store(0)
-	}
 	var out jobOutcome
-	out.degraded = j.degraded
 	func() {
 		defer func() {
 			if v := recover(); v != nil {
@@ -496,13 +460,10 @@ func (s *Server) runJob(j *job) {
 	s.flights.complete(j.key, j.flight, out)
 }
 
-// analyze runs the streaming analysis for one job. Normal mode uses the
-// parallel block decoder and epoch speculation; degraded mode sheds both
-// (the work, not the job) and decodes sequentially. Requested experiments
-// ride the model's decode as streaming observers (core.WithObservers), so
-// a multi-experiment job still reads the spooled trace exactly once;
-// epoch speculation is skipped for those jobs (the fused pass runs the
-// sequential model).
+// analyze runs the streaming analysis for one job: one inline decode of
+// the spooled trace feeds the model pass. Requested experiments ride that
+// decode as streaming observers (core.WithObservers), so a
+// multi-experiment job still reads the spooled trace exactly once.
 func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 	start := time.Now()
 	if err := s.store.Probe(j.ctx, j.path); err != nil {
@@ -521,12 +482,12 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 	for _, name := range j.experiments {
 		switch name {
 		case "reuse":
-			reuseSim = analysis.NewReuseSim("", 16)
+			reuseSim = analysis.NewReuseSim("", analysis.ReuseBits)
 			obs = append(obs, reuseSim)
 		case "ilp":
 			wantILP = true
 		case "confidence":
-			confSim = analysis.NewConfidenceSim(j.kind, 7)
+			confSim = analysis.NewConfidenceSim(j.kind, analysis.ConfMaxLevel)
 			obs = append(obs, confSim)
 		case "speculation":
 			wantSpec = true
@@ -551,25 +512,11 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 	if len(obs) > 0 {
 		opts = append(opts, core.WithObservers(obs...))
 	}
-	var specStats *dpg.SpecStats
-	if !j.degraded {
-		if s.cfg.DecodeWorkers > 1 {
-			opts = append(opts, core.WithWorkers(s.cfg.DecodeWorkers))
-		}
-		if s.cfg.Speculation > 1 && len(obs) == 0 {
-			opts = append(opts, core.WithSpeculation(s.cfg.Speculation))
-			specStats = new(dpg.SpecStats)
-			opts = append(opts, core.WithSpecStats(specStats))
-		}
-	}
 	s.metrics.computations.Add(1)
 	res, err := core.AnalyzeFile(j.path, opts...)
 	s.metrics.analyzeHist.observe(time.Since(start))
 	if err != nil {
 		return nil, classifyJobErr(err)
-	}
-	if specStats != nil {
-		s.metrics.observeSpec(specStats)
 	}
 	var exp *experimentsPayload
 	if len(obs) > 0 {

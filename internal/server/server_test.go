@@ -46,11 +46,10 @@ func traceBytes(t *testing.T, name string, rounds int) []byte {
 func testServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		StoreDir:    filepath.Join(t.TempDir(), "store"),
-		QueueDepth:  8,
-		Workers:     2,
-		JobTimeout:  30 * time.Second,
-		Speculation: -1, // off by default in tests; specific tests opt in
+		StoreDir:   filepath.Join(t.TempDir(), "store"),
+		QueueDepth: 8,
+		Workers:    2,
+		JobTimeout: 30 * time.Second,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -379,15 +378,33 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDegradedMode checks queue pressure flips jobs into degraded
-// mode (work shed, job kept) before the queue starts shedding jobs.
-func TestAnalyzeDegradedMode(t *testing.T) {
+// postBody POSTs body to /analyze and returns the status and the raw
+// response body.
+func postBody(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Errorf("upload: %v", err)
+		return -1, nil
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Errorf("upload: reading body: %v", err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestAnalyzeUnderQueuePressure checks a job admitted into a filling
+// queue runs exactly like one on an idle server: while one worker is held
+// on the first job the others pile up in the queue, and once released
+// every job answers 200 with a body byte-identical to an idle server's
+// answer for the same upload.
+func TestAnalyzeUnderQueuePressure(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := testServer(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueDepth = 4
-		c.DegradedAt = 0.5
-		c.Speculation = 2 // normal mode would speculate
 	})
 	s.beforeJob = func(ctx context.Context) {
 		select {
@@ -402,76 +419,38 @@ func TestAnalyzeDegradedMode(t *testing.T) {
 		traceBytes(t, "fig1", 7),
 		traceBytes(t, "fig1", 8),
 	}
-	done := make(chan analyzeResponse, len(traces))
-	// First upload occupies the worker with an empty queue (normal mode);
-	// later ones pile up past DegradedAt and must run degraded.
-	go func() { _, r, _ := upload(t, ts, "", bytes.NewReader(traces[0])); done <- r }()
+	type answer struct {
+		i      int
+		status int
+		body   []byte
+	}
+	done := make(chan answer, len(traces))
+	post := func(i int) {
+		st, body := postBody(t, ts, traces[i])
+		done <- answer{i, st, body}
+	}
+	// The first upload occupies the worker; the rest queue behind it.
+	go post(0)
 	waitFor(t, "first job running", func() bool { return s.Metrics().Inflight() == 1 })
-	for _, tb := range traces[1:] {
-		tb := tb
-		go func() { _, r, _ := upload(t, ts, "", bytes.NewReader(tb)); done <- r }()
+	for i := 1; i < len(traces); i++ {
+		go post(i)
 	}
 	waitFor(t, "queue to fill", func() bool { return len(s.jobs) == len(traces)-1 })
 	close(release)
 
-	var degraded int
+	_, idle := testServer(t, nil)
 	for range traces {
-		if r := <-done; r.Degraded {
-			degraded++
+		a := <-done
+		if a.status != http.StatusOK {
+			t.Errorf("trace %d under pressure: status %d: %s", a.i, a.status, a.body)
+			continue
 		}
-	}
-	if degraded == 0 {
-		t.Error("no job ran degraded despite queue pressure past DegradedAt")
-	}
-	if s.metrics.degradedJobs.Load() == 0 {
-		t.Error("degraded-jobs counter never moved")
-	}
-}
-
-// TestAnalyzeSpeculation checks that a server running epoch speculation
-// returns a payload byte-identical to a plain sequential server's, and
-// that the job's speculation statistics surface as dpgd_spec_* counters on
-// /metrics.
-func TestAnalyzeSpeculation(t *testing.T) {
-	data := traceBytes(t, "gcc", 40)
-
-	_, plain := testServer(t, nil) // speculation off
-	_, spec := testServer(t, func(c *Config) { c.Speculation = 4 })
-
-	status, want, _ := upload(t, plain, "?predictor=stride", bytes.NewReader(data))
-	if status != http.StatusOK {
-		t.Fatalf("plain upload: status %d", status)
-	}
-	status, got, _ := upload(t, spec, "?predictor=stride", bytes.NewReader(data))
-	if status != http.StatusOK {
-		t.Fatalf("speculative upload: status %d", status)
-	}
-	if !reflect.DeepEqual(got.analysisPayload, want.analysisPayload) {
-		t.Errorf("speculative payload differs from sequential:\n got %+v\nwant %+v",
-			got.analysisPayload, want.analysisPayload)
-	}
-
-	resp, err := http.Get(spec.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, line := range []string{
-		"dpgd_spec_jobs_total 1",
-		"dpgd_spec_fallback_jobs_total 0",
-		"dpgd_spec_abandoned_units_total 0",
-	} {
-		if !strings.Contains(string(body), line) {
-			t.Errorf("metrics missing %q", line)
+		st, want := postBody(t, idle, traces[a.i])
+		if st != http.StatusOK {
+			t.Fatalf("trace %d on the idle server: status %d", a.i, st)
 		}
-	}
-	for _, zero := range []string{
-		"dpgd_spec_chains_total 0",
-		"dpgd_spec_commits_total 0",
-	} {
-		if strings.Contains(string(body), zero+"\n") {
-			t.Errorf("metrics counter stuck at zero: %q", zero)
+		if !bytes.Equal(a.body, want) {
+			t.Errorf("trace %d: answer under pressure differs from the idle server's:\n got %s\nwant %s", a.i, a.body, want)
 		}
 	}
 }
