@@ -126,7 +126,7 @@ func BenchmarkVMExecute(b *testing.B) {
 // (Mevents/s).
 func BenchmarkModel(b *testing.B) {
 	tr := benchTrace(b)
-	for _, kind := range predictor.Kinds {
+	for _, kind := range predictor.AllKinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dpg.Run(tr, kind); err != nil {

@@ -388,6 +388,16 @@ func analyzeEachKind(path string, kinds []predictor.Kind, opts ...Option) ([]*dp
 	return res, stats, nil
 }
 
+// TestModelObserverTakesBlocks pins the model observer to the block
+// interface, so the fan-out makes one call per block into each model
+// pass rather than one per event.
+func TestModelObserverTakesBlocks(t *testing.T) {
+	var o analysis.Observer = &modelObserver{}
+	if _, ok := o.(analysis.BlockObserver); !ok {
+		t.Fatal("modelObserver does not implement analysis.BlockObserver")
+	}
+}
+
 // TestAnalyzeFileKindsDifferential is the parity gate of the one-decode
 // multi-predictor entry point: for every workload × decode worker count,
 // AnalyzeFileKinds over every predictor must return exactly what five

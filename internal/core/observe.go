@@ -9,9 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// modelObserver adapts the model pass to analysis.Observer, so the model
-// can ride the observer fan-out next to experiment simulators. A model
-// error (a malformed event) sticks: subsequent events are
+// modelObserver adapts the model pass to analysis.BlockObserver, so the
+// model can ride the observer fan-out next to experiment simulators. A
+// model error (a malformed event) sticks: subsequent events are
 // ignored and Finish reports the error, which RunObservers wraps in a
 // typed *analysis.ObserverError.
 type modelObserver struct {
@@ -26,6 +26,17 @@ func (m *modelObserver) Observe(e *trace.Event) {
 		return
 	}
 	m.err = m.b.Observe(e)
+}
+
+// ObserveBlock feeds a block's events through the model pass, stopping
+// at the first error.
+func (m *modelObserver) ObserveBlock(b *trace.Block) {
+	for i := range b.Events {
+		if m.err != nil {
+			return
+		}
+		m.err = m.b.Observe(&b.Events[i])
+	}
 }
 
 // Finish finalises the model and stores its result.

@@ -146,6 +146,11 @@ type modelPass struct {
 	// liveGens is compactGens' buffer of referenced ids, sorted; its
 	// length after the last compaction sets the next trigger.
 	liveGens []uint32
+	// genPoints accumulates the generate points of PCs below
+	// len(staticCount), indexed by pc; Finish puts those with generators
+	// into Result.GenPoints. Without static counts it is empty and every
+	// pc goes to the map directly.
+	genPoints []GenPoint
 
 	// Value records released by overwritten slots, reused by newValue.
 	free []*value
@@ -219,6 +224,7 @@ func newModelPassOracle(name string, staticCount []uint64, cfg Config, predName 
 	}
 	if !cfg.DisablePaths {
 		m.res.GenPoints = make(map[uint32]*GenPoint)
+		m.genPoints = make([]GenPoint, len(staticCount))
 	}
 	return m
 }
@@ -380,8 +386,10 @@ func (m *modelPass) foldGen(id int) {
 	ts.Size += size
 	if m.res.GenPoints != nil {
 		pc := m.genPC[id]
-		gp := m.res.GenPoints[pc]
-		if gp == nil {
+		var gp *GenPoint
+		if int(pc) < len(m.genPoints) {
+			gp = &m.genPoints[pc]
+		} else if gp = m.res.GenPoints[pc]; gp == nil {
 			gp = &GenPoint{PC: pc}
 			m.res.GenPoints[pc] = gp
 		}
@@ -511,12 +519,12 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	res.Nodes++
 	pc := e.PC
 	op := e.Op
+	f := &opTable[op]
 
 	hasImm := e.HasImm
 	anyP, anyN := false, false
 	var contribs [3]inflSet // predicted inputs' contributions, in slot order
 	nContrib := 0
-	dataSlot, dataIsMem, isPass := isa.DataSlot(op)
 	dataPred := false
 
 	// Register source operands. Reads of $0 are immediates.
@@ -538,15 +546,15 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		} else {
 			anyN = true
 		}
-		if isPass && !dataIsMem && slot == dataSlot {
+		if f.pass && !f.dataIsMem && slot == int(f.dataSlot) {
 			dataPred = pred
 		}
 	}
 
 	// Memory/input data operand of loads and `in`.
-	if isa.IsLoad(op) || op == isa.OpIn {
+	if f.load || f.in {
 		var v *value
-		if op == isa.OpIn {
+		if f.in {
 			v = m.newDValue() // every program input word is a fresh D node
 		} else {
 			v = m.memValue(e.Addr &^ 3)
@@ -563,7 +571,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 			anyN = true
 		}
 		dataPred = pred
-		if op == isa.OpIn {
+		if f.in {
 			m.release(v) // no slot owns an input word's D node
 		}
 	}
@@ -573,7 +581,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	// predictor is a per-PC 2-delta stride predictor, the form first
 	// proposed for addresses; it is observational only and never feeds
 	// classification.
-	if isa.MemWidth(op) != 0 {
+	if f.memOp {
 		addrP := m.oracle.predictAddr(pc, e.Addr)
 		ai, di := 0, 0
 		if addrP {
@@ -583,7 +591,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 			di = 1
 		}
 		m.res.Addr.Count[ai][di]++
-		if isa.IsLoad(op) {
+		if f.load {
 			m.res.Addr.Loads++
 		} else {
 			m.res.Addr.Stores++
@@ -594,11 +602,11 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	classified := false
 	outP := false
 	switch {
-	case isa.IsBranch(op):
+	case f.branch:
 		outP = m.oracle.predictBranch(pc, e.Taken)
 		classified = true
-	case isa.WritesValue(op):
-		if isPass {
+	case f.writes:
+		if f.pass {
 			// Memory instructions and register-indirect jumps copy the
 			// consumer-side prediction of their data input; they never
 			// consult the output predictor and never generate (paper §3).
@@ -616,15 +624,15 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	// nothing builds it in the scratch buffer.
 	var nv *value
 	outInfl := &m.scratch
-	if installsValue(op, e.DstReg) {
+	if f.installs(e.DstReg) {
 		nv = m.newValue()
 		outInfl = &nv.infl
 	}
 	if classified {
 		class := classifyNode(anyP, anyN, hasImm, outP)
 		res.NodeCount[class]++
-		res.NodeByGroup[GroupOf(op)][class]++
-		if isa.IsBranch(op) {
+		res.NodeByGroup[f.group][class]++
+		if f.branch {
 			res.Branch.Count[class]++
 			res.Branch.Branches++
 			if outP {
@@ -659,7 +667,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		nv.writeOnce = int(pc) < len(m.staticCount) && m.staticCount[pc] == 1
 		nv.predicted = outP
 		nv.src = NodeRef{ID: m.nodeIdx}
-		if isa.IsStore(op) {
+		if f.store {
 			a := e.Addr &^ 3
 			m.release(m.mem[a])
 			m.mem[a] = nv
@@ -692,15 +700,60 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	return nil
 }
 
-// installsValue reports whether a node with opcode op and destination dst
+// opFacts is what the model pass reads about an opcode. opTable holds
+// them precomputed from isa, so Observe reads one entry per event instead
+// of calling the isa predicates, each of which copies the opcode's Info.
+type opFacts struct {
+	load   bool // isa.IsLoad
+	store  bool // isa.IsStore
+	branch bool // isa.IsBranch
+	writes bool // isa.WritesValue: the node has an output to classify
+	// pass marks pass-through opcodes (isa.DataSlot's ok): their output
+	// copies the consumer-side prediction of their data input, which is
+	// the memory/input value when dataIsMem and register slot dataSlot
+	// otherwise.
+	pass      bool
+	dataIsMem bool
+	dataSlot  uint8
+	memOp     bool // a memory access: isa.MemWidth(op) != 0
+	in        bool // isa.OpIn
+	jr        bool // isa.OpJr
+	group     OpGroup
+}
+
+// opTable holds the facts of every valid opcode, indexed by opcode; as
+// an isa.Op is a uint8, indexing it needs no bounds check. The entries of
+// invalid opcodes stay zero: checkModelEvent rejects such events before
+// Observe reads the table.
+var opTable = func() (t [1 << 8]opFacts) {
+	for op := isa.Op(1); int(op) < isa.NumOps(); op++ {
+		slot, mem, pass := isa.DataSlot(op)
+		t[op] = opFacts{
+			load:      isa.IsLoad(op),
+			store:     isa.IsStore(op),
+			branch:    isa.IsBranch(op),
+			writes:    isa.WritesValue(op),
+			pass:      pass,
+			dataIsMem: mem,
+			dataSlot:  uint8(slot),
+			memOp:     isa.MemWidth(op) != 0,
+			in:        op == isa.OpIn,
+			jr:        op == isa.OpJr,
+			group:     GroupOf(op),
+		}
+	}
+	return t
+}()
+
+// installs reports whether a node of this opcode with destination dst
 // produces a value some slot keeps: stores write a memory word, and other
 // value-writing nodes a register other than $0. Branches and jr targets
 // flow to control, not to a slot.
-func installsValue(op isa.Op, dst uint8) bool {
+func (f *opFacts) installs(dst uint8) bool {
 	switch {
-	case !isa.WritesValue(op) || isa.IsBranch(op) || op == isa.OpJr:
+	case !f.writes || f.branch || f.jr:
 		return false
-	case isa.IsStore(op):
+	case f.store:
 		return true
 	default:
 		return dst != isa.NoReg && dst != 0
@@ -760,6 +813,12 @@ func (m *modelPass) Finish() (*Result, error) {
 	m.endRun()
 	for id := range m.genClass {
 		m.foldGen(id)
+	}
+	for pc := range m.genPoints {
+		if gp := &m.genPoints[pc]; gp.Gens > 0 {
+			gp.PC = uint32(pc)
+			m.res.GenPoints[gp.PC] = gp
+		}
 	}
 	return m.res, nil
 }

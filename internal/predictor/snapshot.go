@@ -483,7 +483,7 @@ func (p *TAGE) Snapshot() Snapshot {
 	return &tageSnap{
 		baseMask: p.baseMask, compMask: p.compMask,
 		base: slices.Clone(p.base), comps: comps,
-		hist: slices.Clone(p.hist), pos: p.pos, dig: p.dig,
+		hist: slices.Clone(p.hist[:tageMaxHist]), pos: p.pos, dig: p.dig,
 	}
 }
 
@@ -500,7 +500,8 @@ func (p *TAGE) Restore(s Snapshot) error {
 	for c := range p.comps {
 		copy(p.comps[c], ts.comps[c])
 	}
-	copy(p.hist, ts.hist)
+	copy(p.hist[:tageMaxHist], ts.hist)
+	copy(p.hist[tageMaxHist:], ts.hist)
 	p.pos = ts.pos
 	p.dig = ts.dig
 	p.memoOK = false

@@ -20,8 +20,11 @@ type TAGE struct {
 	compMask uint64
 	base     []tageBase
 	comps    [][]tageEntry
-	hist     []uint16 // ring of hashed recent values
-	pos      int      // next ring slot to write
+	// hist[:tageMaxHist] is the ring of hashed recent values, and
+	// hist[tageMaxHist:] mirrors it, so the tageMaxHist most recent
+	// values lie contiguous, oldest first, in hist[pos:pos+tageMaxHist].
+	hist [2 * tageMaxHist]uint16
+	pos  int // next ring slot to write
 	// folds[c] is the folded history of component c (see refold),
 	// recomputed whenever the history changes.
 	folds [tageComps]uint64
@@ -49,7 +52,10 @@ type tageLookup struct {
 // geometric history lengths (in observed values).
 const tageComps = 4
 
-var tageHistLens = [tageComps]int{4, 8, 16, 32}
+var tageHistLens = [tageComps]int{4, 8, 16, tageMaxHist}
+
+// tageMaxHist is the longest history length, the size of the ring.
+const tageMaxHist = 32
 
 // tageSalts domain-separate the component index/tag hashes.
 var tageSalts = [tageComps]uint64{
@@ -89,7 +95,6 @@ func NewTAGE(bits int) *TAGE {
 		compMask: 1<<uint(bits-2) - 1,
 		base:     make([]tageBase, 1<<uint(bits)),
 		comps:    make([][]tageEntry, tageComps),
-		hist:     make([]uint16, tageHistLens[tageComps-1]),
 	}
 	for i := range p.comps {
 		p.comps[i] = make([]tageEntry, 1<<uint(bits-2))
@@ -104,23 +109,28 @@ func (p *TAGE) Name() string { return "tage" }
 // refold recomputes every component's folded history: FNV over the ring,
 // newest first, where component c folds the tageHistLens[c] most recent
 // values. The folds are prefixes of one chain, so a single pass over the
-// longest history yields all of them.
+// longest history yields all of them. The mirrored window holds that
+// history in one contiguous run, so the chain walks it straight down with
+// no wrap.
 func (p *TAGE) refold() {
+	w := (*[tageMaxHist]uint16)(p.hist[p.pos : p.pos+tageMaxHist])
 	h := uint64(1469598103934665603)
-	i := p.pos
-	c := 0
-	for k := 1; k <= tageHistLens[tageComps-1]; k++ {
-		i--
-		if i < 0 {
-			i = len(p.hist) - 1
-		}
-		h ^= uint64(p.hist[i])
-		h *= 1099511628211
-		if k == tageHistLens[c] {
-			p.folds[c] = h
-			c++
-		}
+	end := tageMaxHist
+	for c, n := range tageHistLens {
+		h = fnvFoldDown(h, w[tageMaxHist-n:end])
+		p.folds[c] = h
+		end = tageMaxHist - n
 	}
+}
+
+// fnvFoldDown continues the FNV-1a chain h over vs from its last element
+// to its first.
+func fnvFoldDown(h uint64, vs []uint16) uint64 {
+	for i := len(vs) - 1; i >= 0; i-- {
+		h ^= uint64(vs[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // lookup returns key's provider lookup: every component's table index and
@@ -284,8 +294,9 @@ func (p *TAGE) pushHist(hv uint16) {
 		p.dig ^= tageHistContrib(s, p.hist[s]) ^ tagePosContrib(p.pos)
 	}
 	p.hist[s] = hv
+	p.hist[s+tageMaxHist] = hv
 	p.pos++
-	if p.pos == len(p.hist) {
+	if p.pos == tageMaxHist {
 		p.pos = 0
 	}
 	if p.track {
@@ -304,9 +315,7 @@ func (p *TAGE) Reset() {
 			comp[i] = tageEntry{}
 		}
 	}
-	for i := range p.hist {
-		p.hist[i] = 0
-	}
+	p.hist = [2 * tageMaxHist]uint16{}
 	p.pos = 0
 	p.dig = 0
 	p.memoOK = false

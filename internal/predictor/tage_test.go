@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -238,5 +239,52 @@ func TestTAGECachedMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTAGEFoldMatchesNaive holds the folds refold computes over the
+// mirrored window to the naive ring walk: after every push across several
+// ring wraps, after Restore of a snapshot taken mid-ring, and after
+// Reset.
+func TestTAGEFoldMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	got := NewTAGE(6)
+	want := newNaiveTAGE(6)
+	check := func(what string) {
+		t.Helper()
+		for c, n := range tageHistLens {
+			if f := want.foldHist(n); got.folds[c] != f {
+				t.Fatalf("%s: folds[%d] = %#x, naive %#x (pos %d)", what, c, got.folds[c], f, got.pos)
+			}
+		}
+	}
+	push := func(step int) {
+		k, v := uint64(r.Intn(16)), r.Uint32()
+		got.Update(k, v)
+		want.Update(k, v)
+		check(fmt.Sprintf("push %d", step))
+	}
+	check("new")
+	var snap Snapshot
+	var naive *naiveTAGE
+	for step := 0; step < 5*tageMaxHist; step++ {
+		if step == 2*tageMaxHist+tageMaxHist/3 {
+			snap, naive = got.Snapshot(), want.clone()
+		}
+		push(step)
+	}
+	if err := got.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	want = naive
+	check("restore")
+	for step := 0; step < 2*tageMaxHist; step++ {
+		push(step)
+	}
+	got.Reset()
+	want = newNaiveTAGE(6)
+	check("reset")
+	for step := 0; step < tageMaxHist+5; step++ {
+		push(step)
 	}
 }
