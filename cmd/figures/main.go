@@ -5,7 +5,7 @@
 //	figures                     # every experiment, default workload sizes
 //	figures -experiment fig5    # one experiment
 //	figures -scale 0.25         # quarter-size workloads (fast smoke run)
-//	figures -tracedir traces/   # stream tracegen's <name>.dpg files
+//	figures -tracedir traces/   # read tracegen's <name>.dpg files
 //	figures -paper              # the source paper's corpus only
 //	figures -list               # list experiment ids
 package main
@@ -23,8 +23,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	seed := flag.Uint64("seed", 1, "workload input seed")
 	parallel := flag.Int("parallel", 4, "concurrent model runs during precompute")
-	traceDir := flag.String("tracedir", "", "stream pre-generated <name>.dpg trace files from this directory instead of regenerating workloads in memory; every experiment shares one decode per trace (fused observer fan-out)")
-	workers := flag.Int("workers", 0, "concurrent decode workers per streamed trace file with -tracedir (0 = all cores)")
+	traceDir := flag.String("tracedir", "", "read pre-generated <name>.dpg trace files from this directory instead of regenerating those workloads in memory; each file is decoded once and held whole while its runs use it")
 	paper := flag.Bool("paper", false, "restrict to the source paper's corpus: 12 SPEC95-modeled workloads x 3 predictors (default: extended corpus with graph workloads and tage/ldbp)")
 	verbose := flag.Bool("v", false, "print progress while running")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -41,7 +40,6 @@ func main() {
 	cfg := core.SuiteConfig{Scale: *scale, Seed: *seed, Parallel: *parallel, PaperCorpus: *paper}
 	if *traceDir != "" {
 		cfg.TraceFile = core.TraceDir(*traceDir)
-		cfg.Workers = *workers
 	}
 	if *verbose {
 		cfg.Progress = os.Stderr

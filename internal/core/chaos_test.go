@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -117,8 +119,9 @@ func TestSuiteChaosPrecompute(t *testing.T) {
 	}
 
 	// A fault inside a product job: with the target's model runs memoised
-	// up front, the first trace load RunAll makes for it comes from one of
-	// its product jobs.
+	// up front, and its trace released by loading another workload's, the
+	// first trace load RunAll makes for it comes from one of its product
+	// jobs.
 	s = NewSuite(SuiteConfig{
 		Scale:       0.03,
 		Parallel:    4,
@@ -128,6 +131,9 @@ func TestSuiteChaosPrecompute(t *testing.T) {
 		if _, err := s.Result(target, k); err != nil {
 			t.Fatalf("Result(%s, %s): %v", target, k, err)
 		}
+	}
+	if _, err := s.Result(allNames()[1], predictor.KindLast); err != nil {
+		t.Fatal(err)
 	}
 	failures.Store(1)
 	var out bytes.Buffer
@@ -199,6 +205,67 @@ func TestSuiteResultRetriesAfterFailure(t *testing.T) {
 	assertCacheConsistent(t, s)
 }
 
+// TestSuiteTraceDirDamage reads a trace directory holding one truncated
+// file and one with a flipped payload byte: Run and Precompute fail with
+// the typed taxonomy and the damaged file's path instead of panicking or
+// using a partial trace, and once the files are repaired the same suite
+// succeeds, since a failed load is never cached.
+func TestSuiteTraceDirDamage(t *testing.T) {
+	const scale = 0.02
+	dir := t.TempDir()
+	s := NewSuite(SuiteConfig{Scale: scale, Parallel: 2, PaperCorpus: true, TraceFile: TraceDir(dir)})
+	for _, name := range s.suiteNames() {
+		writeScaledTrace(t, dir, name, scale)
+	}
+	damaged := map[string][]byte{} // path -> intact bytes
+	for name, damage := range map[string]func([]byte) []byte{
+		"com": func(b []byte) []byte { return b[:len(b)/2] },
+		"gcc": func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b },
+	} {
+		path := filepath.Join(dir, name+".dpg")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged[path] = bytes.Clone(data)
+		if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, err error, paths ...string) {
+		t.Helper()
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrMalformedEvent) {
+			t.Fatalf("%s: err = %v, want a typed trace error", label, err)
+		}
+		for _, p := range paths {
+			if strings.Contains(err.Error(), p) {
+				return
+			}
+		}
+		t.Errorf("%s: err = %v, want one naming %v", label, err, paths)
+	}
+	com, gcc := filepath.Join(dir, "com.dpg"), filepath.Join(dir, "gcc.dpg")
+	check("fig11 (truncated com)", s.Run("fig11", io.Discard), com)
+	check("fig10 (flipped gcc)", s.Run("fig10", io.Discard), gcc)
+	check("Precompute", s.Precompute(), com, gcc)
+	assertCacheConsistent(t, s)
+
+	for path, data := range damaged {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"fig10", "fig11"} {
+		if err := s.Run(id, io.Discard); err != nil {
+			t.Fatalf("%s after repair: %v", id, err)
+		}
+	}
+	if err := s.Precompute(); err != nil {
+		t.Fatalf("Precompute after repair: %v", err)
+	}
+	assertCacheConsistent(t, s)
+}
+
 // TestAnalyzeFileStatsParity asserts the stats AnalyzeFile surfaces match
 // the corruption summary dpgrun -strict=false computes (both wrap the
 // same lenient decode), on an intact file and on a damaged one — and that
@@ -239,7 +306,7 @@ func TestAnalyzeFileStatsParity(t *testing.T) {
 			var got trace.Stats
 			if _, err := AnalyzeFile(path,
 				WithLenientTrace(), WithTraceStats(&got), WithWorkers(workers),
-				WithKind(predictor.KindLast), WithoutPaths()); err != nil {
+				WithKind(predictor.KindLast)); err != nil {
 				t.Fatalf("%s (workers=%d): AnalyzeFile: %v", path, workers, err)
 			}
 			if got != want {

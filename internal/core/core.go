@@ -67,18 +67,6 @@ func WithPredictor(name string, f predictor.Factory) Option {
 	}
 }
 
-// WithoutPaths disables influence tracking for faster classification-only
-// runs.
-func WithoutPaths() Option {
-	return func(c *config) { c.model.DisablePaths = true }
-}
-
-// WithSharedInputOutput switches to a single shared predictor instance for
-// inputs and outputs (the short-circuit ablation; the paper splits them).
-func WithSharedInputOutput() Option {
-	return func(c *config) { c.model.SharedInputOutput = true }
-}
-
 // WithWorkers makes AnalyzeFile decode the trace file's blocks on a pool
 // of n workers (0 = all cores) instead of inline on the calling goroutine,
 // the default. The pool runs the same frame walk and block decoder, so
@@ -207,18 +195,13 @@ type SuiteConfig struct {
 	// Tests use it to source traces from files or to inject faults.
 	TraceSource func(name string, rounds int, seed uint64) (*trace.Trace, error)
 	// TraceFile, if non-nil, maps a workload name to a trace file path
-	// (see TraceDir). Every experiment then reads the fused engine's
-	// single streaming decode of that file — the model runs for every
-	// suite predictor plus every streaming experiment observer share one
-	// pass (analysis.RunObservers, which runs the observers concurrently),
-	// so each trace file is read exactly once per suite and every figure
-	// and table runs at O(block·workers) peak memory, never materializing
-	// a trace.Trace. Workloads the lookup declines fall back to
-	// TraceSource/generation.
+	// (see TraceDir). The suite then reads that file (trace.ReadFile)
+	// wherever it would generate the workload's trace: the decoded trace
+	// is cached and shared by the model runs and experiment products
+	// exactly like a generated one, so each file is read once per suite
+	// and held whole while its jobs run. Workloads the lookup declines
+	// fall back to TraceSource/generation.
 	TraceFile func(name string) (path string, ok bool)
-	// Workers bounds the concurrent decode workers per streamed file when
-	// TraceFile is active (0 = all cores).
-	Workers int
 	// PaperCorpus restricts the suite to the paper's original corpus: the
 	// twelve SPEC95-modeled workloads and the three predictors of the
 	// source paper (last-value, stride, context). The default (false) runs
@@ -240,9 +223,7 @@ type Suite struct {
 	traces   map[string]*traceEntry
 	results  map[string]*resultEntry
 	products map[string]*productEntry
-	done     map[string]int // predictor runs completed per workload
 	pending  map[string]int // Precompute jobs not yet finished per workload
-	fused    map[string]*fusedEntry
 }
 
 type traceEntry struct {
@@ -270,19 +251,25 @@ func NewSuite(cfg SuiteConfig) *Suite {
 		traces:   make(map[string]*traceEntry),
 		results:  make(map[string]*resultEntry),
 		products: make(map[string]*productEntry),
-		done:     make(map[string]int),
 		pending:  make(map[string]int),
-		fused:    make(map[string]*fusedEntry),
 	}
 }
 
 // traceFor returns (and caches) the workload's trace at the suite scale.
+// Loading a trace releases every other cached trace no pending Precompute
+// job needs, so outside Precompute at most one trace is held: an
+// experiment that reads its workloads one after another loads each once.
 // A failed load is never cached: the entry is evicted so a later call
 // retries the source instead of replaying a stale error.
 func (s *Suite) traceFor(name string) (*trace.Trace, error) {
 	s.mu.Lock()
 	te := s.traces[name]
 	if te == nil {
+		for other := range s.traces {
+			if s.pending[other] == 0 {
+				delete(s.traces, other)
+			}
+		}
 		te = &traceEntry{}
 		s.traces[name] = te
 	}
@@ -301,8 +288,7 @@ func (s *Suite) traceFor(name string) (*trace.Trace, error) {
 }
 
 // Result returns (and caches) the model result for one workload and
-// predictor. The trace is released once every suite predictor has
-// consumed it and no Precompute job for the workload is still pending.
+// predictor, run over the workload's cached trace (see traceFor).
 // Distinct (workload, predictor) pairs compute concurrently.
 func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 	key := name + "/" + kind.String()
@@ -314,19 +300,6 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 	}
 	s.mu.Unlock()
 	re.once.Do(func() {
-		if path, ok := s.traceFilePath(name); ok {
-			// Streaming path: the fused engine's single decode of the file
-			// serves this model run and every other experiment on the
-			// workload. Nothing enters the trace cache and nothing is ever
-			// materialized.
-			p, err := s.fusedFor(name, path)
-			if err != nil {
-				re.err = err
-				return
-			}
-			re.res = p.model[kind]
-			return
-		}
 		t, err := s.traceFor(name)
 		if err != nil {
 			re.err = err
@@ -336,15 +309,6 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 			fmt.Fprintf(s.cfg.Progress, "running %-5s with %-10s (%d events)\n", name, kind, t.Len())
 		}
 		re.res, re.err = dpg.Run(t, kind)
-		if re.err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.done[name]++
-		if s.done[name] >= len(s.suiteKinds()) && s.pending[name] == 0 {
-			delete(s.traces, name) // free the trace memory; recompute if needed again
-		}
-		s.mu.Unlock()
 	})
 	if re.err != nil {
 		// Consistency over memoisation: a failed run must not poison the
@@ -361,12 +325,9 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 // Precompute computes up front, on up to cfg.Parallel workers, every
 // product the experiments read: the (workload, predictor) model runs and
 // the experiment products (see productJobs). Jobs are queued
-// workload-major and all read the workload's one cached trace, which is
-// released when the last of them finishes. A trace-file workload is
-// instead one fused pass (see fused.go), which already runs its observers
-// on every core: Precompute runs those itself, one workload at a time, so
-// two passes never overlap and peak memory stays at one pass's. Subsequent
-// experiments then only read memoised results.
+// workload-major and all read the workload's one cached trace, generated
+// or read from its trace file, which is released when the last of them
+// finishes. Subsequent experiments then only read memoised results.
 func (s *Suite) Precompute() error {
 	par := s.cfg.Parallel
 	if par < 1 {
@@ -378,12 +339,6 @@ func (s *Suite) Precompute() error {
 	}
 	jobs := make(chan job)
 	errs := make(chan error, par)
-	report := func(err error) {
-		select {
-		case errs <- err:
-		default:
-		}
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		wg.Add(1)
@@ -393,18 +348,15 @@ func (s *Suite) Precompute() error {
 				err := j.run()
 				s.jobDone(j.name)
 				if err != nil {
-					report(err)
+					select {
+					case errs <- err:
+					default:
+					}
 				}
 			}
 		}()
 	}
 	for _, name := range s.suiteNames() {
-		if path, ok := s.traceFilePath(name); ok {
-			if _, err := s.fusedFor(name, path); err != nil {
-				report(err)
-			}
-			continue
-		}
 		var work []func() error
 		for _, k := range s.suiteKinds() {
 			work = append(work, func() error {
@@ -414,13 +366,7 @@ func (s *Suite) Precompute() error {
 		}
 		for _, pj := range s.productJobs(name) {
 			work = append(work, func() error {
-				_, err := s.product(pj.key, func() (any, error) {
-					t, err := s.traceFor(name)
-					if err != nil {
-						return nil, err
-					}
-					return pj.run(t)
-				})
+				_, err := s.product(name, pj)
 				return err
 			})
 		}
@@ -466,6 +412,23 @@ func (s *Suite) resultsFor(names []string, kind predictor.Kind) ([]*dpg.Result, 
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// resultsByKind collects the results for a set of workloads under every
+// suite predictor, per kind in names order. It fetches them
+// workload-major, so each workload's runs share its one cached trace.
+func (s *Suite) resultsByKind(names []string) (map[predictor.Kind][]*dpg.Result, error) {
+	byKind := make(map[predictor.Kind][]*dpg.Result)
+	for _, n := range names {
+		for _, k := range s.suiteKinds() {
+			r, err := s.Result(n, k)
+			if err != nil {
+				return nil, err
+			}
+			byKind[k] = append(byKind[k], r)
+		}
+	}
+	return byKind, nil
 }
 
 func intNames() []string {
@@ -717,16 +680,14 @@ func (s *Suite) breakdown(id string, w io.Writer) error {
 }
 
 func (s *Suite) fig9(w io.Writer) error {
+	byKind, err := s.resultsByKind(intNames())
+	if err != nil {
+		return err
+	}
 	var classRows []analysis.PathClassRow
-	byKind := map[predictor.Kind][]*dpg.Result{}
 	for _, k := range s.suiteKinds() {
-		results, err := s.resultsFor(intNames(), k)
-		if err != nil {
-			return err
-		}
-		byKind[k] = results
 		var rows []analysis.PathClassRow
-		for _, r := range results {
+		for _, r := range byKind[k] {
 			rows = append(rows, analysis.PathClasses(r))
 		}
 		classRows = append(classRows, analysis.AveragePathClasses(rows, "INT"))
@@ -764,14 +725,14 @@ func (s *Suite) fig11(w io.Writer) error {
 }
 
 func (s *Suite) fig12(w io.Writer) error {
+	byKind, err := s.resultsByKind(intNames())
+	if err != nil {
+		return err
+	}
 	var rows []analysis.SeqRow
 	for _, k := range s.suiteKinds() {
-		results, err := s.resultsFor(intNames(), k)
-		if err != nil {
-			return err
-		}
 		var per []analysis.SeqRow
-		for _, r := range results {
+		for _, r := range byKind[k] {
 			per = append(per, analysis.Sequences(r))
 		}
 		rows = append(rows, analysis.AverageSequences(per, "INT"))
@@ -781,33 +742,27 @@ func (s *Suite) fig12(w io.Writer) error {
 }
 
 func (s *Suite) fig13(w io.Writer) error {
+	byKind, err := s.resultsByKind(intNames())
+	if err != nil {
+		return err
+	}
 	var rows []analysis.BranchRow
 	for _, k := range s.suiteKinds() {
-		results, err := s.resultsFor(intNames(), k)
-		if err != nil {
-			return err
-		}
 		var per []analysis.BranchRow
-		for _, r := range results {
+		for _, r := range byKind[k] {
 			per = append(per, analysis.BranchClasses(r))
 		}
 		rows = append(rows, analysis.AverageBranches(per, "INT"))
 	}
 	report.WriteBranches(w, rows)
 	// The paper's headline branch observation.
-	var fracs []float64
-	for _, r := range func() []*dpg.Result {
-		out, _ := s.resultsFor(intNames(), predictor.KindContext)
-		return out
-	}() {
-		fracs = append(fracs, analysis.MispredictedWithPredictableInputs(r))
-	}
 	var sum float64
-	for _, f := range fracs {
-		sum += f
+	ctx := byKind[predictor.KindContext]
+	for _, r := range ctx {
+		sum += analysis.MispredictedWithPredictableInputs(r)
 	}
-	if len(fracs) > 0 {
-		fmt.Fprintf(w, "mispredicted branches with all-predictable inputs (context, INT avg): %.1f%%\n\n", sum/float64(len(fracs)))
+	if len(ctx) > 0 {
+		fmt.Fprintf(w, "mispredicted branches with all-predictable inputs (context, INT avg): %.1f%%\n\n", sum/float64(len(ctx)))
 	}
 	return nil
 }
@@ -950,25 +905,25 @@ func (s *Suite) reuse(w io.Writer) error {
 	return nil
 }
 
-// traceFilePath resolves the workload's trace file under the streaming
-// configuration, when one is available.
-func (s *Suite) traceFilePath(name string) (string, bool) {
-	if s.cfg.TraceFile == nil {
-		return "", false
-	}
-	return s.cfg.TraceFile(name)
-}
-
-// traceOnce regenerates a workload trace at the suite's scale without
-// touching the trace cache (used by experiments whose products were not
-// precomputed, after the standard predictor runs released the trace). It
-// never reads a trace file: its callers run only for workloads
-// traceFilePath declined, since every file-mode experiment reads the
-// fused engine's single decode (see fused.go).
+// traceOnce loads a workload trace at the suite's scale for traceFor: the
+// decoded trace file when TraceFile names one, otherwise TraceSource's
+// trace or a fresh generation. A damaged file fails whole (a truncated
+// file's partial trace is never used), with an error naming the path and
+// matching the core taxonomy.
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown workload %q", name)
+	}
+	if s.cfg.TraceFile != nil {
+		if path, ok := s.cfg.TraceFile(name); ok {
+			defer noteDecode(path)()
+			t, err := trace.ReadFile(path)
+			if err != nil {
+				return nil, fmt.Errorf("core: reading %s: %w", path, wrapTraceErr(err))
+			}
+			return t, nil
+		}
 	}
 	rounds := int(float64(w.Rounds) * s.cfg.Scale)
 	if rounds < 2 {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -56,13 +57,20 @@ func TestRunTraceOptions(t *testing.T) {
 	if res.Predictor != "mine" {
 		t.Errorf("WithPredictor name = %q", res.Predictor)
 	}
-	res = mustRunTrace(t, tr, WithKind(predictor.KindLast), WithoutPaths())
-	if res.Path.Elems != 0 {
-		t.Error("WithoutPaths left path stats")
+	// A model option reaches the model: RunTrace is dpg.RunWith under the
+	// resolved configuration.
+	res = mustRunTrace(t, tr, WithKind(predictor.KindLast), WithGraphLimit(16))
+	want, err := dpg.RunWith(tr, dpg.Config{
+		Predictor: predictor.KindLast.Factory(), PredictorName: "last-value", GraphLimit: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res = mustRunTrace(t, tr, WithKind(predictor.KindLast), WithSharedInputOutput())
-	if res.Nodes == 0 {
-		t.Error("shared-IO run produced nothing")
+	if res.Graph == nil || len(res.Graph.Nodes) != 16 {
+		t.Errorf("WithGraphLimit(16) recorded %+v", res.Graph)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Error("WithGraphLimit run diverges from dpg.RunWith with GraphLimit set")
 	}
 }
 
@@ -109,18 +117,26 @@ func TestSuiteCachesResults(t *testing.T) {
 	}
 }
 
+// TestSuiteFreesTraces checks that outside Precompute the suite holds at
+// most one trace: loading the next workload's trace releases the last.
 func TestSuiteFreesTraces(t *testing.T) {
 	s := smallSuite()
-	for _, k := range predictor.AllKinds {
-		if _, err := s.Result("fig1", k); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"fig1", "gcc"} {
+		for _, k := range predictor.AllKinds {
+			if _, err := s.Result(name, k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	s.mu.Lock()
 	_, held := s.traces["fig1"]
+	n := len(s.traces)
 	s.mu.Unlock()
 	if held {
-		t.Error("trace not released after all predictors ran")
+		t.Error("fig1's trace not released after gcc's was loaded")
+	}
+	if n != 1 {
+		t.Errorf("%d traces cached, want 1", n)
 	}
 }
 

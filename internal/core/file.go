@@ -187,9 +187,8 @@ func AnalyzeFiles(paths []string, kinds []predictor.Kind, parallel int, opts ...
 }
 
 // TraceDir returns a SuiteConfig.TraceFile lookup mapping each workload
-// name to dir/<name>.dpg when that file exists, so a suite can stream
-// pre-generated traces from disk instead of regenerating (and holding)
-// them in memory.
+// name to dir/<name>.dpg when that file exists, so a suite reads
+// pre-generated traces from disk instead of regenerating them.
 func TraceDir(dir string) func(name string) (string, bool) {
 	return func(name string) (string, bool) {
 		p := filepath.Join(dir, name+".dpg")

@@ -53,7 +53,7 @@ func (m *modelObserver) Finish() error {
 // frame headers, is not a decode); the function it returns, if non-nil,
 // runs when that decode ends. Tests install it — with their own
 // synchronisation inside the hook — to assert the one-decode-per-trace
-// and one-fused-pass-at-a-time contracts of the fused engine.
+// contracts of the file entry points and the suite.
 var decodeHook func(path string) (end func())
 
 // noteDecode reports the start of one event decode of path to the test
@@ -73,10 +73,9 @@ func noteDecode(path string) (end func()) {
 // static counts are read once (the footer probe, or the pre-pass where
 // AnalyzeFile would run it), then the file streams once through
 // analysis.RunObservers into one model pass per kind, each on its own
-// goroutine, next to any WithObservers observers. The model options
-// (WithGraphLimit, WithoutPaths, WithSharedInputOutput) apply to every
-// kind; WithKind and WithPredictor are overridden. The error contract is
-// AnalyzeFile's.
+// goroutine, next to any WithObservers observers. The model option
+// WithGraphLimit applies to every kind; WithKind and WithPredictor are
+// overridden. The error contract is AnalyzeFile's.
 func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -98,12 +97,11 @@ func AnalyzeFileKinds(path string, kinds []predictor.Kind, opts ...Option) ([]*d
 	return analyzeModels(path, name, counts, &cfg, models)
 }
 
-// analyzeModels is the one fused decode behind AnalyzeFileKinds (and so
-// AnalyzeFiles and AnalyzeDir), AnalyzeFile and the suite's fused
-// engine: it opens path and streams its blocks once through
-// analysis.RunObservers into one model pass per configuration in models
-// plus every cfg.observers observer, and returns the model results in
-// models order. Decode failures surface as "core: streaming
+// analyzeModels is the one decode behind AnalyzeFileKinds (and so
+// AnalyzeFiles and AnalyzeDir) and AnalyzeFile: it opens path and
+// streams its blocks once through analysis.RunObservers into one model
+// pass per configuration in models plus every cfg.observers observer,
+// and returns the model results in models order. Decode failures surface as "core: streaming
 // <path>: ..." with the trace taxonomy folded into the core sentinels;
 // model failures (a malformed event) additionally arrive wrapped in
 // typed *analysis.ObserverError values, joined when several fire.

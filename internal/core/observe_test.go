@@ -46,105 +46,6 @@ func installDecodeCounter(t *testing.T) func() map[string]int {
 	}
 }
 
-// TestDifferentialFusedMatrix is the fused-engine parity gate: for every
-// trace codec × decode worker count, a suite streaming from trace files
-// through the fused single-pass engine must render the model figures and
-// every experiment the fused pass computes byte-identically to the
-// in-memory suite.
-func TestDifferentialFusedMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full matrix in -short mode")
-	}
-	const scale = 0.03
-	codecs := []trace.Codec{trace.CodecNone, trace.CodecLZ, trace.CodecFlate}
-	figures := []string{"table1", "fig5", "fig9", "fig13", "correlation", "reuse", "confidence", "ilp", "speculation"}
-
-	// One in-memory reference per figure.
-	inMem := NewSuite(SuiteConfig{Scale: scale, Parallel: 4})
-	want := map[string]string{}
-	for _, id := range figures {
-		var buf bytes.Buffer
-		if err := inMem.Run(id, &buf); err != nil {
-			t.Fatalf("%s (in-memory): %v", id, err)
-		}
-		want[id] = buf.String()
-	}
-
-	for _, codec := range codecs {
-		dir := t.TempDir()
-		for _, name := range allNames() {
-			w, _ := workloads.ByName(name)
-			rounds := int(float64(w.Rounds) * scale)
-			if rounds < 2 {
-				rounds = 2
-			}
-			tr, err := w.TraceRounds(rounds, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, name+".dpg")
-			if err := trace.WriteFile(path, tr, trace.Compression(codec), trace.BlockBytes(8<<10)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, workers := range []int{1, 2, 4} {
-			streamed := NewSuite(SuiteConfig{
-				Scale: scale, Parallel: 4,
-				TraceFile: TraceDir(dir), Workers: workers,
-			})
-			for _, id := range figures {
-				var buf bytes.Buffer
-				if err := streamed.Run(id, &buf); err != nil {
-					t.Fatalf("codec=%v workers=%d %s: %v", codec, workers, id, err)
-				}
-				if buf.String() != want[id] {
-					t.Errorf("codec=%v workers=%d %s: fused output diverges from in-memory suite",
-						codec, workers, id)
-				}
-			}
-		}
-	}
-}
-
-// TestFusedDecodeOnce asserts the headline property of the fused engine:
-// rendering the full model-figure set AND every streaming experiment from
-// a trace directory decodes each trace file exactly once (the footer
-// probe, which reads only frame headers, is not a decode), whether the
-// experiments run on demand or after Precompute.
-func TestFusedDecodeOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-experiment render in -short mode")
-	}
-	const scale = 0.03
-	dir := t.TempDir()
-	paths := map[string]string{}
-	for _, name := range allNames() {
-		p, _ := writeScaledTrace(t, dir, name, scale)
-		paths[name] = p
-	}
-	for _, precompute := range []bool{false, true} {
-		snapshot := installDecodeCounter(t)
-		s := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir), Workers: 2})
-		if precompute {
-			if err := s.Precompute(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, id := range []string{"table1", "fig5", "fig9", "fig12", "fig13", "correlation", "reuse", "confidence", "ilp", "speculation", "addresses"} {
-			if err := s.Run(id, io.Discard); err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-		}
-
-		counts := snapshot()
-		for name, p := range paths {
-			if counts[p] != 1 {
-				t.Errorf("precompute=%v: %s: decoded %d times, want exactly 1", precompute, name, counts[p])
-			}
-		}
-	}
-}
-
 // TestAnalyzeFileDecodeCounts pins the per-call decode budget of
 // AnalyzeFile, AnalyzeFileKinds, AnalyzeFiles and AnalyzeDir: one decode
 // on a healthy v2 file (footer probe answers the pre-pass), one with
@@ -272,47 +173,6 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 	}
 }
 
-// TestFusedObserverSet pins the fused pass's consumer set. On an integer
-// workload: five models plus the correlation model, one SpecSweep per
-// kind (the context one gated), the reuse buffer and the confidence
-// sweep — 13 consumers holding six context predictors (the context and
-// correlation models' input and output sides, the context sweep's, the
-// confidence sweep's). Elsewhere: the five models and five gateless
-// sweeps. The products keep their shapes either way.
-func TestFusedObserverSet(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		name      string
-		consumers int
-		gates     int
-	}{
-		{"gcc", 13, 5},
-		{"swm", 10, 0},
-	} {
-		path, tr := writeScaledTrace(t, dir, tc.name, 0.02)
-		var progress bytes.Buffer
-		s := NewSuite(SuiteConfig{Progress: &progress})
-		p, err := s.fusedFor(tc.name, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("(%d observers, one decode)", tc.consumers); !bytes.Contains(progress.Bytes(), []byte(want)) {
-			t.Errorf("%s: progress %q, want %s", tc.name, progress.String(), want)
-		}
-		if len(p.spec) != tc.gates {
-			t.Errorf("%s: %d speculation timelines, want %d", tc.name, len(p.spec), tc.gates)
-		}
-		if len(p.ilp) != len(predictor.AllKinds) {
-			t.Fatalf("%s: %d ILP entries", tc.name, len(p.ilp))
-		}
-		for i, k := range predictor.AllKinds {
-			if want := analysis.ILP(tr, k); p.ilp[i] != want {
-				t.Errorf("%s: ILP[%s] %+v, want %+v", tc.name, k, p.ilp[i], want)
-			}
-		}
-	}
-}
-
 // TestAnalyzeFileObserversCorruptionParity runs the corruption flip matrix
 // through the fused observer path and holds its error contract to the
 // plain path's: both fail (with the typed taxonomy) or both succeed, on
@@ -436,7 +296,7 @@ func TestAnalyzeFileKindsDifferential(t *testing.T) {
 		opts  []Option
 	}{
 		{"graph", []Option{WithGraphLimit(16)}},
-		{"nopaths", []Option{WithoutPaths(), WithKind(predictor.KindStride)}},
+		{"kind", []Option{WithGraphLimit(8), WithKind(predictor.KindStride)}},
 	} {
 		want, _, err := analyzeEachKind(path, subset, tc.opts...)
 		if err != nil {

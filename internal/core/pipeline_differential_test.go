@@ -187,8 +187,56 @@ func TestAnalyzeFilesFanOut(t *testing.T) {
 	}
 }
 
+// TestDifferentialFusedMatrix is the trace-directory parity gate across
+// codecs (its name is the one it had when trace files ran through a
+// separate fused engine): for every trace codec, a suite reading every
+// workload from trace files must render the model figures and every
+// experiment product byte-identically to the in-memory suite, on demand
+// (codec none) and after Precompute.
+func TestDifferentialFusedMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full matrix in -short mode")
+	}
+	const scale = 0.03
+	figures := []string{"table1", "fig5", "fig9", "fig13",
+		"correlation", "reuse", "confidence", "ilp", "speculation"}
+
+	// One in-memory reference per figure.
+	inMem := NewSuite(SuiteConfig{Scale: scale, Parallel: 4})
+	want := map[string]string{}
+	for _, id := range figures {
+		var buf bytes.Buffer
+		if err := inMem.Run(id, &buf); err != nil {
+			t.Fatalf("%s (in-memory): %v", id, err)
+		}
+		want[id] = buf.String()
+	}
+
+	for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ, trace.CodecFlate} {
+		dir := t.TempDir()
+		for _, name := range inMem.suiteNames() {
+			writeScaledTrace(t, dir, name, scale, trace.Compression(codec), trace.BlockBytes(8<<10))
+		}
+		files := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir)})
+		if codec != trace.CodecNone {
+			if err := files.Precompute(); err != nil {
+				t.Fatalf("codec=%v: Precompute: %v", codec, err)
+			}
+		}
+		for _, id := range figures {
+			var buf bytes.Buffer
+			if err := files.Run(id, &buf); err != nil {
+				t.Fatalf("codec=%v %s: %v", codec, id, err)
+			}
+			if buf.String() != want[id] {
+				t.Errorf("codec=%v %s: trace-file output diverges from in-memory suite", codec, id)
+			}
+		}
+	}
+}
+
 // TestDifferentialSuiteTraceDir renders experiments from a suite that
-// streams every model run from trace files and holds the output
+// reads every workload from trace files and holds the output
 // byte-identical to the in-memory suite at the same scale.
 func TestDifferentialSuiteTraceDir(t *testing.T) {
 	if testing.Short() {
@@ -200,23 +248,23 @@ func TestDifferentialSuiteTraceDir(t *testing.T) {
 		writeScaledTrace(t, dir, name, scale)
 	}
 	inMem := NewSuite(SuiteConfig{Scale: scale, Parallel: 4})
-	streamed := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir), Workers: 2})
+	files := NewSuite(SuiteConfig{Scale: scale, Parallel: 4, TraceFile: TraceDir(dir)})
 	for _, id := range []string{"table1", "fig5", "fig12", "fig13", "addresses"} {
 		var a, b bytes.Buffer
 		if err := inMem.Run(id, &a); err != nil {
 			t.Fatalf("%s (in-memory): %v", id, err)
 		}
-		if err := streamed.Run(id, &b); err != nil {
-			t.Fatalf("%s (streamed): %v", id, err)
+		if err := files.Run(id, &b); err != nil {
+			t.Fatalf("%s (trace files): %v", id, err)
 		}
 		if a.String() != b.String() {
-			t.Errorf("%s: streamed suite output diverges from in-memory suite", id)
+			t.Errorf("%s: trace-file suite output diverges from in-memory suite", id)
 		}
 	}
-	if _, ok := streamed.traceFilePath("gcc"); !ok {
+	if _, ok := TraceDir(dir)("gcc"); !ok {
 		t.Error("TraceDir lookup failed for a written trace")
 	}
-	if _, ok := streamed.traceFilePath("nope"); ok {
+	if _, ok := TraceDir(dir)("nope"); ok {
 		t.Error("TraceDir lookup invented a missing trace")
 	}
 }
@@ -227,7 +275,7 @@ func TestTraceDirFallback(t *testing.T) {
 	const scale = 0.03
 	dir := t.TempDir()
 	writeScaledTrace(t, dir, "fig1", scale) // only one workload on disk
-	s := NewSuite(SuiteConfig{Scale: scale, TraceFile: TraceDir(dir), Workers: 1})
+	s := NewSuite(SuiteConfig{Scale: scale, TraceFile: TraceDir(dir)})
 	if _, err := s.Result("fig1", predictor.KindLast); err != nil {
 		t.Fatalf("streamed workload: %v", err)
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
+	"io"
 	"sync/atomic"
 	"testing"
 
@@ -22,6 +22,13 @@ func countingSource(calls *atomic.Int32) func(string, int, uint64) (*trace.Trace
 		}
 		return w.TraceRounds(rounds, seed)
 	}
+}
+
+// heldTraces reports how many traces the suite has cached.
+func heldTraces(s *Suite) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.traces)
 }
 
 // TestSuiteGeneratesEachTraceOnce checks that RunAll, which always
@@ -47,14 +54,113 @@ func TestSuiteGeneratesEachTraceOnce(t *testing.T) {
 				if got, want := int(calls.Load()), len(s.suiteNames()); got != want {
 					t.Errorf("RunAll generated %d traces for %d workloads", got, want)
 				}
-				s.mu.Lock()
-				held := len(s.traces)
-				s.mu.Unlock()
-				if held != 0 {
+				if held := heldTraces(s); held != 0 {
 					t.Errorf("%d traces still cached after RunAll", held)
 				}
 			})
 		}
+	}
+}
+
+// TestFusedDecodeOnce holds the suite to one decode of each trace file
+// (the footer probe, which reads only frame headers, is not a decode)
+// when every workload is read from a trace directory. RunAll, which
+// precomputes every model run and experiment product, reads each file
+// exactly once and generates nothing; run on demand, one experiment at a
+// time, each experiment reads each file at most once.
+func TestFusedDecodeOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure set in -short mode")
+	}
+	const scale = 0.02
+	dir := t.TempDir()
+	var paths []string
+	for _, name := range NewSuite(SuiteConfig{}).suiteNames() {
+		p, _ := writeScaledTrace(t, dir, name, scale)
+		paths = append(paths, p)
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("precompute/parallel=%d", par), func(t *testing.T) {
+			snapshot := installDecodeCounter(t)
+			var calls atomic.Int32
+			s := NewSuite(SuiteConfig{
+				Scale: scale, Parallel: par,
+				TraceFile: TraceDir(dir), TraceSource: countingSource(&calls),
+			})
+			if err := s.RunAll(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			counts := snapshot()
+			for _, p := range paths {
+				if counts[p] != 1 {
+					t.Errorf("RunAll read %s %d times, want exactly 1", p, counts[p])
+				}
+			}
+			if n := calls.Load(); n != 0 {
+				t.Errorf("RunAll generated %d traces with every file present", n)
+			}
+			if held := heldTraces(s); held != 0 {
+				t.Errorf("%d traces still cached after RunAll", held)
+			}
+		})
+	}
+	t.Run("on-demand", func(t *testing.T) {
+		var calls atomic.Int32
+		s := NewSuite(SuiteConfig{
+			Scale: scale, Parallel: 4,
+			TraceFile: TraceDir(dir), TraceSource: countingSource(&calls),
+		})
+		for _, id := range ExperimentIDs() {
+			snapshot := installDecodeCounter(t)
+			if err := s.Run(id, io.Discard); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			for p, n := range snapshot() {
+				if n > 1 {
+					t.Errorf("%s read %s %d times, want at most 1", id, p, n)
+				}
+			}
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("on-demand runs generated %d traces with every file present", n)
+		}
+	})
+}
+
+// TestSuiteSingleExperimentLoadsEachTraceOnce runs each experiment alone,
+// on demand, and checks that it generates every workload's trace it reads
+// exactly once, while the suite never holds more than one trace.
+func TestSuiteSingleExperimentLoadsEachTraceOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment in -short mode")
+	}
+	for _, id := range ExperimentIDs() {
+		t.Run(id, func(t *testing.T) {
+			calls := map[string]int{}
+			var s *Suite
+			s = NewSuite(SuiteConfig{Scale: 0.02, TraceSource: func(name string, rounds int, seed uint64) (*trace.Trace, error) {
+				if held := heldTraces(s); held > 1 {
+					t.Errorf("loading %s: %d traces cached", name, held)
+				}
+				calls[name]++
+				w, _ := workloads.ByName(name)
+				return w.TraceRounds(rounds, seed)
+			}})
+			if err := s.Run(id, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if len(calls) == 0 {
+				t.Fatal("no trace generated")
+			}
+			for name, n := range calls {
+				if n != 1 {
+					t.Errorf("%s: trace generated %d times, want 1", name, n)
+				}
+			}
+			if held := heldTraces(s); held > 1 {
+				t.Errorf("%d traces cached after the experiment", held)
+			}
+		})
 	}
 }
 
@@ -80,48 +186,5 @@ func TestSuitePrecomputeParity(t *testing.T) {
 			t.Errorf("paper=%v: precomputed RunAll output (%d bytes) differs from the lazy one (%d bytes)",
 				paper, pre.Len(), lazy.Len())
 		}
-	}
-}
-
-// TestSuitePrecomputeFusedOneAtATime checks that Precompute over a trace
-// directory runs the fused passes one workload at a time, even with
-// workers to spare: each pass already runs its observers on every core,
-// and two overlapping passes would double peak memory.
-func TestSuitePrecomputeFusedOneAtATime(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full corpus in -short mode")
-	}
-	const scale = 0.02
-	dir := t.TempDir()
-	s := NewSuite(SuiteConfig{Scale: scale, Parallel: 8, TraceFile: TraceDir(dir)})
-	for _, name := range s.suiteNames() {
-		writeScaledTrace(t, dir, name, scale)
-	}
-	var (
-		mu                    sync.Mutex
-		inFlight, peak, total int
-	)
-	decodeHook = func(string) func() {
-		mu.Lock()
-		defer mu.Unlock()
-		inFlight++
-		total++
-		peak = max(peak, inFlight)
-		return func() {
-			mu.Lock()
-			inFlight--
-			mu.Unlock()
-		}
-	}
-	t.Cleanup(func() { decodeHook = nil })
-
-	if err := s.Precompute(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 1 {
-		t.Errorf("%d fused passes in flight at once, want 1", peak)
-	}
-	if want := len(s.suiteNames()); total != want {
-		t.Errorf("Precompute ran %d fused passes for %d workloads", total, want)
 	}
 }

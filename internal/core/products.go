@@ -7,8 +7,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file holds the in-memory suite's experiment products: everything
-// the correlation, reuse, confidence, ILP and speculation experiments read
+// This file holds the suite's experiment products: everything the
+// correlation, reuse, confidence, ILP and speculation experiments read
 // besides the standard model results. Each product is one job — a single
 // simulator, or the correlation model, run over the workload's trace — so
 // Precompute can spread them over its worker pool next to the model runs,
@@ -27,15 +27,16 @@ type productEntry struct {
 	err  error
 }
 
-// product returns (and memoises) the product under key, computing it at
-// most once across concurrent callers. A failed computation is evicted, as
-// in Result, so a later call retries instead of replaying a stale error.
-func (s *Suite) product(key string, compute func() (any, error)) (any, error) {
+// product returns (and memoises) the product of job over the workload's
+// cached trace (see traceFor), computing it at most once across
+// concurrent callers. A failed computation is evicted, as in Result, so a
+// later call retries instead of replaying a stale error.
+func (s *Suite) product(name string, job productJob) (any, error) {
 	s.mu.Lock()
-	pe, ok := s.products[key]
+	pe, ok := s.products[job.key]
 	if !ok {
 		pe = &productEntry{done: make(chan struct{})}
-		s.products[key] = pe
+		s.products[job.key] = pe
 	}
 	s.mu.Unlock()
 	if ok {
@@ -43,69 +44,73 @@ func (s *Suite) product(key string, compute func() (any, error)) (any, error) {
 		return pe.val, pe.err
 	}
 	defer close(pe.done)
-	pe.val, pe.err = compute()
-	if pe.err != nil {
+	t, err := s.traceFor(name)
+	if err == nil {
+		pe.val, err = job.run(t)
+	}
+	pe.err = err
+	if err != nil {
 		s.mu.Lock()
-		if s.products[key] == pe {
-			delete(s.products, key)
+		if s.products[job.key] == pe {
+			delete(s.products, job.key)
 		}
 		s.mu.Unlock()
 	}
 	return pe.val, pe.err
 }
 
-// memoised fills vals with the memoised products of jobs, waiting out any
-// still in flight. It reports false when one is missing: nothing was
-// precomputed, or its job failed and was evicted.
-func (s *Suite) memoised(jobs []productJob, vals []any) bool {
-	for i, j := range jobs {
-		s.mu.Lock()
-		pe := s.products[j.key]
-		s.mu.Unlock()
-		if pe == nil {
-			return false
-		}
-		<-pe.done
-		if pe.err != nil {
-			return false
-		}
-		vals[i] = pe.val
-	}
-	return true
-}
-
-// productsFor returns the products of jobs for one workload: the memoised
-// ones when Precompute computed them all, otherwise a fresh run of every
-// job over one regenerated trace, not memoised (the trace cache is left
-// alone, so nothing outlives the experiment).
-func productsFor[T any](s *Suite, name string, jobs []productJob) ([]T, error) {
-	vals := make([]any, len(jobs))
-	if !s.memoised(jobs, vals) {
-		t, err := s.traceOnce(name)
-		if err != nil {
-			return nil, err
-		}
-		for i, j := range jobs {
-			if vals[i], err = j.run(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make([]T, len(vals))
-	for i, v := range vals {
-		out[i] = v.(T)
-	}
-	return out, nil
-}
-
-// productFor is productsFor for a single job.
+// productFor returns the product of job for one workload (see product).
 func productFor[T any](s *Suite, name string, job productJob) (T, error) {
-	out, err := productsFor[T](s, name, []productJob{job})
+	v, err := s.product(name, job)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return out[0], nil
+	return v.(T), nil
+}
+
+// --- per-experiment accessors ---------------------------------------------
+//
+// Each experiment's renderer asks for its product through one of these:
+// memoised by Precompute, or computed on demand over the workload's
+// cached trace.
+
+// correlationResult returns the correlation-model result for one workload.
+func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
+	return productFor[*dpg.Result](s, name, corrJob(name))
+}
+
+// reuseStats returns the reuse-buffer totals for one workload.
+func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
+	return productFor[analysis.ReuseStats](s, name, reuseJob(name))
+}
+
+// confidencePoints returns the confidence sweep for one workload.
+func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error) {
+	return productFor[[]analysis.ConfidencePoint](s, name, confidenceJob(name))
+}
+
+// ilpStats returns the dataflow-limit statistics for one workload, one
+// entry per predictor kind in suiteKinds order.
+func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
+	kinds := s.suiteKinds()
+	out := make([]analysis.ILPStats, len(kinds))
+	for i, k := range kinds {
+		sweep, err := productFor[analysis.SweepStats](s, name, sweepJob(name, k))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sweep.ILP
+	}
+	return out, nil
+}
+
+// speculationStats returns the speculation experiment's timelines for one
+// workload, in SpeculationSweep().Thresholds order: the never-speculate
+// baseline first.
+func (s *Suite) speculationStats(name string) ([]analysis.SpecStats, error) {
+	sweep, err := productFor[analysis.SweepStats](s, name, sweepJob(name, predictor.KindContext))
+	return sweep.Spec, err
 }
 
 // productJobs lists, in scheduling order, every product the suite's
@@ -115,9 +120,7 @@ func productFor[T any](s *Suite, name string, job productJob) (T, error) {
 // correlation model, the reuse buffer and the confidence sweep. The
 // context sweep and the correlation model, the heavy jobs, go first: a
 // workload's last jobs overlap the next workload's trace and model runs,
-// so a heavy job at the tail raises the suite's peak memory. Precompute
-// skips it for trace-file workloads, whose fused pass computes every
-// product.
+// so a heavy job at the tail raises the suite's peak memory.
 func (s *Suite) productJobs(name string) []productJob {
 	isInt := isIntName(name)
 	jobs := []productJob{sweepJob(name, predictor.KindContext)}
@@ -151,15 +154,25 @@ func observeAll(t *trace.Trace, observe func(*trace.Event)) {
 	}
 }
 
-// sweepJobs are the ILP study's sweeps, one per suite predictor kind in
-// suiteKinds order.
-func (s *Suite) sweepJobs(name string) []productJob {
-	kinds := s.suiteKinds()
-	jobs := make([]productJob, len(kinds))
-	for i, k := range kinds {
-		jobs[i] = sweepJob(name, k)
+// suiteSweepConfig is the sweep the suite runs under predictor kind k on
+// one workload: every kind's sweep yields its ILP entry, and the context
+// sweep on integer workloads (the only ones the speculation experiment
+// covers) also carries the speculation experiment's gates.
+func suiteSweepConfig(name string, k predictor.Kind) analysis.SweepConfig {
+	if k != predictor.KindContext || !isIntName(name) {
+		return analysis.SweepConfig{}
 	}
-	return jobs
+	return analysis.SpeculationSweep()
+}
+
+// suiteCorrConfig is the correlation experiment's model configuration:
+// output prediction keyed by (PC, input values) instead of PC alone.
+func suiteCorrConfig() dpg.Config {
+	return dpg.Config{
+		Predictor:        predictor.KindContext.Factory(),
+		PredictorName:    "context+corr",
+		CorrelateOutputs: true,
+	}
 }
 
 // sweepJob runs one workload's sweep under predictor kind k (see

@@ -3,7 +3,7 @@ package trace
 import "sync"
 
 // This file exposes the reader's decoded blocks. Block consumers (the
-// fused experiment engine) take whole blocks via NextBlock instead of
+// observer fan-out behind core.AnalyzeFile) take whole blocks via NextBlock instead of
 // paying for the event-by-event copy of Next. Both views drain the same
 // cursor, so Stats, error contracts, and StaticCounts behave identically.
 
