@@ -154,9 +154,9 @@ func fileOpts(ctx context.Context, strict bool, workers int) []core.Option {
 // (core.AnalyzeFileKinds).
 func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers int) {
 	// The header needs the event and static counts. In strict mode the
-	// footer probe answers them without decoding an event; for a v1 stream,
-	// a damaged file or lenient input, where the analysis runs its
-	// pre-pass anyway, the pre-pass summary answers them.
+	// footer probe answers them without decoding an event; for a damaged
+	// file or lenient input, where the analysis runs its pre-pass anyway,
+	// the pre-pass summary answers them.
 	var events uint64
 	static := -1
 	if strict {

@@ -7,7 +7,7 @@
 //	tracegen -workload gcc -o gcc.dpg
 //	tracegen -workload com -rounds 2000 -seed 7 -o com.dpg
 //	tracegen -workload gcc -blocklen 4096 -o gcc.dpg   # 4096-event blocks
-//	tracegen -workload gcc -compress lz -o gcc.dpg     # per-block compression
+//	tracegen -workload gcc -compress flate -o gcc.dpg  # per-block compression
 //	tracegen -asm prog.s -o prog.dpg          # inputs read as words from -in
 package main
 
@@ -31,7 +31,7 @@ func main() {
 	inPath := flag.String("in", "", "input word file for -asm (one unsigned word per line)")
 	limit := flag.Uint64("limit", workloads.MaxTraceLen, "instruction limit")
 	blocklen := flag.Int("blocklen", 0, "events per trace block (0 = default byte-size blocks)")
-	compress := flag.String("compress", "none", "per-block compression codec (none, lz, flate); readers auto-detect")
+	compress := flag.String("compress", "none", "per-block compression codec (none, flate); readers auto-detect")
 	out := flag.String("o", "", "output trace path (required)")
 	flag.Parse()
 

@@ -45,7 +45,7 @@ func TestGraphDifferentialBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		traces[w.Name] = tr
-		for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ} {
+		for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecFlate} {
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.dpg", w.Name, codec))
 			if err := trace.WriteFile(path, tr, trace.Compression(codec), trace.BlockBytes(16<<10)); err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, codec, err)

@@ -110,19 +110,19 @@ func TestCLIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lzPath := filepath.Join(work, "fig1-lz.dpg")
-	out = run("tracegen", "-workload", "fig1", "-rounds", "20", "-compress", "lz", "-o", lzPath)
-	if !strings.Contains(out, "codec lz") {
+	flatePath := filepath.Join(work, "fig1-flate.dpg")
+	out = run("tracegen", "-workload", "fig1", "-rounds", "20", "-compress", "flate", "-o", flatePath)
+	if !strings.Contains(out, "codec flate") {
 		t.Errorf("tracegen -compress output missing codec: %q", out)
 	}
-	lzInfo, err := os.Stat(lzPath)
+	flateInfo, err := os.Stat(flatePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lzInfo.Size() >= plainInfo.Size() {
-		t.Errorf("compressed trace not smaller: %d vs %d bytes", lzInfo.Size(), plainInfo.Size())
+	if flateInfo.Size() >= plainInfo.Size() {
+		t.Errorf("compressed trace not smaller: %d vs %d bytes", flateInfo.Size(), plainInfo.Size())
 	}
-	out = run("dpgrun", "-trace", lzPath, "-predictor", "stride")
+	out = run("dpgrun", "-trace", flatePath, "-predictor", "stride")
 	if !strings.Contains(out, "predictor: stride") {
 		t.Errorf("dpgrun on compressed trace: %q", out)
 	}
@@ -180,7 +180,13 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// Flags the chosen mode would ignore are rejected with exit status 1:
-	// -graph needs one trace to draw, and -rounds only shapes -workload.
+	// -graph needs one trace to draw, and -rounds only shapes -workload. A
+	// trace in the retired version-1 format fails the same way, typed and
+	// without a panic, strict or not.
+	v1Path := filepath.Join(t.TempDir(), "v1.dpg")
+	if err := os.WriteFile(v1Path, []byte("DPGT\x01\x01x\x01\x00\x00END!"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		flag string
 		args []string
@@ -188,6 +194,8 @@ func TestCLIPipeline(t *testing.T) {
 		{"-graph", []string{"-trace", work, "-graph", "8"}},
 		{"-graph", []string{"-trace", work, "-merge", "-graph", "8"}},
 		{"-rounds", []string{"-trace", tracePath, "-rounds", "2"}},
+		{"unsupported version 1", []string{"-trace", v1Path, "-all"}},
+		{"unsupported version 1", []string{"-trace", v1Path, "-all", "-strict=false"}},
 	} {
 		cmd := exec.Command(filepath.Join(bin, "dpgrun"), c.args...)
 		cmd.Dir = work
@@ -365,7 +373,7 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 				}
 			}
 		}
-		for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ} {
+		for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecFlate} {
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.dpg", name, codec))
 			if err := trace.WriteFile(path, orig, trace.Compression(codec), trace.BlockBytes(8<<10)); err != nil {
 				t.Fatalf("%s/%s: %v", name, codec, err)

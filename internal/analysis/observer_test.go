@@ -316,7 +316,7 @@ func FuzzObserverFanout(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ} {
+	for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecFlate} {
 		var buf bytes.Buffer
 		if err := trace.WriteAll(&buf, tr, trace.BlockEvents(32), trace.Compression(codec)); err != nil {
 			f.Fatal(err)

@@ -328,7 +328,11 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 // workload-major and all read the workload's one cached trace, generated
 // or read from its trace file, which is released when the last of them
 // finishes. Subsequent experiments then only read memoised results.
-func (s *Suite) Precompute() error {
+func (s *Suite) Precompute() error { return s.precompute(true) }
+
+// precompute is Precompute, queueing the experiment products only when
+// products is set; without them the pool computes the model runs alone.
+func (s *Suite) precompute(products bool) error {
 	par := s.cfg.Parallel
 	if par < 1 {
 		par = 1
@@ -364,11 +368,13 @@ func (s *Suite) Precompute() error {
 				return err
 			})
 		}
-		for _, pj := range s.productJobs(name) {
-			work = append(work, func() error {
-				_, err := s.product(name, pj)
-				return err
-			})
+		if products {
+			for _, pj := range s.productJobs(name) {
+				work = append(work, func() error {
+					_, err := s.product(name, pj)
+					return err
+				})
+			}
 		}
 		// Count the workload's jobs before queueing any, so an early
 		// finisher cannot release the trace its siblings still need.

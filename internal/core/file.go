@@ -199,13 +199,14 @@ func TraceDir(dir string) func(name string) (string, bool) {
 	}
 }
 
-// DumpJSON precomputes every (workload, predictor) model result and writes
-// them as a JSON object keyed "workload/predictor" — the machine-readable
-// companion to the text figures, for plotting or downstream analysis.
-// Array fields are indexed by the dpg enums (NodeClass, ArcUse, ArcLabel,
-// GenClass, OpGroup) in declaration order.
+// DumpJSON precomputes every (workload, predictor) model result, and none
+// of the experiment products, and writes the results as a JSON object
+// keyed "workload/predictor" — the machine-readable companion to the text
+// figures, for plotting or downstream analysis. Array fields are indexed
+// by the dpg enums (NodeClass, ArcUse, ArcLabel, GenClass, OpGroup) in
+// declaration order.
 func (s *Suite) DumpJSON(w io.Writer) error {
-	if err := s.Precompute(); err != nil {
+	if err := s.precompute(false); err != nil {
 		return err
 	}
 	all := make(map[string]*dpg.Result)

@@ -121,6 +121,17 @@ func TestAnalyzeFileErrors(t *testing.T) {
 	if _, err := AnalyzeFile(path); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated file: err = %v, want ErrTruncated", err)
 	}
+	// A retired version-1 stream (header "x" with one static instruction,
+	// no events, its one count, trailer) is malformed, in both modes.
+	v1 := filepath.Join(t.TempDir(), "v1.dpg")
+	if err := os.WriteFile(v1, []byte("DPGT\x01\x01x\x01\x00\x00END!"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{nil, {WithLenientTrace()}} {
+		if _, err := AnalyzeFile(v1, opts...); !errors.Is(err, trace.ErrMalformed) {
+			t.Errorf("version-1 file (%d options): err = %v, want trace.ErrMalformed", len(opts), err)
+		}
+	}
 }
 
 // TestAnalyzeFileCorruptionTaxonomy feeds AnalyzeFile damaged trace files
@@ -166,6 +177,22 @@ func TestDumpJSON(t *testing.T) {
 	s := NewSuite(SuiteConfig{Scale: 0.03, Parallel: 4})
 	if err := s.DumpJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The dump runs the model jobs only, and writes what it would after a
+	// full Precompute, byte for byte.
+	if len(s.products) != 0 {
+		t.Errorf("DumpJSON computed %d experiment products, want none", len(s.products))
+	}
+	var full bytes.Buffer
+	pre := NewSuite(SuiteConfig{Scale: 0.03, Parallel: 4})
+	if err := pre.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.DumpJSON(&full); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), full.Bytes()) {
+		t.Error("DumpJSON output differs from the dump after a full Precompute")
 	}
 	var decoded map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {

@@ -212,7 +212,7 @@ func TestDifferentialFusedMatrix(t *testing.T) {
 		want[id] = buf.String()
 	}
 
-	for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecLZ, trace.CodecFlate} {
+	for _, codec := range []trace.Codec{trace.CodecNone, trace.CodecFlate} {
 		dir := t.TempDir()
 		for _, name := range inMem.suiteNames() {
 			writeScaledTrace(t, dir, name, scale, trace.Compression(codec), trace.BlockBytes(8<<10))

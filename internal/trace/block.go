@@ -9,9 +9,8 @@ import "sync"
 
 // Block is one contiguous in-order run of decoded events. Index is the
 // block's position in stream order among delivered blocks (0, 1, 2, …).
-// A v2 block is one frame of the file, or the rest of one that Next has
-// partly consumed; a v1 stream, which has no frames, comes in runs of up
-// to 4096 events.
+// A block is one frame of the file, or the rest of one that Next has
+// partly consumed.
 type Block struct {
 	Index  uint64
 	Events []Event

@@ -23,7 +23,7 @@ func captureBlocks(t *testing.T, data []byte, opts ...ReaderOption) (decodeRun, 
 		return decodeRun{ctorErr: err}, nil
 	}
 	defer r.Close()
-	run := decodeRun{name: r.Name(), numStatic: r.NumStatic(), version: r.Version()}
+	run := decodeRun{name: r.Name(), numStatic: r.NumStatic()}
 	var blocks []blockSpan
 	for i := 0; ; i++ {
 		if i > 1_000_000 {

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // compressedCodecs are the codecs that actually transform the payload;
 // matrix tests sweep these (CodecNone is the pre-existing BLK2 path, which
 // the original corruption matrices already cover).
-var compressedCodecs = []Codec{CodecLZ, CodecFlate}
+var compressedCodecs = []Codec{CodecFlate}
 
 // smallCompressedStream is smallV2Stream with a per-block codec selected.
 func smallCompressedStream(t testing.TB, blockSize int, codec Codec) ([]byte, *Trace) {
@@ -79,75 +80,14 @@ func TestCodecNames(t *testing.T) {
 			t.Errorf("ParseCodec(%q) = %v, %v; want %v", c.String(), got, err, c)
 		}
 	}
-	if _, err := ParseCodec("zstd"); err == nil {
-		t.Error("ParseCodec accepted an unknown codec name")
-	}
-	if Codec(9).String() != "codec(9)" {
-		t.Errorf("unknown codec String = %q", Codec(9).String())
-	}
-}
-
-func TestLZRoundTrip(t *testing.T) {
-	rng := uint64(0x9E3779B97F4A7C15)
-	random := make([]byte, 4096)
-	for i := range random {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		random[i] = byte(rng)
-	}
-	long := bytes.Repeat([]byte("abcdefgh"), 5000) // matches beyond the 64 KiB window
-
-	cases := map[string][]byte{
-		"empty":      nil,
-		"one":        []byte("x"),
-		"short":      []byte("abc"),
-		"all-same":   bytes.Repeat([]byte{7}, 300),
-		"repetitive": bytes.Repeat([]byte("the quick brown fox "), 64),
-		"random":     random,
-		"window":     long,
-		"mixed":      append(append([]byte(nil), random[:512]...), bytes.Repeat([]byte{0}, 512)...),
-	}
-	for name, src := range cases {
-		comp := lzAppend(nil, src)
-		got, err := lzExpand(nil, comp, len(src))
-		if err != nil {
-			t.Errorf("%s: expand failed: %v", name, err)
-			continue
-		}
-		if !bytes.Equal(got, src) {
-			t.Errorf("%s: round trip mismatch (%d in, %d compressed, %d out)", name, len(src), len(comp), len(got))
+	for _, name := range []string{"zstd", "lz"} {
+		if _, err := ParseCodec(name); err == nil {
+			t.Errorf("ParseCodec accepted the unknown codec name %q", name)
 		}
 	}
-	if comp := lzAppend(nil, cases["repetitive"]); len(comp) >= len(cases["repetitive"]) {
-		t.Errorf("repetitive input did not shrink: %d -> %d", len(cases["repetitive"]), len(comp))
-	}
-	if comp := lzAppend(nil, cases["all-same"]); len(comp) >= 32 {
-		t.Errorf("RLE input compressed poorly: 300 -> %d", len(comp))
-	}
-}
-
-// TestLZExpandAdversarial feeds lzExpand streams that violate each of its
-// invariants; every one must fail cleanly without growing past the cap.
-func TestLZExpandAdversarial(t *testing.T) {
-	cases := map[string]struct {
-		src []byte
-		max int
-	}{
-		"literal-past-end": {[]byte{0x7F, 1, 2}, 1 << 10},       // run of 128, 2 bytes present
-		"literal-over-max": {[]byte{0x04, 1, 2, 3, 4, 5}, 3},    // 5 literals, cap 3
-		"match-truncated":  {[]byte{0x00, 9, 0x80, 1}, 1 << 10}, // match op missing offset byte
-		"match-zero-off":   {[]byte{0x00, 9, 0x80, 0, 0}, 1 << 10},
-		"match-far-off":    {[]byte{0x00, 9, 0x80, 5, 0}, 1 << 10}, // offset 5 into 1 decoded byte
-		"match-over-max":   {[]byte{0x00, 9, 0xFF, 1, 0}, 4},       // 131-byte match, cap 4
-	}
-	for name, c := range cases {
-		got, err := lzExpand(nil, c.src, c.max)
-		if err == nil {
-			t.Errorf("%s: malformed stream expanded without error", name)
-		}
-		if len(got) > c.max {
-			t.Errorf("%s: output %d exceeds cap %d", name, len(got), c.max)
+	for _, c := range []Codec{1, 9} {
+		if want := fmt.Sprintf("codec(%d)", byte(c)); c.String() != want {
+			t.Errorf("unknown codec String = %q, want %q", c.String(), want)
 		}
 	}
 }
@@ -495,7 +435,9 @@ func v2HeaderOnly(t *testing.T) []byte {
 // each with a typed ErrMalformed — before any allocation or inflation sized by the hostile
 // fields. The "huge-count" case is a regression test for the overflow in
 // the count bound (count*minEventLen wraps; count > len/minEventLen does
-// not).
+// not). The "retired-codec-1" frame carries the byte of the deleted LZ
+// codec behind a valid CRC: strict decoders report it at its frame, and a
+// lenient one skips it as one damaged block.
 func TestHostileCompressedFrames(t *testing.T) {
 	hdr := v2HeaderOnly(t)
 	crcOf := func(p []byte) []byte {
@@ -514,20 +456,20 @@ func TestHostileCompressedFrames(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5, 6}
 
 	cases := map[string][]byte{
-		"unknown-codec": frame([]byte(blockMarkerC), []byte{9}, uv(6), uv(2), uv(6), crcOf(payload), payload),
-		"zero-ulen":     frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(0)),
-		"huge-ulen":     frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(maxBlockLen+1)),
+		"unknown-codec":   frame([]byte(blockMarkerC), []byte{9}, uv(6), uv(2), uv(6), crcOf(payload), payload),
+		"retired-codec-1": frame([]byte(blockMarkerC), []byte{1}, uv(6), uv(2), uv(6), crcOf(payload), payload),
+		"zero-ulen":       frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(0)),
+		"huge-ulen":       frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(maxBlockLen+1)),
 		// A hostile post-inflate claim: tiny stored payload, giant declared
 		// uncompressed size. Must die on the ulen bound, not allocate.
-		"inflate-bomb":       frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(1<<40), uv(2), uv(6), crcOf(payload), payload),
-		"clen-over-ulen":     frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(6), uv(2), uv(7), crcOf(payload), payload),
-		"zero-clen":          frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(6), uv(2), uv(0)),
+		"inflate-bomb":       frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(1<<40), uv(2), uv(6), crcOf(payload), payload),
+		"clen-over-ulen":     frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(6), uv(2), uv(7), crcOf(payload), payload),
+		"zero-clen":          frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(6), uv(2), uv(0)),
 		"none-clen-mismatch": frame([]byte(blockMarkerC), []byte{byte(CodecNone)}, uv(6), uv(2), uv(5), crcOf(payload[:5]), payload[:5]),
 		"huge-count-raw":     frame([]byte(blockMarker), uv(6), uv(0x5555555555555556), crcOf(payload), payload),
-		"huge-count-comp":    frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(6), uv(0x5555555555555556), uv(6), crcOf(payload), payload),
+		"huge-count-comp":    frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(6), uv(0x5555555555555556), uv(6), crcOf(payload), payload),
 		// CRC-clean stored bytes that are not a valid codec stream: must be
 		// ErrMalformed at the frame, at every worker count, identically.
-		"bad-lz-stream":    frame([]byte(blockMarkerC), []byte{byte(CodecLZ)}, uv(200), uv(4), uv(3), crcOf([]byte{0xFF, 0x00, 0x00}), []byte{0xFF, 0x00, 0x00}),
 		"bad-flate-stream": frame([]byte(blockMarkerC), []byte{byte(CodecFlate)}, uv(200), uv(4), uv(3), crcOf([]byte{0xAA, 0xBB, 0xCC}), []byte{0xAA, 0xBB, 0xCC}),
 	}
 	for name, data := range cases {
@@ -541,7 +483,16 @@ func TestHostileCompressedFrames(t *testing.T) {
 		}
 		// Lenient mode must survive (no panic, typed or clean) and the two
 		// worker counts must agree observably.
-		diffBoth(t, "hostile/"+name, data, 4)
+		_, lenient := diffBoth(t, "hostile/"+name, data, 4)
+		if name == "retired-codec-1" {
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Offset != int64(len(hdr)) || fe.Detail != "unknown block codec 1" {
+				t.Errorf("%s: strict error %v, want unknown block codec 1 at the frame offset %d", name, err, len(hdr))
+			}
+			if lenient.err != nil || lenient.stats.BlocksSkipped != 1 || len(lenient.events) != 0 {
+				t.Errorf("%s: lenient run: err %v, %d events, stats %+v", name, lenient.err, len(lenient.events), lenient.stats)
+			}
+		}
 	}
 }
 

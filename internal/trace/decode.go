@@ -20,12 +20,12 @@ import (
 // differ from the number of producer blocks lost when corruption
 // misaligns the frame stream.
 type Stats struct {
-	// Version is the negotiated format version (1 or 2).
+	// Version is the stream's format version (always Version2).
 	Version int
-	// Blocks counts v2 event blocks decoded successfully.
+	// Blocks counts event blocks decoded successfully.
 	Blocks uint64
 	// BlocksCompressed counts decoded blocks whose payload was stored
-	// compressed (codec lz or flate); raw-stored blocks are not counted.
+	// compressed (codec flate); raw-stored blocks are not counted.
 	BlocksCompressed uint64
 	// BlocksSkipped counts corrupt regions skipped in lenient mode.
 	BlocksSkipped uint64
@@ -55,19 +55,17 @@ type readerConfig struct {
 type ReaderOption func(*readerConfig)
 
 // Lenient switches the reader into recovery mode: instead of failing on
-// the first corrupt v2 block it resynchronises at the next frame marker,
-// and a truncated stream ends with a clean io.EOF plus Stats describing
-// the damage. Header corruption is never recoverable. For v1 streams,
-// recovery is limited to keeping the prefix that decoded cleanly.
+// the first corrupt block it resynchronises at the next frame marker, and
+// a truncated stream ends with a clean io.EOF plus Stats describing the
+// damage. Header corruption is never recoverable.
 func Lenient() ReaderOption {
 	return func(c *readerConfig) { c.lenient = true }
 }
 
-// Workers sets where v2 blocks decode: 1 decodes each block inline on the
+// Workers sets where blocks decode: 1 decodes each block inline on the
 // caller's goroutine, n > 1 runs a pool of n block decoders (see
 // parallel.go), and 0 means runtime.GOMAXPROCS(0). NewReader defaults to
-// 1 and NewParallelReader to 0. v1 streams have no block framing and
-// always decode inline.
+// 1 and NewParallelReader to 0.
 func Workers(n int) ReaderOption {
 	return func(c *readerConfig) { c.workers = n }
 }
@@ -110,11 +108,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Reader decodes a trace stream of either format version. Events stream
-// via Next, or a decoded block at a time via NextBlock (block.go); the
-// static-count footer becomes available after either returns io.EOF.
+// Reader decodes a trace stream. Events stream via Next, or a decoded
+// block at a time via NextBlock (block.go); the static-count footer
+// becomes available after either returns io.EOF.
 //
-// Every stream goes through one frame walk (frameWalk) and every v2 block
+// Every stream goes through one frame walk (frameWalk) and every block
 // through one decoder (decodeBlockFrame). The worker count only chooses
 // where blocks decode: inline on the caller's goroutine at Workers(1), or
 // on a pool behind a splitter goroutine otherwise. Either way the events,
@@ -151,8 +149,8 @@ type Reader struct {
 	sticky   error
 }
 
-// NewReader parses the stream header and negotiates the format version.
-// Blocks decode inline unless Workers says otherwise.
+// NewReader parses the stream header; a version other than Version2 fails
+// ErrMalformed. Blocks decode inline unless Workers says otherwise.
 func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 	return newReader(r, 1, opts)
 }
@@ -174,15 +172,15 @@ func newReader(r io.Reader, workers int, opts []ReaderOption) (*Reader, error) {
 		return nil, err
 	}
 	tr := &Reader{
-		walk: frameWalk{cr: cr, version: h.version, numStatic: h.numStatic, lenient: cfg.lenient},
-		name: h.name,
-		ctx:  cfg.ctx,
+		walk:  frameWalk{cr: cr, numStatic: h.numStatic, lenient: cfg.lenient},
+		name:  h.name,
+		ctx:   cfg.ctx,
+		stats: Stats{Version: Version2},
 	}
-	tr.stats.Version = h.version
 	if cfg.workers <= 0 {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
-	if h.version == Version2 && cfg.workers > 1 {
+	if cfg.workers > 1 {
 		tr.startPool(cfg.workers)
 	}
 	return tr, nil
@@ -213,13 +211,12 @@ func overflowErr(cr *countingReader, off int64, what string) error {
 
 // header is what the stream header declares.
 type header struct {
-	version   int
 	name      string
 	numStatic int
 }
 
-// readHeader parses the stream header: magic, version byte, and the
-// version's name and program-length fields.
+// readHeader parses the stream header: magic, version byte, and the name
+// and program-length fields.
 func readHeader(cr *countingReader) (header, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(cr, magic); err != nil {
@@ -232,79 +229,49 @@ func readHeader(cr *countingReader) (header, error) {
 	if err != nil {
 		return header{}, ioErr(cr.n, err, "reading version")
 	}
-	h := header{version: int(ver)}
-	switch h.version {
-	case Version1:
-		err = readHeaderV1(cr, &h)
-	case Version2:
-		err = readHeaderV2(cr, &h)
-	default:
+	if ver != Version2 {
 		return header{}, formatErr(4, ErrMalformed, "unsupported version %d", ver)
 	}
-	return h, err
+	return readHeaderFrame(cr)
 }
 
-func readHeaderV1(cr *countingReader, h *header) error {
-	nameLen, err := readUvarint(cr, "name length")
-	if err != nil {
-		return err
-	}
-	if nameLen > maxNameLen {
-		return formatErr(cr.n, ErrMalformed, "unreasonable name length %d", nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(cr, nameBuf); err != nil {
-		return ioErr(cr.n, err, "reading name")
-	}
-	numStatic, err := readUvarint(cr, "program length")
-	if err != nil {
-		return err
-	}
-	if numStatic > maxNumStatic {
-		return formatErr(cr.n, ErrMalformed, "unreasonable program length %d", numStatic)
-	}
-	h.name = string(nameBuf)
-	h.numStatic = int(numStatic)
-	return nil
-}
-
-func readHeaderV2(cr *countingReader, h *header) error {
+// readHeaderFrame parses the CRC-framed header payload that follows the
+// version byte.
+func readHeaderFrame(cr *countingReader) (header, error) {
 	hdrOff := cr.n
 	hdrLen, err := readUvarint(cr, "header length")
 	if err != nil {
-		return err
+		return header{}, err
 	}
 	if hdrLen > maxNameLen+2*binary.MaxVarintLen64 {
-		return formatErr(cr.n, ErrMalformed, "unreasonable header length %d", hdrLen)
+		return header{}, formatErr(cr.n, ErrMalformed, "unreasonable header length %d", hdrLen)
 	}
 	want, err := readCRC(cr, "header")
 	if err != nil {
-		return err
+		return header{}, err
 	}
 	payload, err := readPayload(cr, int(hdrLen), "header")
 	if err != nil {
-		return err
+		return header{}, err
 	}
 	if crc32.Checksum(payload, castagnoli) != want {
-		return formatErr(hdrOff, ErrChecksum, "header checksum")
+		return header{}, formatErr(hdrOff, ErrChecksum, "header checksum")
 	}
 	off := 0
 	nameLen, err := bufUvarint(payload, &off)
 	if err != nil || nameLen > uint64(len(payload)-off) {
-		return formatErr(hdrOff, ErrMalformed, "bad name length in header")
+		return header{}, formatErr(hdrOff, ErrMalformed, "bad name length in header")
 	}
 	name := string(payload[off : off+int(nameLen)])
 	off += int(nameLen)
 	numStatic, err := bufUvarint(payload, &off)
 	if err != nil || numStatic > maxNumStatic {
-		return formatErr(hdrOff, ErrMalformed, "bad program length in header")
+		return header{}, formatErr(hdrOff, ErrMalformed, "bad program length in header")
 	}
 	if off != len(payload) {
-		return formatErr(hdrOff, ErrMalformed, "%d trailing header bytes", len(payload)-off)
+		return header{}, formatErr(hdrOff, ErrMalformed, "%d trailing header bytes", len(payload)-off)
 	}
-	h.name = name
-	h.numStatic = int(numStatic)
-	return nil
+	return header{name: name, numStatic: int(numStatic)}, nil
 }
 
 // readCRC reads a little-endian CRC32C field.
@@ -369,9 +336,6 @@ func (tr *Reader) Name() string { return tr.name }
 
 // NumStatic returns the static program length from the header.
 func (tr *Reader) NumStatic() int { return tr.walk.numStatic }
-
-// Version returns the negotiated format version.
-func (tr *Reader) Version() int { return tr.walk.version }
 
 // Stats returns a snapshot of the reader's progress and damage summary.
 func (tr *Reader) Stats() Stats { return tr.stats }
@@ -477,8 +441,6 @@ func (tr *Reader) advance() error {
 		tr.setBlock(decodeBlockFrame(it.frame, tr.walk.numStatic, tr.walk.lenient))
 	case it.res != nil:
 		tr.setBlock(<-it.res)
-	case it.events != nil:
-		tr.cur.events = it.events
 	case it.footer != nil:
 		return tr.endAtFooter(it.footer, it.trailerErr)
 	case it.err != nil:
@@ -518,7 +480,7 @@ func (tr *Reader) pull() (walkItem, error) {
 	}
 }
 
-// setBlock makes a decoded v2 block current and folds its accounting into
+// setBlock makes a decoded block current and folds its accounting into
 // Stats.
 func (tr *Reader) setBlock(r blockResult) {
 	tr.stats.Blocks += r.blocks
@@ -528,24 +490,22 @@ func (tr *Reader) setBlock(r blockResult) {
 	tr.cur = r
 }
 
-// endAtFooter ends the stream at its count footer. A v2 footer also
+// endAtFooter ends the stream at its count footer. The footer also
 // declares the event total, which strict mode holds against what was
 // delivered, and is followed by the trailer magic.
 func (tr *Reader) endAtFooter(ff *footerFrame, trailerErr error) error {
-	if tr.walk.version == Version2 {
-		tr.stats.EventsDeclared = ff.total
-		if !tr.walk.lenient && ff.total != tr.stats.Events {
-			return tr.fail(formatErr(ff.frameOff, ErrMalformed,
-				"footer declares %d events, stream has %d", ff.total, tr.stats.Events))
+	tr.stats.EventsDeclared = ff.total
+	if !tr.walk.lenient && ff.total != tr.stats.Events {
+		return tr.fail(formatErr(ff.frameOff, ErrMalformed,
+			"footer declares %d events, stream has %d", ff.total, tr.stats.Events))
+	}
+	if trailerErr != nil {
+		if !tr.walk.lenient {
+			return tr.fail(trailerErr)
 		}
-		if trailerErr != nil {
-			if !tr.walk.lenient {
-				return tr.fail(trailerErr)
-			}
-			// The counts themselves were CRC-clean; keep them but note the
-			// missing trailer.
-			tr.stats.Truncated = true
-		}
+		// The counts themselves were CRC-clean; keep them but note the
+		// missing trailer.
+		tr.stats.Truncated = true
 	}
 	tr.counts = ff.counts
 	return tr.end()
@@ -565,22 +525,17 @@ func (tr *Reader) end() error {
 // it inline, and with a pool the splitter goroutine does.
 type frameWalk struct {
 	cr        *countingReader
-	version   int
 	numStatic int
 	lenient   bool
-	// pending is the item that ends a v1 stream, read while filling the
-	// run of events before it; once set, every call returns it.
-	pending *walkItem
 }
 
 // walkItem is one step of the frame walk. Exactly one of frame, res,
-// events, footer, err and eof is set; skipBlocks and skipBytes carry the
+// footer, err and eof is set; skipBlocks and skipBytes carry the
 // damage a lenient walk skipped on the way to it. footer, err and eof end
 // the stream.
 type walkItem struct {
-	frame      *blockFrame      // a v2 block frame, not yet checked or decoded
+	frame      *blockFrame      // a block frame, not yet checked or decoded
 	res        chan blockResult // a frame on the pool: the worker fills it
-	events     []Event          // a run of decoded v1 events
 	footer     *footerFrame
 	trailerErr error // with footer: problem reading the trailing magic
 	skipBlocks uint64
@@ -593,17 +548,10 @@ type walkItem struct {
 // last reports whether it ends the walk.
 func (it *walkItem) last() bool { return it.footer != nil || it.err != nil || it.eof }
 
-// v1BlockEvents sizes the runs a v1 stream is decoded in, since v1 has no
-// block framing of its own.
-const v1BlockEvents = 4096
-
 // next returns the walk's next item. In lenient mode it skips damaged
 // frames, accounting for them on the item it returns; a stream that runs
 // out ends with a truncated eof.
 func (w *frameWalk) next() walkItem {
-	if w.version == Version1 {
-		return w.nextEvents()
-	}
 	var it walkItem
 	for {
 		marker, skipped, err := scanMarker(w.cr, w.lenient)
@@ -645,141 +593,6 @@ func (w *frameWalk) next() walkItem {
 	}
 }
 
-// nextEvents decodes up to v1BlockEvents v1 events. What stops a run
-// early — the footer, a truncation or an error — comes from the next call.
-func (w *frameWalk) nextEvents() walkItem {
-	if it := w.pending; it != nil {
-		return *it
-	}
-	events := getEventSlice(v1BlockEvents)
-	for len(events) < v1BlockEvents {
-		var e Event
-		err := w.decodeEventStream(&e)
-		if err == nil {
-			events = append(events, e)
-			continue
-		}
-		end := w.endEvents(err)
-		if len(events) == 0 {
-			putEventSlice(events)
-			return end
-		}
-		w.pending = &end
-		break
-	}
-	return walkItem{events: events}
-}
-
-// endEvents turns what stopped a v1 event run into the item that ends the
-// stream: the count footer after the in-band terminator, a truncated eof
-// when lenient (v1 has no sync markers: recovery keeps the clean prefix),
-// or a terminal error.
-func (w *frameWalk) endEvents(err error) walkItem {
-	if err == errEndOfEvents {
-		counts, ferr := w.readFooterV1()
-		if ferr == nil {
-			return walkItem{footer: &footerFrame{counts: counts}}
-		}
-		err = ferr
-	}
-	if w.lenient && recoverableKind(err) {
-		return walkItem{eof: true, truncated: true}
-	}
-	return walkItem{err: err}
-}
-
-// errEndOfEvents marks the v1 in-band event terminator.
-var errEndOfEvents = errors.New("end of events")
-
-// decodeEventStream reads one v1 event record directly from the stream.
-func (w *frameWalk) decodeEventStream(e *Event) error {
-	cr := w.cr
-	opOff := cr.n
-	opByte, err := cr.ReadByte()
-	if err != nil {
-		return ioErr(opOff, err, "reading opcode")
-	}
-	if opByte == 0 {
-		return errEndOfEvents
-	}
-	op := isa.Op(opByte)
-	pc, err := readUvarint(cr, "pc")
-	if err != nil {
-		return err
-	}
-	flags, err := cr.ReadByte()
-	if err != nil {
-		return ioErr(cr.n, err, "reading flags")
-	}
-	*e = Event{PC: uint32(pc), Op: op, NSrc: flags & flagNSrcMask, DstReg: isa.NoReg,
-		Taken: flags&flagTaken != 0, HasImm: flags&flagImm != 0}
-	if e.NSrc > 2 {
-		return formatErr(opOff, ErrMalformed, "corrupt flags: %d source operands", e.NSrc)
-	}
-	for i := uint8(0); i < e.NSrc; i++ {
-		reg, err := cr.ReadByte()
-		if err != nil {
-			return ioErr(cr.n, err, "reading src reg")
-		}
-		val, err := readUvarint(cr, "src val")
-		if err != nil {
-			return err
-		}
-		e.SrcReg[i] = reg
-		e.SrcVal[i] = uint32(val)
-	}
-	if flags&flagDst != 0 {
-		reg, err := cr.ReadByte()
-		if err != nil {
-			return ioErr(cr.n, err, "reading dst reg")
-		}
-		val, err := readUvarint(cr, "dst val")
-		if err != nil {
-			return err
-		}
-		e.DstReg = reg
-		e.DstVal = uint32(val)
-	}
-	if flags&flagMem != 0 {
-		addr, err := readUvarint(cr, "mem addr")
-		if err != nil {
-			return err
-		}
-		val, err := readUvarint(cr, "mem val")
-		if err != nil {
-			return err
-		}
-		e.Addr = uint32(addr)
-		e.MemVal = uint32(val)
-	}
-	if verr := checkEvent(e, w.numStatic); verr != nil {
-		return formatErr(opOff, ErrMalformed, "%v", verr)
-	}
-	return nil
-}
-
-// readFooterV1 parses the unframed v1 count footer. The count slice grows
-// incrementally, so a hostile header cannot force a giant allocation from
-// a short file.
-func (w *frameWalk) readFooterV1() ([]uint64, error) {
-	counts := make([]uint64, 0, min(w.numStatic, 4096))
-	for i := 0; i < w.numStatic; i++ {
-		off := w.cr.n
-		c, err := binary.ReadUvarint(w.cr)
-		if err != nil {
-			if oerr := overflowErr(w.cr, off, "static count"); oerr != nil {
-				return nil, oerr
-			}
-			return nil, ioErr(w.cr.n, err, "reading static counts")
-		}
-		counts = append(counts, c)
-	}
-	if err := readTrailerMagic(w.cr); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
 // scanMarker reads the next 4-byte frame marker. In strict mode anything
 // else is malformed; in lenient mode the stream is scanned byte-by-byte
 // until a marker appears, returning how many bytes were discarded. Read
@@ -809,7 +622,7 @@ func scanMarker(cr *countingReader, lenient bool) (string, int64, error) {
 	}
 }
 
-// blockFrame is one framed v2 event block as read off the stream, before
+// blockFrame is one framed event block as read off the stream, before
 // CRC verification, decompression, or event decoding.
 type blockFrame struct {
 	frameOff   int64  // stream offset of the frame marker
@@ -845,7 +658,7 @@ func readBlockFrame(cr *countingReader, compressed bool) (blockFrame, error) {
 		if err != nil {
 			return bf, ioErr(cr.n, err, "reading block codec")
 		}
-		if Codec(codec) >= numCodecs {
+		if !Codec(codec).known() {
 			return bf, formatErr(bf.frameOff, ErrMalformed, "unknown block codec %d", codec)
 		}
 		bf.codec = Codec(codec)
@@ -889,7 +702,7 @@ func readBlockFrame(cr *countingReader, compressed bool) (blockFrame, error) {
 	return bf, nil
 }
 
-// blockResult is one decoded v2 block.
+// blockResult is one decoded block.
 type blockResult struct {
 	events []Event
 	// err is the terminal error a strict reader reports after delivering
@@ -907,7 +720,7 @@ type blockResult struct {
 }
 
 // decodeBlockFrame CRC-checks, decompresses, and decodes one block, and
-// returns its stored payload to the pool. It is the one v2 block decoder,
+// returns its stored payload to the pool. It is the one block decoder,
 // whichever goroutine runs it. In strict mode the first damage is an
 // error after the cleanly decoded prefix, and a block whose payload
 // outlasts its declared count withholds its final event too; in lenient
@@ -976,8 +789,8 @@ func decodeBlockFrame(bf *blockFrame, numStatic int, lenient bool) blockResult {
 
 // footerFrame is the parsed static-count footer.
 type footerFrame struct {
-	frameOff int64    // stream offset of the frame marker (v2)
-	total    uint64   // declared total event count (v2)
+	frameOff int64    // stream offset of the frame marker
+	total    uint64   // declared total event count
 	counts   []uint64 // per-PC execution counts
 }
 

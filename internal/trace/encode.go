@@ -13,8 +13,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Binary stream layout, format version 2 (all multi-byte integers are
-// unsigned varints; CRCs are CRC32C / Castagnoli, little-endian):
+// Binary stream layout, format version 2, the only version this package
+// reads or writes (all multi-byte integers are unsigned varints; CRCs are
+// CRC32C / Castagnoli, little-endian):
 //
 //	magic   "DPGT"
 //	version byte (2)
@@ -29,7 +30,8 @@ import (
 //	            payload count × event records
 //	        or, when the writer has a compression codec selected:
 //	            marker  "BLKC"                    (per-block codec)
-//	            codec   flags byte: 0 none, 1 lz, 2 flate (compress.go)
+//	            codec   flags byte: 0 none, 2 flate (compress.go;
+//	                    1 is retired)
 //	            ulen    uvarint uncompressed payload length (≤ 4 MiB)
 //	            count   uvarint events in block (≥ 1, ≤ ulen/3)
 //	            clen    uvarint stored payload length (≤ ulen)
@@ -44,9 +46,9 @@ import (
 //	                    NumStatic uvarints (per-PC execution counts)
 //	magic   "END!"
 //
-// Each event record (identical in v1 and v2):
+// Each event record:
 //
-//	op      byte (v1: never 0; 0 terminates the v1 stream)
+//	op      byte
 //	pc      uvarint
 //	flags   byte: bit0..1 = NSrc, bit2 = has dst, bit3 = has mem,
 //	        bit4 = taken, bit5 = immediate operand
@@ -54,15 +56,11 @@ import (
 //	dst     reg byte + value uvarint                (if has dst)
 //	mem     addr uvarint + value uvarint            (if has mem)
 //
-// Format version 1 (still readable, written by NewWriterV1) has no framing
-// and no checksums: header magic/version/name/static, then event records
-// terminated by an opcode byte 0, then NumStatic count uvarints and "END!".
-//
-// The framing gives v2 three properties v1 lacks: any corruption inside a
-// block is detected by its CRC; a reader can resynchronise past a damaged
-// block by scanning for the next marker; and a truncated stream is
-// recognised exactly (frame boundaries are explicit), so the decoded
-// prefix is trustworthy.
+// The framing gives three properties: any corruption inside a block is
+// detected by its CRC; a reader can resynchronise past a damaged block by
+// scanning for the next marker; and a truncated stream is recognised
+// exactly (frame boundaries are explicit), so the decoded prefix is
+// trustworthy.
 
 const (
 	headerMagic = "DPGT"
@@ -73,9 +71,8 @@ const (
 	blockMarkerC = "BLKC"
 	countMarker  = "FTR2"
 
-	// Version1 is the legacy unframed, unchecksummed format.
-	Version1 = 1
-	// Version2 is the framed, CRC32C-checksummed format written by default.
+	// Version2 is the framed, CRC32C-checksummed format, the only one
+	// read or written.
 	Version2 = 2
 
 	// maxNameLen bounds the workload name so a hostile header cannot drive
@@ -176,43 +173,28 @@ func checkEvent(e *Event, numStatic int) error {
 
 // Writer serialises a trace to an io.Writer in streaming fashion,
 // accumulating the per-PC static counts itself and emitting them in the
-// footer on Close. NewWriter writes format version 2; NewWriterV1 writes
-// the legacy format for consumers that have not migrated.
+// footer on Close.
 type Writer struct {
-	w       *bufio.Writer
-	version int
-	counts  []uint64
-	n       uint64
-	err     error
-	closed  bool
+	w      *bufio.Writer
+	counts []uint64
+	n      uint64
+	err    error
+	closed bool
 
-	// v2 block accumulation.
+	// Block accumulation.
 	blockLen       int
 	block          []byte
 	blockEvents    uint64
 	blockMaxEvents uint64
 
-	// v2 per-block compression.
+	// Per-block compression.
 	codec    Codec
-	comp     []byte // scratch for the compressed form of a block
 	flateW   *flate.Writer
 	flateBuf bytes.Buffer
 }
 
-// NewWriter starts a version-2 trace stream for a program of numStatic
-// instructions.
+// NewWriter starts a trace stream for a program of numStatic instructions.
 func NewWriter(w io.Writer, name string, numStatic int) (*Writer, error) {
-	return newWriter(w, name, numStatic, Version2)
-}
-
-// NewWriterV1 starts a legacy version-1 stream (no framing, no checksums).
-// It exists for compatibility testing and for feeding consumers that only
-// understand the original format; new producers should use NewWriter.
-func NewWriterV1(w io.Writer, name string, numStatic int) (*Writer, error) {
-	return newWriter(w, name, numStatic, Version1)
-}
-
-func newWriter(w io.Writer, name string, numStatic, version int) (*Writer, error) {
 	if len(name) > maxNameLen {
 		return nil, fmt.Errorf("trace: name length %d exceeds %d", len(name), maxNameLen)
 	}
@@ -221,34 +203,24 @@ func newWriter(w io.Writer, name string, numStatic, version int) (*Writer, error
 	}
 	tw := &Writer{
 		w:        bufio.NewWriterSize(w, 1<<16),
-		version:  version,
 		counts:   make([]uint64, numStatic),
 		blockLen: defaultBlockLen,
 	}
 	tw.writeBytes([]byte(headerMagic))
-	tw.writeByte(byte(version))
-	switch version {
-	case Version1:
-		tw.writeUvarint(uint64(len(name)))
-		tw.writeBytes([]byte(name))
-		tw.writeUvarint(uint64(numStatic))
-	case Version2:
-		var hdr []byte
-		hdr = appendUvarint(hdr, uint64(len(name)))
-		hdr = append(hdr, name...)
-		hdr = appendUvarint(hdr, uint64(numStatic))
-		tw.writeUvarint(uint64(len(hdr)))
-		tw.writeCRC(hdr)
-		tw.writeBytes(hdr)
-	default:
-		return nil, fmt.Errorf("trace: unsupported writer version %d", version)
-	}
+	tw.writeByte(Version2)
+	var hdr []byte
+	hdr = appendUvarint(hdr, uint64(len(name)))
+	hdr = append(hdr, name...)
+	hdr = appendUvarint(hdr, uint64(numStatic))
+	tw.writeUvarint(uint64(len(hdr)))
+	tw.writeCRC(hdr)
+	tw.writeBytes(hdr)
 	return tw, tw.err
 }
 
-// SetBlockSize adjusts the version-2 block flush threshold (clamped to
+// SetBlockSize adjusts the block flush threshold (clamped to
 // [64, maxBlockLen]); useful for tests that need multi-block streams from
-// small traces. It has no effect on version-1 streams.
+// small traces.
 func (tw *Writer) SetBlockSize(n int) {
 	if n < 64 {
 		n = 64
@@ -259,11 +231,10 @@ func (tw *Writer) SetBlockSize(n int) {
 	tw.blockLen = n
 }
 
-// SetBlockEvents caps the number of events per version-2 block; 0 (the
-// default) leaves the byte-size threshold as the only flush trigger.
-// Small caps produce many tiny blocks, which exercises framing overhead
-// and gives the parallel decoder fine-grained work items. It has no
-// effect on version-1 streams.
+// SetBlockEvents caps the number of events per block; 0 (the default)
+// leaves the byte-size threshold as the only flush trigger. Small caps
+// produce many tiny blocks, which exercises framing overhead and gives the
+// parallel decoder fine-grained work items.
 func (tw *Writer) SetBlockEvents(n int) {
 	if n < 0 {
 		n = 0
@@ -271,14 +242,13 @@ func (tw *Writer) SetBlockEvents(n int) {
 	tw.blockMaxEvents = uint64(n)
 }
 
-// SetCompression selects the per-block codec for version-2 streams: each
-// flushed block is compressed and framed with a codec flags byte, falling
-// back to raw storage for blocks compression would not shrink. CodecNone
-// (the default) keeps the uncompressed "BLK2" framing, byte-identical to
-// earlier writers. It has no effect on version-1 streams, which have no
-// blocks. An unknown codec poisons the writer: the next operation fails.
+// SetCompression selects the per-block codec: each flushed block is
+// compressed and framed with a codec flags byte, falling back to raw
+// storage for blocks compression would not shrink. CodecNone (the default)
+// keeps the uncompressed "BLK2" framing, byte-identical to earlier
+// writers. An unknown codec poisons the writer: the next operation fails.
 func (tw *Writer) SetCompression(c Codec) {
-	if c >= numCodecs {
+	if !c.known() {
 		if tw.err == nil {
 			tw.err = fmt.Errorf("trace: unknown codec %d", byte(c))
 		}
@@ -326,29 +296,22 @@ func (tw *Writer) Write(e *Event) error {
 	}
 	tw.counts[e.PC]++
 	tw.n++
-	switch tw.version {
-	case Version1:
-		// Reuse the block buffer as scratch for the event encoding.
-		tw.block = appendEvent(tw.block[:0], e)
-		tw.writeBytes(tw.block)
-	case Version2:
-		// Flush early if this event could push the payload past the
-		// reader's maxBlockLen bound — the threshold alone lets a block
-		// overshoot by one event when blockLen is at the cap.
-		if len(tw.block)+maxEventLen > maxBlockLen {
-			tw.flushBlock()
-		}
-		tw.block = appendEvent(tw.block, e)
-		tw.blockEvents++
-		if len(tw.block) >= tw.blockLen ||
-			(tw.blockMaxEvents > 0 && tw.blockEvents >= tw.blockMaxEvents) {
-			tw.flushBlock()
-		}
+	// Flush early if this event could push the payload past the reader's
+	// maxBlockLen bound — the threshold alone lets a block overshoot by one
+	// event when blockLen is at the cap.
+	if len(tw.block)+maxEventLen > maxBlockLen {
+		tw.flushBlock()
+	}
+	tw.block = appendEvent(tw.block, e)
+	tw.blockEvents++
+	if len(tw.block) >= tw.blockLen ||
+		(tw.blockMaxEvents > 0 && tw.blockEvents >= tw.blockMaxEvents) {
+		tw.flushBlock()
 	}
 	return tw.err
 }
 
-// flushBlock frames and emits the accumulated v2 block. With a codec
+// flushBlock frames and emits the accumulated block. With a codec
 // selected the frame is "BLKC": codec byte, uncompressed length, event
 // count, stored length, CRC of the stored bytes, stored payload — where
 // the stored payload is the compressed form when that is strictly smaller
@@ -380,39 +343,31 @@ func (tw *Writer) flushBlock() {
 	tw.blockEvents = 0
 }
 
-// compressBlock compresses the pending block with the writer's codec,
-// reporting ok = false when the block is too small to bother with, the
-// codec failed, or — the skip-if-incompressible heuristic — the result
-// would not be strictly smaller than the raw payload.
+// compressBlock compresses the pending block with flate, the one codec
+// that transforms a payload, reporting ok = false when the block is too
+// small to bother with, the codec failed, or — the
+// skip-if-incompressible heuristic — the result would not be strictly
+// smaller than the raw payload.
 func (tw *Writer) compressBlock() ([]byte, bool) {
 	if len(tw.block) < minCompressLen {
 		return nil, false
 	}
-	var comp []byte
-	switch tw.codec {
-	case CodecLZ:
-		tw.comp = lzAppend(tw.comp[:0], tw.block)
-		comp = tw.comp
-	case CodecFlate:
-		if tw.flateW == nil {
-			fw, err := flate.NewWriter(&tw.flateBuf, flate.DefaultCompression)
-			if err != nil {
-				return nil, false
-			}
-			tw.flateW = fw
-		}
-		tw.flateBuf.Reset()
-		tw.flateW.Reset(&tw.flateBuf)
-		if _, err := tw.flateW.Write(tw.block); err != nil {
+	if tw.flateW == nil {
+		fw, err := flate.NewWriter(&tw.flateBuf, flate.DefaultCompression)
+		if err != nil {
 			return nil, false
 		}
-		if err := tw.flateW.Close(); err != nil {
-			return nil, false
-		}
-		comp = tw.flateBuf.Bytes()
-	default:
+		tw.flateW = fw
+	}
+	tw.flateBuf.Reset()
+	tw.flateW.Reset(&tw.flateBuf)
+	if _, err := tw.flateW.Write(tw.block); err != nil {
 		return nil, false
 	}
+	if err := tw.flateW.Close(); err != nil {
+		return nil, false
+	}
+	comp := tw.flateBuf.Bytes()
 	if len(comp) >= len(tw.block) {
 		return nil, false
 	}
@@ -429,24 +384,16 @@ func (tw *Writer) Close() error {
 		return nil
 	}
 	tw.closed = true
-	switch tw.version {
-	case Version1:
-		tw.writeByte(0) // event terminator
-		for _, c := range tw.counts {
-			tw.writeUvarint(c)
-		}
-	case Version2:
-		tw.flushBlock()
-		var ftr []byte
-		ftr = appendUvarint(ftr, tw.n)
-		for _, c := range tw.counts {
-			ftr = appendUvarint(ftr, c)
-		}
-		tw.writeBytes([]byte(countMarker))
-		tw.writeUvarint(uint64(len(ftr)))
-		tw.writeCRC(ftr)
-		tw.writeBytes(ftr)
+	tw.flushBlock()
+	var ftr []byte
+	ftr = appendUvarint(ftr, tw.n)
+	for _, c := range tw.counts {
+		ftr = appendUvarint(ftr, c)
 	}
+	tw.writeBytes([]byte(countMarker))
+	tw.writeUvarint(uint64(len(ftr)))
+	tw.writeCRC(ftr)
+	tw.writeBytes(ftr)
 	tw.writeBytes([]byte(footerMagic))
 	if tw.err == nil {
 		tw.err = tw.w.Flush()
@@ -457,38 +404,28 @@ func (tw *Writer) Close() error {
 // WriteOption shapes a whole-trace serialisation (WriteAll/WriteFile).
 type WriteOption func(*Writer)
 
-// BlockEvents caps the number of events per version-2 block; see
+// BlockEvents caps the number of events per block; see
 // Writer.SetBlockEvents. BlockEvents(0) is a no-op.
 func BlockEvents(n int) WriteOption {
 	return func(w *Writer) { w.SetBlockEvents(n) }
 }
 
-// BlockBytes sets the version-2 block flush threshold in bytes; see
+// BlockBytes sets the block flush threshold in bytes; see
 // Writer.SetBlockSize.
 func BlockBytes(n int) WriteOption {
 	return func(w *Writer) { w.SetBlockSize(n) }
 }
 
-// Compression selects the per-block codec for version-2 streams; see
+// Compression selects the per-block codec; see
 // Writer.SetCompression. Readers auto-detect per block, so consumers need
 // no matching option.
 func Compression(c Codec) WriteOption {
 	return func(w *Writer) { w.SetCompression(c) }
 }
 
-// WriteAll serialises an in-memory trace to w in the current format.
+// WriteAll serialises an in-memory trace to w.
 func WriteAll(w io.Writer, t *Trace, opts ...WriteOption) error {
-	return writeAll(w, t, Version2, opts...)
-}
-
-// WriteAllV1 serialises an in-memory trace in the legacy v1 format (which
-// has no blocks, so block-shaping options are ignored).
-func WriteAllV1(w io.Writer, t *Trace, opts ...WriteOption) error {
-	return writeAll(w, t, Version1, opts...)
-}
-
-func writeAll(w io.Writer, t *Trace, version int, opts ...WriteOption) error {
-	tw, err := newWriter(w, t.Name, t.NumStatic, version)
+	tw, err := NewWriter(w, t.Name, t.NumStatic)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the footer probe: a frame walk that recovers the
-// static-count footer of a v2 stream without decoding any events. The
+// static-count footer of a stream without decoding any events. The
 // framed format makes this cheap — every block frame declares its stored
 // payload length up front, so the walk reads the frame headers, skips the
 // payload bytes, and lands on the CRC-protected footer. The probe is what
@@ -35,11 +35,11 @@ type FooterInfo struct {
 	Counts []uint64
 }
 
-// ScanFooter walks a v2 stream's frame structure — header, block frame
+// ScanFooter walks a stream's frame structure — header, block frame
 // headers (payloads skipped, not decoded), footer, trailer magic — and
 // returns the footer's static counts. Failures carry the package's typed
-// taxonomy: a v1 stream (which has no framed footer) and structural damage
-// report ErrMalformed, a stream that ends mid-walk reports ErrTruncated,
+// taxonomy: an unsupported version and structural damage report
+// ErrMalformed, a stream that ends mid-walk reports ErrTruncated,
 // and a corrupt header or footer reports ErrChecksum. Block payload
 // damage is invisible to the probe by design; see the file comment.
 func ScanFooter(r io.Reader) (FooterInfo, error) {
@@ -47,9 +47,6 @@ func ScanFooter(r io.Reader) (FooterInfo, error) {
 	h, err := readHeader(cr)
 	if err != nil {
 		return FooterInfo{}, err
-	}
-	if h.version != Version2 {
-		return FooterInfo{}, formatErr(4, ErrMalformed, "version %d stream has no framed footer", h.version)
 	}
 	info := FooterInfo{Name: h.name, NumStatic: h.numStatic}
 	for {

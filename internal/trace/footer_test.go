@@ -59,19 +59,6 @@ func TestScanFooterFile(t *testing.T) {
 	}
 }
 
-// TestScanFooterV1 checks a v1 stream — which has no framed footer — is
-// rejected as malformed rather than walked into garbage.
-func TestScanFooterV1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAllV1(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ScanFooter(bytes.NewReader(buf.Bytes()))
-	if !errors.Is(err, ErrMalformed) {
-		t.Errorf("v1 probe error = %v, want ErrMalformed", err)
-	}
-}
-
 // TestScanFooterTruncation chops the stream at every point past the
 // header; the probe must fail with a typed taxonomy error — never a clean
 // return — because the footer it exists to find is gone.

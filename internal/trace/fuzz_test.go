@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"io"
 	"testing"
@@ -81,11 +82,11 @@ func drainChecked(t *testing.T, data []byte, lenient bool) {
 }
 
 // FuzzCompressedBlock drives the compression layer three ways with one
-// input: the LZ codec must round-trip arbitrary bytes exactly; the LZ
-// decoder must survive the same bytes *as* a compressed stream (bounded
-// output, error or success, never a panic); and a whole trace written with
-// a fuzzer-chosen codec and block size must decode identically inline and
-// on a pool.
+// input: flate must round-trip arbitrary bytes exactly through
+// flateExpand; flateExpand must survive the same bytes *as* a compressed
+// stream (exactly the declared length on success, an error otherwise,
+// never a panic); and a whole trace written with a fuzzer-chosen codec and
+// block size must decode identically inline and on a pool.
 func FuzzCompressedBlock(f *testing.F) {
 	stream, _ := smallV2Stream(f, 64)
 	f.Add([]byte{}, byte(1), uint16(64))
@@ -95,23 +96,35 @@ func FuzzCompressedBlock(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, codecByte byte, blockSize uint16) {
 		// 1. Identity: compress-then-expand is the identity on any input.
-		comp := lzAppend(nil, data)
-		got, err := lzExpand(nil, comp, len(data))
+		var comp bytes.Buffer
+		fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
 		if err != nil {
-			t.Fatalf("lz round trip errored: %v", err)
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := flateExpand(nil, comp.Bytes(), len(data))
+		if err != nil {
+			t.Fatalf("flate round trip errored: %v", err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatalf("lz round trip mismatch: %d in, %d out", len(data), len(got))
+			t.Fatalf("flate round trip mismatch: %d in, %d out", len(data), len(got))
 		}
 
 		// 2. Adversarial: the input interpreted as a compressed stream.
-		if out, err := lzExpand(nil, data, 1<<16); err == nil && len(out) > 1<<16 {
-			t.Fatalf("lz expand exceeded its cap: %d bytes", len(out))
+		const declared = 1 << 16
+		if out, err := flateExpand(nil, data, declared); err == nil && len(out) != declared {
+			t.Fatalf("flate expand returned %d bytes for a declared %d", len(out), declared)
 		}
 
 		// 3. Full-stack: a valid trace under a fuzzer-chosen shape must
 		// round-trip inline and on a pool, observably identically.
-		codec := Codec(uint(codecByte) % uint(numCodecs))
+		codecs := Codecs()
+		codec := codecs[int(codecByte)%len(codecs)]
 		tr := New("fz", 4)
 		for i := 0; i < 50; i++ {
 			v := uint32(i)

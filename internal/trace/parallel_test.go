@@ -20,7 +20,6 @@ type decodeRun struct {
 	ctorErr   error // constructor failure (nil = header parsed)
 	name      string
 	numStatic int
-	version   int
 	events    []Event
 	stats     Stats
 	err       error // terminal Next error (nil = clean io.EOF)
@@ -34,7 +33,7 @@ func capture(t *testing.T, r *Reader, ctorErr error) decodeRun {
 		return decodeRun{ctorErr: ctorErr}
 	}
 	defer r.Close()
-	run := decodeRun{name: r.Name(), numStatic: r.NumStatic(), version: r.Version()}
+	run := decodeRun{name: r.Name(), numStatic: r.NumStatic()}
 	var e Event
 	for i := 0; ; i++ {
 		if i > 1_000_000 {
@@ -82,9 +81,9 @@ func diffRuns(t *testing.T, label string, a, b decodeRun) {
 	if a.ctorErr != nil {
 		return
 	}
-	if a.name != b.name || a.numStatic != b.numStatic || a.version != b.version {
-		t.Fatalf("%s: header mismatch: a (%q,%d,v%d) vs b (%q,%d,v%d)", label,
-			a.name, a.numStatic, a.version, b.name, b.numStatic, b.version)
+	if a.name != b.name || a.numStatic != b.numStatic {
+		t.Fatalf("%s: header mismatch: a (%q,%d) vs b (%q,%d)", label,
+			a.name, a.numStatic, b.name, b.numStatic)
 	}
 	if len(a.events) != len(b.events) {
 		t.Fatalf("%s: event count mismatch: a %d vs b %d", label, len(a.events), len(b.events))
@@ -162,17 +161,10 @@ func encodeCorpus(t *testing.T) map[string]corpusCase {
 	add("tiny-blocks", encode(small, func(w *Writer) { w.SetBlockEvents(1) }), small)
 	empty := New("empty", 4)
 	add("empty", encode(empty, nil), empty)
-	add("lz", encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecLZ) }), small)
 	add("flate", encode(small, func(w *Writer) { w.SetBlockSize(64); w.SetCompression(CodecFlate) }), small)
 	// Tiny per-event blocks sit below the compression threshold, so these
 	// frames are "BLKC" with codec none — the stored-raw fallback shape.
-	add("lz-stored", encode(small, func(w *Writer) { w.SetBlockEvents(1); w.SetCompression(CodecLZ) }), small)
-
-	var v1 bytes.Buffer
-	if err := WriteAllV1(&v1, small); err != nil {
-		t.Fatal(err)
-	}
-	add("v1", v1.Bytes(), small)
+	add("flate-stored", encode(small, func(w *Writer) { w.SetBlockEvents(1); w.SetCompression(CodecFlate) }), small)
 	add("no-bytes", nil, nil)
 	add("magic-only", []byte(headerMagic), nil)
 	return corpus
@@ -189,11 +181,7 @@ func checkCorpusCase(t *testing.T, label string, c corpusCase, run decodeRun) {
 		}
 		return
 	}
-	want := Stats{Version: Version1, Events: uint64(len(c.orig.Events))}
-	if run.version != Version1 {
-		want = cleanStats(t, c.data)
-	}
-	checkClean(t, label, run, c.orig, want)
+	checkClean(t, label, run, c.orig, cleanStats(t, c.data))
 }
 
 // TestParallelDifferentialCorpus decodes every corpus shape in both modes

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -166,20 +168,54 @@ func TestWriterRejectsBadEvents(t *testing.T) {
 	}
 }
 
+// v1Stream hand-builds tr in the retired version-1 layout: unframed
+// header fields, event records ended by a zero opcode byte, then the
+// per-PC counts and the trailer magic, with no checksums anywhere.
+func v1Stream(tr *Trace) []byte {
+	b := append([]byte(headerMagic), 1)
+	b = appendUvarint(b, uint64(len(tr.Name)))
+	b = append(b, tr.Name...)
+	b = appendUvarint(b, uint64(tr.NumStatic))
+	for i := range tr.Events {
+		b = appendEvent(b, &tr.Events[i])
+	}
+	b = append(b, 0)
+	for _, c := range tr.StaticCount {
+		b = appendUvarint(b, c)
+	}
+	return append(b, footerMagic...)
+}
+
+// TestReaderRejectsGarbage feeds streams with no usable header. The
+// version cases must fail ErrMalformed from the reader in both modes and
+// from the footer probe: a version-1 stream is retired, not recovered.
 func TestReaderRejectsGarbage(t *testing.T) {
 	cases := []struct {
-		name string
-		data []byte
+		name      string
+		data      []byte
+		malformed bool
 	}{
-		{"empty", nil},
-		{"bad magic", []byte("NOPE....")},
-		{"truncated header", []byte("DPGT")},
-		{"bad version", []byte("DPGT\x09")},
+		{"empty", nil, false},
+		{"bad magic", []byte("NOPE...."), true},
+		{"truncated header", []byte("DPGT"), false},
+		{"bad version", []byte("DPGT\x09"), true},
+		{"retired version 1", v1Stream(sampleTrace()), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewReader(bytes.NewReader(tc.data)); err == nil {
-				t.Error("expected error")
+			_, err := NewReader(bytes.NewReader(tc.data))
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			if !tc.malformed {
+				return
+			}
+			_, lerr := NewReader(bytes.NewReader(tc.data), Lenient(), Workers(4))
+			_, serr := ScanFooter(bytes.NewReader(tc.data))
+			for what, got := range map[string]error{"strict reader": err, "lenient reader": lerr, "footer probe": serr} {
+				if !errors.Is(got, ErrMalformed) {
+					t.Errorf("%s: err = %v, want ErrMalformed", what, got)
+				}
 			}
 		})
 	}
@@ -213,15 +249,21 @@ func TestReaderRejectsTruncatedEvents(t *testing.T) {
 	}
 }
 
+// withBlock returns stream followed by one CRC-valid "BLK2" frame that
+// declares count events in payload, so a test can plant a bad field that
+// only the event decoder can catch.
+func withBlock(stream []byte, count uint64, payload []byte) []byte {
+	out := append([]byte(nil), stream...)
+	out = append(out, blockMarker...)
+	out = appendUvarint(out, uint64(len(payload)))
+	out = appendUvarint(out, count)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
 func TestReaderRejectsInvalidOpcode(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriterV1(&buf, "t", 1)
-	_ = w.Write(&Event{PC: 0, Op: isa.OpNop, DstReg: isa.NoReg})
-	_ = w.Close()
-	data := buf.Bytes()
-	// Corrupt the event opcode byte (first byte after the v1 header).
-	headerLen := 4 + 1 + 1 + 1 + 1 // magic, version, name len, name, numStatic
-	data[headerLen] = 0xEE
+	// One nop record (op, pc 0, flags 0) whose opcode byte is garbage.
+	data := withBlock(v2HeaderOnly(t), 1, []byte{0xEE, 0, 0})
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -319,52 +361,46 @@ func TestAppendIgnoresOutOfRangePC(t *testing.T) {
 func TestReaderRejectsOverlongNSrc(t *testing.T) {
 	// A hand-crafted event whose flags byte claims 3 source operands must
 	// be rejected, not overflow the fixed operand arrays (regression for a
-	// fuzzer finding).
-	var buf bytes.Buffer
-	buf.WriteString("DPGT")
-	buf.WriteByte(1)   // version
-	buf.WriteByte(1)   // name len
-	buf.WriteByte('x') // name
-	buf.WriteByte(2)   // numStatic
-	buf.WriteByte(byte(isa.OpAdd))
-	buf.WriteByte(0)    // pc
-	buf.WriteByte(0x03) // flags: NSrc=3
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	// fuzzer finding). The record carries two well-formed sources, so the
+	// operand count itself is what fails.
+	payload := []byte{byte(isa.OpAdd), 0, 0x03, 1, 0, 2, 0} // op, pc, flags NSrc=3, two sources
+	r, err := NewReader(bytes.NewReader(withBlock(v2HeaderOnly(t), 1, payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var e Event
-	if err := r.Next(&e); err == nil || !strings.Contains(err.Error(), "source operands") {
+	if err := r.Next(&e); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "source operands") {
 		t.Errorf("corrupt NSrc: err = %v", err)
 	}
 }
 
 func TestReaderRejectsHugeProgramLength(t *testing.T) {
 	// A corrupt header must not drive a giant footer allocation
-	// (regression for a fuzzer finding).
-	var buf bytes.Buffer
-	buf.WriteString("DPGT")
-	buf.WriteByte(1)   // version
-	buf.WriteByte(1)   // name len
-	buf.WriteByte('x') // name
-	// numStatic = huge uvarint
-	buf.Write([]byte{0xe1, 0xe1, 0xe1, 0xe1, 0xe1, 0xe1, 0x01})
-	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("huge program length accepted")
+	// (regression for a fuzzer finding). The header's CRC is valid, so
+	// the program-length bound is what rejects it.
+	hdr := appendUvarint([]byte{1, 'x'}, maxNumStatic+1) // name len, name, numStatic
+	data := append([]byte(headerMagic), Version2)
+	data = appendUvarint(data, uint64(len(hdr)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(hdr, castagnoli))
+	data = append(data, hdr...)
+	if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("huge program length: err = %v, want ErrMalformed", err)
 	}
 }
 
 // TestReaderRejectsOverlongVarint feeds varints that run past 64 bits, in
-// a v2 block frame's length and in a v1 footer count: strict mode must
-// report ErrMalformed, and lenient mode must recover instead of leaking
-// the varint decoder's untyped overflow error (regression for a fuzzer
-// finding).
+// a block frame's length and in a CRC-valid footer's event count: strict
+// mode must report ErrMalformed, and lenient mode must recover instead of
+// leaking the varint decoder's untyped overflow error (regression for a
+// fuzzer finding).
 func TestReaderRejectsOverlongVarint(t *testing.T) {
-	overlong := bytes.Repeat([]byte{0xee}, 10)
-	v2 := append(append(v2HeaderOnly(t), blockMarker...), overlong...)
-	v1 := append([]byte(headerMagic), 1, 1, 'x', 1, 0) // one static PC, no events
-	v1 = append(v1, overlong...)
-	for name, data := range map[string][]byte{"v2-block-length": v2, "v1-footer-count": v1} {
+	overlong := append(bytes.Repeat([]byte{0xee}, 10), 0x01)
+	block := append(append(v2HeaderOnly(t), blockMarker...), overlong...)
+	footer := append(v2HeaderOnly(t), countMarker...)
+	footer = appendUvarint(footer, uint64(len(overlong)))
+	footer = binary.LittleEndian.AppendUint32(footer, crc32.Checksum(overlong, castagnoli))
+	footer = append(append(footer, overlong...), footerMagic...)
+	for name, data := range map[string][]byte{"block-length": block, "footer-count": footer} {
 		if run := decode(t, data); !errors.Is(run.err, ErrMalformed) {
 			t.Errorf("%s: strict error %v, want ErrMalformed", name, run.err)
 		}
