@@ -33,7 +33,8 @@
 // By default a corrupt or truncated trace file is rejected with a typed
 // error and a non-zero exit. With -strict=false the reader resynchronises
 // past damaged blocks, analyses the surviving events, and prints a
-// corruption summary (blocks skipped, bytes lost, truncation) to stderr.
+// corruption summary (blocks skipped, bytes lost, truncation) to stderr;
+// a file with no surviving event fails after its summary.
 package main
 
 import (
@@ -174,6 +175,10 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 	if errors.Is(err, core.ErrAborted) {
 		failInterrupted(0, len(kinds))
 	}
+	if err == nil && !strict && st.Events == 0 {
+		printCorruption("dpgrun: ", st)
+		err = errNoEvents
+	}
 	if err != nil {
 		fail(err.Error())
 	}
@@ -204,6 +209,10 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 	failed, interrupted := 0, 0
 	for _, fr := range core.AnalyzeFiles(paths, kinds, parallel, fileOpts(ctx, strict, workers)...) {
 		fmt.Printf("== %s ==\n", fr.Path)
+		if fr.Err == nil && !strict && fr.Stats.Events == 0 {
+			printCorruption("dpgrun: "+fr.Path+": ", fr.Stats)
+			fr.Err = errNoEvents
+		}
 		switch {
 		case errors.Is(fr.Err, core.ErrAborted):
 			interrupted += len(kinds)
@@ -348,6 +357,9 @@ func printCorruption(prefix string, st trace.Stats) {
 	}
 	fmt.Fprintln(os.Stderr)
 }
+
+// errNoEvents fails a lenient run that recovered nothing to analyse.
+var errNoEvents = errors.New("lenient decoding recovered no events")
 
 func fail(msg string) {
 	fmt.Fprintln(os.Stderr, "dpgrun:", msg)

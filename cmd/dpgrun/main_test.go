@@ -91,3 +91,54 @@ func TestDirLenientSummaryPrefix(t *testing.T) {
 		t.Errorf("%d \"dpgrun: \" prefixes on stderr, want one per damaged file (%d)\nstderr:\n%s", n, len(damaged), stderr)
 	}
 }
+
+// TestLenientNoEventsFails runs -strict=false over a CRC-valid trace whose
+// only block carries an unknown codec byte (1, the retired lz codec):
+// lenient decoding skips that block and recovers no event. The single-file
+// run prints the corruption summary and exits 1 without a report; in
+// directory mode the file counts as a failure next to an intact one.
+func TestLenientNoEventsFails(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := workloads.ByName("fig1")
+	tr, err := w.TraceRounds(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, tr, trace.Compression(trace.CodecFlate)); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if n := bytes.Count(good, []byte("BLKC")); n != 1 {
+		t.Fatalf("%d BLKC frames, want 1", n)
+	}
+	// The CRC covers the stored payload, not the codec byte after the
+	// marker, so the frame stays CRC-valid.
+	bad := append([]byte(nil), good...)
+	bad[bytes.Index(bad, []byte("BLKC"))+4] = 1
+	for name, data := range map[string][]byte{"a.dpg": good, "b.dpg": bad} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	badPath := filepath.Join(dir, "b.dpg")
+
+	stdout, stderr, code := dpgrun(t, "-trace", badPath, "-strict=false")
+	if code != 1 {
+		t.Errorf("single file: exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr, "recovered 0 events from 0 blocks") || !strings.Contains(stderr, "recovered no events") {
+		t.Errorf("single file: stderr lacks the summary or the failure:\n%s", stderr)
+	}
+	if stdout != "" {
+		t.Errorf("single file: printed a report:\n%s", stdout)
+	}
+
+	stdout, stderr, code = dpgrun(t, "-trace", dir, "-strict=false", "-parallel", "1")
+	if code != 1 {
+		t.Errorf("directory: exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr, "dpgrun: "+badPath+": corruption summary") || !strings.Contains(stdout, "1 failure(s)") {
+		t.Errorf("directory: b.dpg not reported as failed\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/core"
 )
@@ -22,7 +23,7 @@ func main() {
 	experiment := flag.String("experiment", "", "experiment id (default: all); see -list")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	seed := flag.Uint64("seed", 1, "workload input seed")
-	parallel := flag.Int("parallel", 4, "concurrent model runs during precompute")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent model runs during precompute, one per core by default")
 	traceDir := flag.String("tracedir", "", "read pre-generated <name>.dpg trace files from this directory instead of regenerating those workloads in memory; each file is decoded once and held whole while its runs use it")
 	paper := flag.Bool("paper", false, "restrict to the source paper's corpus: 12 SPEC95-modeled workloads x 3 predictors (default: extended corpus with graph workloads and tage/ldbp)")
 	verbose := flag.Bool("v", false, "print progress while running")

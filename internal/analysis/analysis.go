@@ -10,8 +10,9 @@ import (
 	"repro/internal/dpg"
 )
 
-// The reuse and confidence experiments' parameters. The figures suite
-// and dpgd's ?experiments= both read them, so the two can never diverge.
+// The reuse and confidence experiments' parameters. Core's
+// streaming-experiment table reads them for both the figures suite and
+// dpgd's ?experiments=, so the two can never diverge.
 const (
 	// ReuseBits sizes the reuse buffer: 2^16 = 64K entries.
 	ReuseBits = 16

@@ -77,7 +77,8 @@ type SweepConfig struct {
 // SpeculationSweep returns the speculation experiment's machine — 64-wide,
 // 8-cycle recovery, confidence counters saturating at 7 — and its gates:
 // the never-speculate baseline first, then the thresholds 0, 1, 3 and 7.
-// The figures suite and dpgd's ?experiments= both read it.
+// Core's streaming-experiment table reads it for both the figures suite
+// and dpgd's ?experiments=.
 func SpeculationSweep() SweepConfig {
 	return SweepConfig{Width: 64, MaxConfidence: 7, Penalty: 8, Thresholds: []uint8{specNever, 0, 1, 3, 7}}
 }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
@@ -437,28 +436,15 @@ func (s *Suite) resultsByKind(names []string) (map[predictor.Kind][]*dpg.Result,
 	return byKind, nil
 }
 
-func intNames() []string {
-	names := make([]string, 0, 8)
-	for _, w := range workloads.Integer() {
-		names = append(names, w.Name)
-	}
-	return names
-}
+func intNames() []string   { return workloadNames(workloads.Integer()) }
+func floatNames() []string { return workloadNames(workloads.Float()) }
+func graphNames() []string { return workloadNames(workloads.Graph()) }
+func allNames() []string   { return append(intNames(), floatNames()...) }
 
-func floatNames() []string {
-	names := make([]string, 0, 4)
-	for _, w := range workloads.Float() {
-		names = append(names, w.Name)
-	}
-	return names
-}
-
-func allNames() []string { return append(intNames(), floatNames()...) }
-
-func graphNames() []string {
-	names := make([]string, 0, 3)
-	for _, w := range workloads.Graph() {
-		names = append(names, w.Name)
+func workloadNames(ws []*workloads.Workload) []string {
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
 	}
 	return names
 }
@@ -483,68 +469,59 @@ func (s *Suite) suiteKinds() []predictor.Kind {
 	return predictor.AllKinds
 }
 
+// experiment is one row of the experiment table: an id, the table or
+// figure it reproduces, and the method that renders it.
+type experiment struct {
+	id, desc string
+	render   func(s *Suite, w io.Writer) error
+}
+
+// experiments returns the experiment table, in presentation order: the
+// paper's table and figures, then the extensions beyond them, which
+// quantify its prose claims (see DESIGN.md §5). The streaming
+// experiments take their ids from the streaming-experiment table. It is
+// a function, not a variable, so programs that run no experiment (dpgd)
+// do not link the renderers.
+func experiments() []experiment {
+	return []experiment{
+		{"table1", "Table 1: benchmark DPG characteristics", (*Suite).table1},
+		{"fig5", "Figure 5: overall node and arc predictability", (*Suite).fig5},
+		{"fig6", "Figure 6: generation breakdown", breakdown(analysis.Generation, report.WriteGeneration)},
+		{"fig7", "Figure 7: propagation breakdown", breakdown(analysis.Propagation, report.WritePropagation)},
+		{"fig8", "Figure 8: termination breakdown", breakdown(analysis.Termination, report.WriteTermination)},
+		{"fig9", "Figure 9: generator-class path analysis", (*Suite).fig9},
+		{"fig10", "Figure 10: tree depth and aggregate propagation (gcc, context)", (*Suite).fig10},
+		{"fig11", "Figure 11: generates per propagate and distances (com/go/gcc, context)", (*Suite).fig11},
+		{"fig12", "Figure 12: predictable sequence lengths (INT average)", (*Suite).fig12},
+		{"fig13", "Figure 13: branch predictability behavior (INT average)", (*Suite).fig13},
+		{"attribution", "Extension: node classes by operation group (paper §4.2-4.4 narrative)", (*Suite).attribution},
+		{"hotspots", "Extension: static generate points and concentration (paper §4.5 claim)", (*Suite).hotspots},
+		{"unpred", "Extension: decomposition of unpredictability (paper §6 future work)", (*Suite).unpredictability},
+		{"correlation", "Extension: input-correlated output prediction (paper §6 proposal)", (*Suite).correlation},
+		{reuseStream.id, "Extension: instruction reuse potential (paper §1.2/§6)", (*Suite).reuse},
+		{"addresses", "Extension: address vs data predictability at memory ops (paper §1)", (*Suite).addresses},
+		{confidenceStream.id, "Extension: confidence-gated value prediction sweep (paper §1.2)", (*Suite).confidence},
+		{ilpStream.id, "Extension: dataflow-limit ILP with and without value prediction (paper §1 / ref [9])", (*Suite).ilp},
+		{speculationStream.id, "Extension: width-limited value speculation vs confidence threshold (paper §1.2)", (*Suite).speculation},
+	}
+}
+
 // Experiments lists the runnable experiment ids with a one-line description
 // of the table/figure each reproduces.
 func Experiments() map[string]string {
-	return map[string]string{
-		"table1": "Table 1: benchmark DPG characteristics",
-		"fig5":   "Figure 5: overall node and arc predictability",
-		"fig6":   "Figure 6: generation breakdown",
-		"fig7":   "Figure 7: propagation breakdown",
-		"fig8":   "Figure 8: termination breakdown",
-		"fig9":   "Figure 9: generator-class path analysis",
-		"fig10":  "Figure 10: tree depth and aggregate propagation (gcc, context)",
-		"fig11":  "Figure 11: generates per propagate and distances (com/go/gcc, context)",
-		"fig12":  "Figure 12: predictable sequence lengths (INT average)",
-		"fig13":  "Figure 13: branch predictability behavior (INT average)",
-		// Extensions beyond the paper's figures, quantifying its prose
-		// claims (see DESIGN.md §5).
-		"attribution": "Extension: node classes by operation group (paper §4.2-4.4 narrative)",
-		"hotspots":    "Extension: static generate points and concentration (paper §4.5 claim)",
-		"unpred":      "Extension: decomposition of unpredictability (paper §6 future work)",
-		"correlation": "Extension: input-correlated output prediction (paper §6 proposal)",
-		"reuse":       "Extension: instruction reuse potential (paper §1.2/§6)",
-		"addresses":   "Extension: address vs data predictability at memory ops (paper §1)",
-		"confidence":  "Extension: confidence-gated value prediction sweep (paper §1.2)",
-		"ilp":         "Extension: dataflow-limit ILP with and without value prediction (paper §1 / ref [9])",
-		"speculation": "Extension: width-limited value speculation vs confidence threshold (paper §1.2)",
+	m := make(map[string]string)
+	for _, e := range experiments() {
+		m[e.id] = e.desc
 	}
+	return m
 }
 
 // ExperimentIDs returns the experiment ids in presentation order.
 func ExperimentIDs() []string {
-	ids := make([]string, 0, len(Experiments()))
-	for id := range Experiments() {
-		ids = append(ids, id)
+	var ids []string
+	for _, e := range experiments() {
+		ids = append(ids, e.id)
 	}
-	rank := func(id string) int {
-		switch id {
-		case "table1":
-			return 0
-		case "attribution":
-			return 100
-		case "hotspots":
-			return 101
-		case "unpred":
-			return 102
-		case "correlation":
-			return 103
-		case "reuse":
-			return 104
-		case "addresses":
-			return 105
-		case "confidence":
-			return 106
-		case "ilp":
-			return 107
-		case "speculation":
-			return 108
-		}
-		var n int
-		fmt.Sscanf(id, "fig%d", &n)
-		return n
-	}
-	sort.Slice(ids, func(i, j int) bool { return rank(ids[i]) < rank(ids[j]) })
 	return ids
 }
 
@@ -558,41 +535,10 @@ func (s *Suite) Run(id string, w io.Writer) (err error) {
 			err = fmt.Errorf("%w: experiment %s: internal panic: %v", ErrConfig, id, r)
 		}
 	}()
-	switch id {
-	case "table1":
-		return s.table1(w)
-	case "fig5":
-		return s.fig5(w)
-	case "fig6", "fig7", "fig8":
-		return s.breakdown(id, w)
-	case "fig9":
-		return s.fig9(w)
-	case "fig10":
-		return s.fig10(w)
-	case "fig11":
-		return s.fig11(w)
-	case "fig12":
-		return s.fig12(w)
-	case "fig13":
-		return s.fig13(w)
-	case "attribution":
-		return s.attribution(w)
-	case "hotspots":
-		return s.hotspots(w)
-	case "unpred":
-		return s.unpredictability(w)
-	case "correlation":
-		return s.correlation(w)
-	case "reuse":
-		return s.reuse(w)
-	case "addresses":
-		return s.addresses(w)
-	case "confidence":
-		return s.confidence(w)
-	case "ilp":
-		return s.ilp(w)
-	case "speculation":
-		return s.speculation(w)
+	for _, e := range experiments() {
+		if e.id == id {
+			return e.render(s, w)
+		}
 	}
 	return fmt.Errorf("core: unknown experiment %q (known: %v)", id, ExperimentIDs())
 }
@@ -624,65 +570,82 @@ func (s *Suite) table1(w io.Writer) error {
 }
 
 func (s *Suite) fig5(w io.Writer) error {
-	var rows []analysis.OverallRow
-	kinds := s.suiteKinds()
-	perKind := map[predictor.Kind][]analysis.OverallRow{}
-	for _, name := range s.suiteNames() {
-		for _, k := range kinds {
-			r, err := s.Result(name, k)
-			if err != nil {
-				return err
-			}
-			row := analysis.Overall(r)
-			rows = append(rows, row)
-			perKind[k] = append(perKind[k], row)
-		}
+	rows, err := suiteRows(s, analysis.Overall)
+	if err != nil {
+		return err
 	}
-	nInt, nFloat := len(intNames()), len(floatNames())
-	for _, k := range kinds {
-		rows = append(rows, analysis.AverageOverall(perKind[k][:nInt], "INT"))
-	}
-	for _, k := range kinds {
-		rows = append(rows, analysis.AverageOverall(perKind[k][nInt:nInt+nFloat], "FLOAT"))
-	}
-	if len(perKind[kinds[0]]) > nInt+nFloat {
-		for _, k := range kinds {
-			rows = append(rows, analysis.AverageOverall(perKind[k][nInt+nFloat:], "GRAPH"))
-		}
-	}
-	report.WriteOverall(w, rows)
+	report.WriteOverall(w, withAverages(s, rows, analysis.AverageOverall))
 	return nil
 }
 
-func (s *Suite) breakdown(id string, w io.Writer) error {
-	var gen []analysis.GenRow
-	var prop []analysis.PropRow
-	var term []analysis.TermRow
+// breakdown renders one of Figures 6-8: row over every (workload,
+// predictor) result of the suite, written by write.
+func breakdown[T any](row func(*dpg.Result) T, write func(io.Writer, []T)) func(*Suite, io.Writer) error {
+	return func(s *Suite, w io.Writer) error {
+		rows, err := suiteRows(s, row)
+		if err != nil {
+			return err
+		}
+		write(w, rows)
+		return nil
+	}
+}
+
+// suiteRows computes row over every (workload, predictor) result of the
+// suite, workload-major.
+func suiteRows[T any](s *Suite, row func(*dpg.Result) T) ([]T, error) {
+	var rows []T
 	for _, name := range s.suiteNames() {
 		for _, k := range s.suiteKinds() {
 			r, err := s.Result(name, k)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			switch id {
-			case "fig6":
-				gen = append(gen, analysis.Generation(r))
-			case "fig7":
-				prop = append(prop, analysis.Propagation(r))
-			case "fig8":
-				term = append(term, analysis.Termination(r))
-			}
+			rows = append(rows, row(r))
 		}
 	}
-	switch id {
-	case "fig6":
-		report.WriteGeneration(w, gen)
-	case "fig7":
-		report.WritePropagation(w, prop)
-	case "fig8":
-		report.WriteTermination(w, term)
+	return rows, nil
+}
+
+// withAverages appends to suiteRows' rows the per-predictor averages over
+// the INT workloads, the FLOAT ones and, on the extended corpus, the
+// GRAPH ones.
+func withAverages[T any](s *Suite, rows []T, avg func([]T, string) T) []T {
+	type group struct {
+		label string
+		n     int
 	}
-	return nil
+	groups := []group{{"INT", len(intNames())}, {"FLOAT", len(floatNames())}}
+	if !s.cfg.PaperCorpus {
+		groups = append(groups, group{"GRAPH", len(graphNames())})
+	}
+	nk := len(s.suiteKinds())
+	first := 0
+	for _, g := range groups {
+		for k := 0; k < nk; k++ {
+			var per []T
+			for wl := first; wl < first+g.n; wl++ {
+				per = append(per, rows[wl*nk+k])
+			}
+			rows = append(rows, avg(per, g.label))
+		}
+		first += g.n
+	}
+	return rows
+}
+
+// intAverages averages row over the INT workloads' results byKind
+// (resultsByKind(intNames())), one row per suite predictor.
+func intAverages[T any](s *Suite, byKind map[predictor.Kind][]*dpg.Result, row func(*dpg.Result) T, avg func([]T, string) T) []T {
+	var out []T
+	for _, k := range s.suiteKinds() {
+		var per []T
+		for _, r := range byKind[k] {
+			per = append(per, row(r))
+		}
+		out = append(out, avg(per, "INT"))
+	}
+	return out
 }
 
 func (s *Suite) fig9(w io.Writer) error {
@@ -690,15 +653,7 @@ func (s *Suite) fig9(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var classRows []analysis.PathClassRow
-	for _, k := range s.suiteKinds() {
-		var rows []analysis.PathClassRow
-		for _, r := range byKind[k] {
-			rows = append(rows, analysis.PathClasses(r))
-		}
-		classRows = append(classRows, analysis.AveragePathClasses(rows, "INT"))
-	}
-	report.WritePathClasses(w, classRows)
+	report.WritePathClasses(w, intAverages(s, byKind, analysis.PathClasses, analysis.AveragePathClasses))
 
 	combos := analysis.Combos(byKind[predictor.KindContext], 24)
 	report.WriteCombos(w, combos,
@@ -735,15 +690,7 @@ func (s *Suite) fig12(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rows []analysis.SeqRow
-	for _, k := range s.suiteKinds() {
-		var per []analysis.SeqRow
-		for _, r := range byKind[k] {
-			per = append(per, analysis.Sequences(r))
-		}
-		rows = append(rows, analysis.AverageSequences(per, "INT"))
-	}
-	report.WriteSequences(w, rows)
+	report.WriteSequences(w, intAverages(s, byKind, analysis.Sequences, analysis.AverageSequences))
 	return nil
 }
 
@@ -752,15 +699,7 @@ func (s *Suite) fig13(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rows []analysis.BranchRow
-	for _, k := range s.suiteKinds() {
-		var per []analysis.BranchRow
-		for _, r := range byKind[k] {
-			per = append(per, analysis.BranchClasses(r))
-		}
-		rows = append(rows, analysis.AverageBranches(per, "INT"))
-	}
-	report.WriteBranches(w, rows)
+	report.WriteBranches(w, intAverages(s, byKind, analysis.BranchClasses, analysis.AverageBranches))
 	// The paper's headline branch observation.
 	var sum float64
 	ctx := byKind[predictor.KindContext]
@@ -823,33 +762,11 @@ func (s *Suite) hotspots(w io.Writer) error {
 }
 
 func (s *Suite) unpredictability(w io.Writer) error {
-	var rows []analysis.UnpredRow
-	kinds := s.suiteKinds()
-	perKind := map[predictor.Kind][]analysis.UnpredRow{}
-	for _, name := range s.suiteNames() {
-		for _, k := range kinds {
-			r, err := s.Result(name, k)
-			if err != nil {
-				return err
-			}
-			row := analysis.Unpredictability(r)
-			rows = append(rows, row)
-			perKind[k] = append(perKind[k], row)
-		}
+	rows, err := suiteRows(s, analysis.Unpredictability)
+	if err != nil {
+		return err
 	}
-	nInt, nFloat := len(intNames()), len(floatNames())
-	for _, k := range kinds {
-		rows = append(rows, analysis.AverageUnpredictability(perKind[k][:nInt], "INT"))
-	}
-	for _, k := range kinds {
-		rows = append(rows, analysis.AverageUnpredictability(perKind[k][nInt:nInt+nFloat], "FLOAT"))
-	}
-	if len(perKind[kinds[0]]) > nInt+nFloat {
-		for _, k := range kinds {
-			rows = append(rows, analysis.AverageUnpredictability(perKind[k][nInt+nFloat:], "GRAPH"))
-		}
-	}
-	report.WriteUnpredictability(w, rows)
+	report.WriteUnpredictability(w, withAverages(s, rows, analysis.AverageUnpredictability))
 	return nil
 }
 
@@ -865,7 +782,7 @@ func (s *Suite) correlation(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		corr, err := s.correlationResult(name)
+		corr, err := productFor[*dpg.Result](s, name, corrJob(name))
 		if err != nil {
 			return err
 		}
@@ -891,10 +808,11 @@ func (s *Suite) reuse(w io.Writer) error {
 	fmt.Fprintln(w, "Reuse: 64K-entry reuse buffer hit rate vs fully predictable instructions (context)")
 	fmt.Fprintf(w, "%-6s %10s %12s %12s %16s\n", "bench", "eligible", "reuse%", "load-reuse%", "predictable%")
 	for _, name := range intNames() {
-		rs, err := s.reuseStats(name)
+		p, err := productFor[*StreamProducts](s, name, reuseJob(name))
 		if err != nil {
 			return err
 		}
+		rs := p.Reuse
 		res, err := s.Result(name, predictor.KindContext)
 		if err != nil {
 			return err
@@ -979,12 +897,12 @@ func (s *Suite) confidence(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range intNames() {
-		points, err := s.confidencePoints(name)
+		p, err := productFor[*StreamProducts](s, name, confidenceJob(name))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-6s", name)
-		for _, pt := range points {
+		for _, pt := range p.Confidence {
 			fmt.Fprintf(w, " %5.1f/%4.1f", pt.CoveragePct, pt.AccuracyPct)
 		}
 		fmt.Fprintln(w)
@@ -1003,18 +921,16 @@ func (s *Suite) ilp(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range s.suiteNames() {
-		stats, err := s.ilpStats(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-6s %10d", name, stats[0].Instructions)
-		first := true
-		for _, st := range stats {
-			if first {
-				fmt.Fprintf(w, " %10.2f", st.ILPBase())
-				first = false
+		fmt.Fprintf(w, "%-6s", name)
+		for i, k := range s.suiteKinds() {
+			p, err := productFor[*StreamProducts](s, name, sweepJob(name, k))
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(w, " %10.2f %7.2fx", st.ILPVP(), st.Speedup())
+			if i == 0 {
+				fmt.Fprintf(w, " %10d %10.2f", p.ILP.Instructions, p.ILP.ILPBase())
+			}
+			fmt.Fprintf(w, " %10.2f %7.2fx", p.ILP.ILPVP(), p.ILP.Speedup())
 		}
 		fmt.Fprintln(w)
 	}
@@ -1033,10 +949,11 @@ func (s *Suite) speculation(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range intNames() {
-		stats, err := s.speculationStats(name)
+		p, err := productFor[*StreamProducts](s, name, sweepJob(name, predictor.KindContext))
 		if err != nil {
 			return err
 		}
+		stats := p.Speculation
 		fmt.Fprintf(w, "%-6s %9.2f", name, stats[0].IPC())
 		for _, st := range stats[1:] {
 			fmt.Fprintf(w, " %4.2f/%2.0f%%", st.IPC(), st.MisspecPct())

@@ -1,18 +1,23 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/analysis"
 	"repro/internal/dpg"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
-// This file holds the suite's experiment products: everything the
-// correlation, reuse, confidence, ILP and speculation experiments read
-// besides the standard model results. Each product is one job — a single
-// simulator, or the correlation model, run over the workload's trace — so
-// Precompute can spread them over its worker pool next to the model runs,
-// every job reading the workload's one cached trace.
+// This file holds the experiment products: everything the correlation,
+// reuse, confidence, ILP and speculation experiments read besides the
+// standard model results. The streaming experiments are one table
+// (streams), which both the suite's jobs and dpgd's ?experiments= build
+// their observers from. In the suite each product is one job — one
+// observer set, or the correlation model, run over the workload's trace —
+// so Precompute can spread them over its worker pool next to the model
+// runs, every job reading the workload's one cached trace.
 
 // productJob computes one experiment product of one workload.
 type productJob struct {
@@ -69,49 +74,155 @@ func productFor[T any](s *Suite, name string, job productJob) (T, error) {
 	return v.(T), nil
 }
 
-// --- per-experiment accessors ---------------------------------------------
-//
-// Each experiment's renderer asks for its product through one of these:
-// memoised by Precompute, or computed on demand over the workload's
-// cached trace.
+// --- the streaming experiments ------------------------------------------
 
-// correlationResult returns the correlation-model result for one workload.
-func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
-	return productFor[*dpg.Result](s, name, corrJob(name))
+// StreamProducts holds, for one trace, the results of the streaming
+// experiments: the experiments that ride a trace's decode as observers.
+// Only the experiments asked for are set. dpgd sends it as the
+// experiments half of its response.
+type StreamProducts struct {
+	Reuse       *analysis.ReuseStats       `json:"reuse,omitempty"`
+	ILP         *analysis.ILPStats         `json:"ilp,omitempty"`
+	Confidence  []analysis.ConfidencePoint `json:"confidence,omitempty"`
+	Speculation []analysis.SpecStats       `json:"speculation,omitempty"`
 }
 
-// reuseStats returns the reuse-buffer totals for one workload.
-func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
-	return productFor[analysis.ReuseStats](s, name, reuseJob(name))
+// stream is one row of the streaming-experiment table: the observer the
+// experiment reads under a predictor kind, and how its result lands in
+// StreamProducts.
+type stream struct {
+	id string
+	// observer builds the experiment's own observer under predictor
+	// kind k. It is nil for the sweep experiments.
+	observer func(k predictor.Kind) analysis.Observer
+	// sweep marks the experiments read from the one SpecSweep of their
+	// observer set; gates is what such an experiment adds to it. The ILP
+	// study adds nothing: every sweep runs its timelines.
+	sweep bool
+	gates analysis.SweepConfig
+	// read stores the experiment's result, read from its observer o and
+	// stamped with the trace's name, in p.
+	read func(o analysis.Observer, name string, p *StreamProducts)
 }
 
-// confidencePoints returns the confidence sweep for one workload.
-func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error) {
-	return productFor[[]analysis.ConfidencePoint](s, name, confidenceJob(name))
-}
-
-// ilpStats returns the dataflow-limit statistics for one workload, one
-// entry per predictor kind in suiteKinds order.
-func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
-	kinds := s.suiteKinds()
-	out := make([]analysis.ILPStats, len(kinds))
-	for i, k := range kinds {
-		sweep, err := productFor[analysis.SweepStats](s, name, sweepJob(name, k))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sweep.ILP
+var (
+	reuseStream = &stream{
+		id: "reuse",
+		observer: func(predictor.Kind) analysis.Observer {
+			return analysis.NewReuseSim("", analysis.ReuseBits)
+		},
+		read: func(o analysis.Observer, name string, p *StreamProducts) {
+			rs := o.(*analysis.ReuseSim).Stats()
+			rs.Name = name
+			p.Reuse = &rs
+		},
 	}
-	return out, nil
+	ilpStream = &stream{
+		id:    "ilp",
+		sweep: true,
+		read: func(o analysis.Observer, name string, p *StreamProducts) {
+			ilp := o.(*analysis.SpecSweep).Stats().ILP
+			ilp.Name = name
+			p.ILP = &ilp
+		},
+	}
+	confidenceStream = &stream{
+		id: "confidence",
+		observer: func(k predictor.Kind) analysis.Observer {
+			return analysis.NewConfidenceSim(k, analysis.ConfMaxLevel)
+		},
+		read: func(o analysis.Observer, _ string, p *StreamProducts) {
+			p.Confidence = o.(*analysis.ConfidenceSim).Points()
+		},
+	}
+	speculationStream = &stream{
+		id:    "speculation",
+		sweep: true,
+		gates: analysis.SpeculationSweep(),
+		read: func(o analysis.Observer, name string, p *StreamProducts) {
+			for _, ss := range o.(*analysis.SpecSweep).Stats().Spec {
+				ss.Name = name
+				p.Speculation = append(p.Speculation, ss)
+			}
+		},
+	}
+	// streams is the streaming-experiment table.
+	streams = []*stream{reuseStream, ilpStream, confidenceStream, speculationStream}
+)
+
+// StreamExperimentIDs lists the streaming experiments, the ids NewStreams
+// accepts, in table order.
+func StreamExperimentIDs() []string {
+	ids := make([]string, len(streams))
+	for i, e := range streams {
+		ids[i] = e.id
+	}
+	return ids
 }
 
-// speculationStats returns the speculation experiment's timelines for one
-// workload, in SpeculationSweep().Thresholds order: the never-speculate
-// baseline first.
-func (s *Suite) speculationStats(name string) ([]analysis.SpecStats, error) {
-	sweep, err := productFor[analysis.SweepStats](s, name, sweepJob(name, predictor.KindContext))
-	return sweep.Spec, err
+// Streams is the observer set of some streaming experiments under one
+// predictor kind: each experiment's own observer, and one SpecSweep for
+// the sweep experiments, which carries the speculation gates only when
+// the speculation experiment is among them.
+type Streams struct {
+	want []*stream
+	obs  []analysis.Observer // obs[i] is the observer want[i] reads
+	list []analysis.Observer // every observer once
 }
+
+// NewStreams builds the observers of the named streaming experiments
+// under predictor kind k. It panics on an id StreamExperimentIDs does not
+// list: callers validate their requests first.
+func NewStreams(k predictor.Kind, ids ...string) *Streams {
+	want := make([]*stream, len(ids))
+	for i, id := range ids {
+		j := slices.IndexFunc(streams, func(e *stream) bool { return e.id == id })
+		if j < 0 {
+			panic(fmt.Sprintf("core: %q is not a streaming experiment", id))
+		}
+		want[i] = streams[j]
+	}
+	return newStreams(k, want)
+}
+
+func newStreams(k predictor.Kind, want []*stream) *Streams {
+	st := &Streams{want: want, obs: make([]analysis.Observer, len(want))}
+	var gates analysis.SweepConfig
+	for _, e := range want {
+		if len(e.gates.Thresholds) > 0 {
+			gates = e.gates
+		}
+	}
+	var sweep *analysis.SpecSweep
+	for i, e := range want {
+		if !e.sweep {
+			st.obs[i] = e.observer(k)
+			st.list = append(st.list, st.obs[i])
+			continue
+		}
+		if sweep == nil {
+			sweep = analysis.NewSpecSweep("", k, gates)
+			st.list = append(st.list, sweep)
+		}
+		st.obs[i] = sweep
+	}
+	return st
+}
+
+// Observers returns every observer of the set once.
+func (st *Streams) Observers() []analysis.Observer { return st.list }
+
+// Products reads every experiment's result from the events observed so
+// far, stamped with the trace's name.
+func (st *Streams) Products(name string) *StreamProducts {
+	p := &StreamProducts{}
+	for i, e := range st.want {
+		e.read(st.obs[i], name, p)
+	}
+	return p
+}
+
+// --- the suite's product jobs ---------------------------------------------
 
 // productJobs lists, in scheduling order, every product the suite's
 // experiments read for one workload: one sweep per predictor kind (the
@@ -122,7 +233,7 @@ func (s *Suite) speculationStats(name string) ([]analysis.SpecStats, error) {
 // workload's last jobs overlap the next workload's trace and model runs,
 // so a heavy job at the tail raises the suite's peak memory.
 func (s *Suite) productJobs(name string) []productJob {
-	isInt := isIntName(name)
+	isInt := slices.Contains(intNames(), name)
 	jobs := []productJob{sweepJob(name, predictor.KindContext)}
 	if isInt {
 		jobs = append(jobs, corrJob(name))
@@ -138,72 +249,54 @@ func (s *Suite) productJobs(name string) []productJob {
 	return jobs
 }
 
-func isIntName(name string) bool {
-	for _, n := range intNames() {
-		if n == name {
-			return true
+// streamJob runs the streaming experiments want over one workload's trace
+// under predictor kind k. It returns their products, so no observer
+// outlives the job.
+func streamJob(name string, k predictor.Kind, want ...*stream) productJob {
+	key := name + "/" + k.String()
+	for _, e := range want {
+		key += "/" + e.id
+	}
+	return productJob{key: key, run: func(t *trace.Trace) (any, error) {
+		st := newStreams(k, want)
+		for _, o := range st.Observers() {
+			for i := range t.Events {
+				o.Observe(&t.Events[i])
+			}
 		}
-	}
-	return false
+		return st.Products(name), nil
+	}}
 }
 
-// observeAll feeds every event of t to observe, in order.
-func observeAll(t *trace.Trace, observe func(*trace.Event)) {
-	for i := range t.Events {
-		observe(&t.Events[i])
-	}
-}
-
-// suiteSweepConfig is the sweep the suite runs under predictor kind k on
-// one workload: every kind's sweep yields its ILP entry, and the context
+// sweepJob is the sweep the suite runs under predictor kind k on one
+// workload: every kind's sweep yields its ILP entry, and the context
 // sweep on integer workloads (the only ones the speculation experiment
 // covers) also carries the speculation experiment's gates.
-func suiteSweepConfig(name string, k predictor.Kind) analysis.SweepConfig {
-	if k != predictor.KindContext || !isIntName(name) {
-		return analysis.SweepConfig{}
-	}
-	return analysis.SpeculationSweep()
-}
-
-// suiteCorrConfig is the correlation experiment's model configuration:
-// output prediction keyed by (PC, input values) instead of PC alone.
-func suiteCorrConfig() dpg.Config {
-	return dpg.Config{
-		Predictor:        predictor.KindContext.Factory(),
-		PredictorName:    "context+corr",
-		CorrelateOutputs: true,
-	}
-}
-
-// sweepJob runs one workload's sweep under predictor kind k (see
-// suiteSweepConfig). It returns plain stats, so no predictor outlives
-// the job.
 func sweepJob(name string, k predictor.Kind) productJob {
-	return productJob{key: name + "/sweep/" + k.String(), run: func(t *trace.Trace) (any, error) {
-		sw := analysis.NewSpecSweep(name, k, suiteSweepConfig(name, k))
-		observeAll(t, sw.Observe)
-		return sw.Stats(), nil
-	}}
+	if k != predictor.KindContext || !slices.Contains(intNames(), name) {
+		return streamJob(name, k, ilpStream)
+	}
+	return streamJob(name, k, ilpStream, speculationStream)
 }
 
-func corrJob(name string) productJob {
-	return productJob{key: name + "/corr", run: func(t *trace.Trace) (any, error) {
-		return dpg.RunWith(t, suiteCorrConfig())
-	}}
-}
-
+// The suite's reuse and confidence experiments run under context.
 func reuseJob(name string) productJob {
-	return productJob{key: name + "/reuse", run: func(t *trace.Trace) (any, error) {
-		sim := analysis.NewReuseSim(name, analysis.ReuseBits)
-		observeAll(t, sim.Observe)
-		return sim.Stats(), nil
-	}}
+	return streamJob(name, predictor.KindContext, reuseStream)
 }
 
 func confidenceJob(name string) productJob {
-	return productJob{key: name + "/confidence", run: func(t *trace.Trace) (any, error) {
-		sim := analysis.NewConfidenceSim(predictor.KindContext, analysis.ConfMaxLevel)
-		observeAll(t, sim.Observe)
-		return sim.Points(), nil
+	return streamJob(name, predictor.KindContext, confidenceStream)
+}
+
+// corrJob runs the correlation experiment's model: a second dpg model run
+// with output prediction keyed by (PC, input values) instead of PC alone,
+// not a streaming observer.
+func corrJob(name string) productJob {
+	return productJob{key: name + "/corr", run: func(t *trace.Trace) (any, error) {
+		return dpg.RunWith(t, dpg.Config{
+			Predictor:        predictor.KindContext.Factory(),
+			PredictorName:    "context+corr",
+			CorrelateOutputs: true,
+		})
 	}}
 }

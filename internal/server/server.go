@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -192,14 +193,11 @@ type analysisPayload struct {
 	Experiments *experimentsPayload `json:"experiments,omitempty"`
 }
 
-// experimentsPayload is the multi-experiment half of a response. Only the
-// requested experiments are populated.
-type experimentsPayload struct {
-	Reuse       *analysis.ReuseStats       `json:"reuse,omitempty"`
-	ILP         *analysis.ILPStats         `json:"ilp,omitempty"`
-	Confidence  []analysis.ConfidencePoint `json:"confidence,omitempty"`
-	Speculation []analysis.SpecStats       `json:"speculation,omitempty"`
-}
+// experimentsPayload is the multi-experiment half of a response: the
+// products of the requested streaming experiments, each named by its
+// core.StreamExperimentIDs id. Only the requested experiments are
+// populated.
+type experimentsPayload = core.StreamProducts
 
 // analyzeResponse wraps the payload with per-request flags. The payload is
 // embedded by value: encoding/json cannot unmarshal through an embedded
@@ -244,13 +242,14 @@ func parseKind(name string) (predictor.Kind, error) {
 }
 
 // parseExperiments canonicalises the ?experiments= query parameter: a
-// comma-separated subset of the streaming experiments, lowercased,
-// deduplicated, and sorted so equivalent requests share one cache key.
+// comma-separated subset of the streaming experiments
+// (core.StreamExperimentIDs), lowercased, deduplicated, and sorted so
+// equivalent requests share one cache key.
 func parseExperiments(q string) ([]string, error) {
 	if strings.TrimSpace(q) == "" {
 		return nil, nil
 	}
-	known := map[string]bool{"reuse": true, "ilp": true, "confidence": true, "speculation": true}
+	known := core.StreamExperimentIDs()
 	seen := make(map[string]bool)
 	var out []string
 	for _, part := range strings.Split(q, ",") {
@@ -258,8 +257,8 @@ func parseExperiments(q string) ([]string, error) {
 		if name == "" {
 			continue
 		}
-		if !known[name] {
-			return nil, fmt.Errorf("server: unknown experiment %q (want reuse, ilp, confidence, speculation)", name)
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("server: unknown experiment %q (want %s)", name, strings.Join(known, ", "))
 		}
 		if seen[name] {
 			continue
@@ -471,46 +470,16 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 		// store failures here.
 		return nil, classifyJobErr(err)
 	}
-	var (
-		reuseSim *analysis.ReuseSim
-		confSim  *analysis.ConfidenceSim
-		sweep    *analysis.SpecSweep
-		wantILP  bool
-		wantSpec bool
-		obs      []analysis.Observer
-	)
-	for _, name := range j.experiments {
-		switch name {
-		case "reuse":
-			reuseSim = analysis.NewReuseSim("", analysis.ReuseBits)
-			obs = append(obs, reuseSim)
-		case "ilp":
-			wantILP = true
-		case "confidence":
-			confSim = analysis.NewConfidenceSim(j.kind, analysis.ConfMaxLevel)
-			obs = append(obs, confSim)
-		case "speculation":
-			wantSpec = true
-		}
-	}
-	if wantILP || wantSpec {
-		// One predictor serves both: the ILP study and, if asked for, the
-		// speculation experiment's never-speculate baseline and gates.
-		var cfg analysis.SweepConfig
-		if wantSpec {
-			cfg = analysis.SpeculationSweep()
-		}
-		sweep = analysis.NewSpecSweep("", j.kind, cfg)
-		obs = append(obs, sweep)
-	}
 	var st trace.Stats
 	opts := []core.Option{
 		core.WithKind(j.kind),
 		core.WithContext(j.ctx),
 		core.WithTraceStats(&st),
 	}
-	if len(obs) > 0 {
-		opts = append(opts, core.WithObservers(obs...))
+	var streams *core.Streams
+	if len(j.experiments) > 0 {
+		streams = core.NewStreams(j.kind, j.experiments...)
+		opts = append(opts, core.WithObservers(streams.Observers()...))
 	}
 	s.metrics.computations.Add(1)
 	res, err := core.AnalyzeFile(j.path, opts...)
@@ -519,27 +488,8 @@ func (s *Server) analyze(j *job) (*analysisPayload, *JobError) {
 		return nil, classifyJobErr(err)
 	}
 	var exp *experimentsPayload
-	if len(obs) > 0 {
-		exp = &experimentsPayload{}
-		if reuseSim != nil {
-			rs := reuseSim.Stats()
-			rs.Name = res.Name
-			exp.Reuse = &rs
-		}
-		if sweep != nil {
-			sw := sweep.Stats()
-			if wantILP {
-				sw.ILP.Name = res.Name
-				exp.ILP = &sw.ILP
-			}
-			for _, ss := range sw.Spec {
-				ss.Name = res.Name
-				exp.Speculation = append(exp.Speculation, ss)
-			}
-		}
-		if confSim != nil {
-			exp.Confidence = confSim.Points()
-		}
+	if streams != nil {
+		exp = streams.Products(res.Name)
 	}
 	return &analysisPayload{
 		Name:         res.Name,
